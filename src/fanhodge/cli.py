@@ -23,7 +23,6 @@ from .fans import (
     two_division_subdivide,
 )
 from .fixtures import builtin_fixtures
-from .mhs import MixedHSTable
 from .stairs import admissible_region, parse_preset, render_region
 from .weight_ss import (
     strata_complex_from_dict,

@@ -15,7 +15,7 @@ from typing import Sequence
 
 from .errors import NotAComplex, NotEquidimensional, SncConditionViolated
 from .fans import FanSystem, check_snc_condition, cone_orbit_classes, ray_class_index
-from .linalg import Matrix, invariant_factors, rank, rational_kernel_basis
+from .linalg import Matrix, invariant_factors, rank
 
 
 @dataclass(frozen=True)
@@ -354,18 +354,6 @@ def collapse_map(dc: DeltaComplex) -> dict[int, dict[int, int]]:
 # -- JSON ---------------------------------------------------------------------
 
 
-def delta_complex_to_dict(dc: DeltaComplex) -> dict:
-    return {
-        "simplices": [
-            [
-                {"id": s.id, "vertices": list(s.vertices), "faces": list(s.faces)}
-                for s in level
-            ]
-            for level in dc.simplices
-        ]
-    }
-
-
 def homology_report(dc: DeltaComplex) -> dict:
     cc = boundary_matrices(dc)
     rep = pseudomanifold_report(dc)
@@ -381,10 +369,6 @@ def homology_report(dc: DeltaComplex) -> dict:
     }
 
 
-def kernel_dim(m: Matrix) -> int:
-    return m.cols - rank(m)
-
-
 __all__ = [
     "Simplex",
     "DeltaComplex",
@@ -398,6 +382,5 @@ __all__ = [
     "pseudomanifold_report",
     "fundamental_class_vector",
     "collapse_map",
-    "delta_complex_to_dict",
     "homology_report",
 ]

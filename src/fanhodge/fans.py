@@ -11,12 +11,11 @@ limitation, window length is user input).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
-from typing import Iterable, Sequence
+from typing import Sequence
 
-from .errors import NonFreeAction, SncConditionViolated, UnsaturatedWindow
+from .errors import NonFreeAction, UnsaturatedWindow
 from .linalg import (
     Matrix,
     apply_matrix,
@@ -68,15 +67,6 @@ class RayClass:
     representative: tuple[str, Ray]
     members: tuple[tuple[str, Ray], ...]
 
-
-def faces(c: Cone, dim: int) -> list[Cone]:
-    """All dim-dimensional faces of a simplicial cone (= ray subsets)."""
-    if dim > c.dim():
-        raise ValueError("dim exceeds cone dimension")
-    return [
-        Cone(c.cusp, subset, -1)
-        for subset in itertools.combinations(c.rays, dim)
-    ]
 
 
 @dataclass(frozen=True)
@@ -489,21 +479,6 @@ def is_refinement(fine: FanSystem, coarse: FanSystem) -> bool:
         if not hosts:
             return False
     return True
-
-
-def apply_identification_to_cones(fs: FanSystem, ident: Identification) -> set[FaceKey]:
-    """Image keys of all cones on which the identification is defined."""
-    window = fs.window_rays(ident.target)
-    out = set()
-    for cone in fs.cones:
-        if cone.cusp != ident.source:
-            continue
-        images = [
-            tuple(int(x) for x in apply_matrix(ident.matrix, r)) for r in cone.rays
-        ]
-        if all(img in window for img in images):
-            out.add((ident.target, tuple(sorted(images))))
-    return out
 
 
 # -- fixtures ---------------------------------------------------------------

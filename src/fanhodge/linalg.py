@@ -3,12 +3,19 @@
 Everything here works with Python ints and ``fractions.Fraction``, so there
 is no overflow and no rounding anywhere.  Matrices are immutable; all
 operations return new values and are safe to call concurrently.
+
+``rank``, ``rational_kernel_basis``, ``solve``, ``inverse`` and ``det`` share
+one elimination core, ``_echelon``: integer Gauss-Jordan on rows scaled to
+integers, with every combined row divided by the gcd of its entries, so the
+sparse +-1 boundary and Gysin maps stay sparse and small.  Each of them only
+reads the unique reduced row echelon form off its output.  The Smith normal
+form has its own loop, because it needs the unimodular transforms.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm, prod
 from typing import Iterable, Sequence
 
 from .errors import DependentInput
@@ -44,7 +51,9 @@ class Matrix:
 
     @staticmethod
     def identity(n: int) -> "Matrix":
-        return Matrix([[1 if i == j else 0 for j in range(n)] for i in range(n)])
+        return Matrix(
+            [[1 if i == j else 0 for j in range(n)] for i in range(n)], cols=n
+        )
 
     @staticmethod
     def zeros(rows: int, cols: int) -> "Matrix":
@@ -110,14 +119,6 @@ class Matrix:
     def transpose(self) -> "Matrix":
         return Matrix(list(zip(*self._d)) if self._d else [], cols=self.rows)
 
-    def hstack(self, other: "Matrix") -> "Matrix":
-        if self.rows != other.rows:
-            raise ValueError("row count mismatch")
-        return Matrix(
-            [r1 + r2 for r1, r2 in zip(self._d, other._d)],
-            cols=self.cols + other.cols,
-        )
-
     def submatrix(self, row_idx: Sequence[int], col_idx: Sequence[int]) -> "Matrix":
         return Matrix(
             [[self._d[i][j] for j in col_idx] for i in row_idx], cols=len(col_idx)
@@ -169,61 +170,56 @@ def primitivize(v: Sequence[int]) -> tuple[int, ...]:
 # -- elimination ----------------------------------------------------------
 
 
-def _rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    """In-place reduced row echelon form; returns (rows, pivot columns)."""
+def _echelon(rows: list) -> tuple[list[int], Fraction]:
+    """Integer Gauss-Jordan elimination of ``rows``, in place.
+
+    Each row is first scaled to integers by the lcm of its denominators.
+    For each pivot ``p`` every other row with an entry ``a != 0`` in the
+    pivot column becomes ``p * row - a * pivot_row``, divided by the gcd of
+    its entries; rows with 0 there are left untouched, so sparse +-1
+    boundary and Gysin maps stay cheap.  Afterwards the reduced row echelon
+    form has entries ``Fraction(rows[r][j], rows[r][pivots[r]])``.
+
+    Returns the pivot columns and the factor by which the determinant of
+    the rows changed.
+    """
+    num = den = 1
+    for i, row in enumerate(rows):
+        row = [x if type(x) is int else Fraction(x) for x in row]
+        scale = lcm(*(x.denominator for x in row))
+        rows[i] = [x.numerator * scale // x.denominator for x in row]
+        num *= scale
     nrows = len(rows)
-    ncols = len(rows[0]) if rows else 0
     pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, nrows) if rows[i][c] != 0), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = 1 / rows[r][c]
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(nrows):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
+    for c in range(len(rows[0]) if rows else 0):
+        r = len(pivots)
         if r == nrows:
             break
-    return rows, pivots
+        pivot = next((i for i in range(r, nrows) if rows[i][c]), None)
+        if pivot is None:
+            continue
+        if pivot != r:
+            rows[r], rows[pivot] = rows[pivot], rows[r]
+            num = -num
+        prow = rows[r]
+        p = prow[c]
+        for i, row in enumerate(rows):
+            a = row[c]
+            if a and i != r:
+                row = [p * x - a * y for x, y in zip(row, prow)]
+                g = gcd(*row)
+                if g > 1:
+                    row = [x // g for x in row]
+                    den *= g
+                num *= p
+                rows[i] = row
+        pivots.append(c)
+    return pivots, Fraction(num, den)
 
 
 def rank(m: Matrix) -> int:
-    """Rank over the rationals, by fraction-free elimination for int input."""
-    if m.rows == 0 or m.cols == 0:
-        return 0
-    if m.is_integer():
-        return _rank_fraction_free(m)
-    rows = [[Fraction(x) for x in row] for row in m._d]
-    _, pivots = _rref(rows)
-    return len(pivots)
-
-
-def _rank_fraction_free(m: Matrix) -> int:
-    """Bareiss-style fraction-free elimination rank for integer matrices."""
-    a = [list(row) for row in m._d]
-    nrows, ncols = m.rows, m.cols
-    prev = 1
-    r = 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, nrows) if a[i][c] != 0), None)
-        if pivot is None:
-            continue
-        a[r], a[pivot] = a[pivot], a[r]
-        for i in range(r + 1, nrows):
-            for j in range(c + 1, ncols):
-                a[i][j] = (a[r][c] * a[i][j] - a[i][c] * a[r][j]) // prev
-            a[i][c] = 0
-        prev = a[r][c]
-        r += 1
-        if r == nrows:
-            break
-    return r
+    """Rank over the rationals."""
+    return len(_echelon(list(m._d))[0])
 
 
 def rational_kernel_basis(m: Matrix) -> Matrix:
@@ -231,17 +227,18 @@ def rational_kernel_basis(m: Matrix) -> Matrix:
 
     Returns a matrix with ``cols - rank`` columns (possibly zero columns).
     """
-    rows = [[Fraction(x) for x in row] for row in m._d]
-    if not rows:
+    if m.rows == 0:
         return Matrix.identity(m.cols)
-    rows, pivots = _rref(rows)
-    free = [c for c in range(m.cols) if c not in pivots]
+    rows = list(m._d)
+    pivots, _ = _echelon(rows)
     basis_cols: list[list[Fraction]] = []
-    for f in free:
+    for f in range(m.cols):
+        if f in pivots:
+            continue
         v = [Fraction(0)] * m.cols
         v[f] = Fraction(1)
         for r, p in enumerate(pivots):
-            v[p] = -rows[r][f]
+            v[p] = -Fraction(rows[r][f], rows[r][p])
         basis_cols.append(v)
     if not basis_cols:
         return Matrix.zeros(m.cols, 0)
@@ -250,14 +247,15 @@ def rational_kernel_basis(m: Matrix) -> Matrix:
 
 def solve(m: Matrix, b: Sequence[Entry]) -> tuple[Fraction, ...] | None:
     """One exact solution of m x = b, or None when inconsistent."""
-    rows = [[Fraction(x) for x in row] + [Fraction(bi)] for row, bi in zip(m._d, b)]
-    rows, pivots = _rref(rows)
-    aug_col = m.cols
-    if aug_col in pivots:
+    if len(b) != m.rows:
+        raise ValueError(f"right-hand side has length {len(b)}, expected {m.rows}")
+    rows = [list(row) + [bi] for row, bi in zip(m._d, b)]
+    pivots, _ = _echelon(rows)
+    if m.cols in pivots:
         return None
     x = [Fraction(0)] * m.cols
     for r, p in enumerate(pivots):
-        x[p] = rows[r][aug_col]
+        x[p] = Fraction(rows[r][m.cols], rows[r][p])
     return tuple(x)
 
 
@@ -267,36 +265,25 @@ def inverse(m: Matrix) -> Matrix:
         raise ValueError("not square")
     n = m.rows
     rows = [
-        [Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-        for i, row in enumerate(m._d)
+        list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(m._d)
     ]
-    rows, pivots = _rref(rows)
+    pivots, _ = _echelon(rows)
     if pivots != list(range(n)):
         raise ValueError("singular matrix")
-    return Matrix([row[n:] for row in rows], cols=n)
+    return Matrix(
+        [[Fraction(x, row[r]) for x in row[n:]] for r, row in enumerate(rows)], cols=n
+    )
 
 
 def det(m: Matrix) -> Fraction:
     """Exact determinant of a square matrix."""
     if m.rows != m.cols:
         raise ValueError("not square")
-    rows = [[Fraction(x) for x in row] for row in m._d]
-    n = m.rows
-    d = Fraction(1)
-    for c in range(n):
-        pivot = next((i for i in range(c, n) if rows[i][c] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != c:
-            rows[c], rows[pivot] = rows[pivot], rows[c]
-            d = -d
-        d *= rows[c][c]
-        inv = 1 / rows[c][c]
-        for i in range(c + 1, n):
-            if rows[i][c] != 0:
-                f = rows[i][c] * inv
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[c])]
-    return d
+    rows = list(m._d)
+    pivots, factor = _echelon(rows)
+    if len(pivots) < m.rows:
+        return Fraction(0)
+    return prod(rows[r][r] for r in range(m.rows)) / factor
 
 
 # -- Smith normal form -----------------------------------------------------
@@ -417,12 +404,12 @@ def extend_to_lattice_basis(
         return Matrix.identity(ambient_rank)
     if any(len(c) != ambient_rank for c in cols):
         raise ValueError("column length != ambient_rank")
-    b = Matrix.from_columns(cols)
     k = len(cols)
-    if rank(b) < k:
+    u, d, _v = smith_normal_form(Matrix.from_columns(cols))
+    diag = [d[i, i] for i in range(min(k, ambient_rank))]
+    if len(diag) < k or 0 in diag:
         raise DependentInput("input columns are linearly dependent over Q")
-    u, d, _v = smith_normal_form(b)
-    if any(d[i, i] != 1 for i in range(k)):
+    if any(x != 1 for x in diag):
         return None  # proper finite-index sublattice of its saturation
     uinv = inverse(u)
     ext_cols = list(cols)

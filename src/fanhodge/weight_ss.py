@@ -190,7 +190,7 @@ def bidegree_complex(sc: StrataComplex, P: int, Q: int) -> BidegreeComplex:
     maps: list[Matrix] = [Matrix.zeros(0, 0)]
     for m in range(1, top + 1):
         deg = P + Q - 2 * m
-        rows = [[Fraction(0)] * len(basis[m]) for _ in range(len(basis[m - 1]))]
+        rows = [[0] * len(basis[m]) for _ in range(len(basis[m - 1]))]
         for src in sc.strata_of_codim(m):
             sdim = src.h(deg, P - m, Q - m)
             if sdim == 0:
@@ -213,7 +213,7 @@ def bidegree_complex(sc: StrataComplex, P: int, Q: int) -> BidegreeComplex:
                 coff = offsets[m][src.id]
                 for i in range(block.rows):
                     for j in range(block.cols):
-                        rows[roff + i][coff + j] += sign * Fraction(block[i, j])
+                        rows[roff + i][coff + j] += sign * block[i, j]
         maps.append(Matrix(rows, cols=len(basis[m])))
     for m in range(2, top + 1):
         if not (maps[m - 1] * maps[m]).is_zero():

@@ -22,27 +22,39 @@ from fanhodge.linalg import (
 )
 
 
-def oracle_rank(rows):
-    """Brute-force fraction-free (Bareiss-style) elimination, written
-    independently of the library implementation."""
+def oracle_rref(rows):
+    """Reduced row echelon form by plain Fraction Gauss-Jordan, written
+    independently of the library implementation.
+
+    Returns (rref rows, pivot columns, determinant); the determinant is
+    meaningful for square input only.
+    """
     m = [[Fraction(x) for x in row] for row in rows]
-    if not m or not m[0]:
-        return 0
-    nrows, ncols = len(m), len(m[0])
-    r = 0
+    nrows, ncols = len(m), len(m[0]) if m else 0
+    pivots = []
+    d = Fraction(1)
     for c in range(ncols):
+        r = len(pivots)
+        if r == nrows:
+            break
         pivot = next((i for i in range(r, nrows) if m[i][c] != 0), None)
         if pivot is None:
             continue
-        m[r], m[pivot] = m[pivot], m[r]
+        if pivot != r:
+            m[r], m[pivot] = m[pivot], m[r]
+            d = -d
+        d *= m[r][c]
+        m[r] = [x / m[r][c] for x in m[r]]
         for i in range(nrows):
             if i != r and m[i][c] != 0:
-                f = m[i][c] / m[r][c]
+                f = m[i][c]
                 m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        r += 1
-        if r == nrows:
-            break
-    return r
+        pivots.append(c)
+    return m, pivots, d if len(pivots) == nrows else Fraction(0)
+
+
+def oracle_rank(rows):
+    return len(oracle_rref(rows)[1])
 
 
 def random_matrix(rng, max_dim=5, lo=-9, hi=9):
@@ -125,6 +137,105 @@ def test_solve_and_inverse_round_trip():
     x = solve(m, (3, 2))
     assert x == (Fraction(1), Fraction(1))
     assert solve(Matrix([[1, 1], [1, 1]]), (0, 1)) is None
+    with pytest.raises(ValueError):
+        solve(Matrix([[1, 0], [0, 1]]), (1,))
+
+
+def test_empty_matrices():
+    assert rank(Matrix.zeros(0, 0)) == 0
+    assert det(Matrix.identity(0)) == 1
+    assert rational_kernel_basis(Matrix.zeros(0, 3)) == Matrix.identity(3)
+
+
+def assert_exact(got, expected):
+    """Equal values of equal types, entry by entry."""
+    if isinstance(expected, Matrix):
+        assert isinstance(got, Matrix) and got.shape == expected.shape
+        got, expected = got.to_lists(), expected.to_lists()
+        got = [x for row in got for x in row]
+        expected = [x for row in expected for x in row]
+    if isinstance(expected, (list, tuple)):
+        assert type(got) is type(expected) and len(got) == len(expected)
+        for x, y in zip(got, expected):
+            assert type(x) is type(y) and x == y
+    else:
+        assert type(got) is type(expected) and got == expected
+
+
+def check_against_oracle(rows, b):
+    """rank, kernel, solve, inverse and det of ``rows`` against the oracle."""
+    m = Matrix(rows)
+    ncols = m.cols
+    rref, pivots, d = oracle_rref(rows)
+    assert_exact(rank(m), len(pivots))
+
+    kernel = []
+    for f in range(ncols):
+        if f not in pivots:
+            v = [Fraction(0)] * ncols
+            v[f] = Fraction(1)
+            for r, p in enumerate(pivots):
+                v[p] = -rref[r][f]
+            kernel.append(v)
+    expected_kernel = (
+        Matrix.from_columns(kernel) if kernel else Matrix.zeros(ncols, 0)
+    )
+    assert_exact(rational_kernel_basis(m), expected_kernel)
+
+    aug, aug_pivots, _ = oracle_rref([row + [bi] for row, bi in zip(rows, b)])
+    if ncols in aug_pivots:
+        assert solve(m, b) is None
+    else:
+        x = [Fraction(0)] * ncols
+        for r, p in enumerate(aug_pivots):
+            x[p] = aug[r][ncols]
+        assert_exact(solve(m, b), tuple(x))
+
+    if m.rows != ncols:
+        return
+    assert_exact(det(m), d)
+    n = ncols
+    eye = [[int(i == j) for j in range(n)] for i in range(n)]
+    inv, inv_pivots, _ = oracle_rref([row + e for row, e in zip(rows, eye)])
+    if inv_pivots != list(range(n)):
+        with pytest.raises(ValueError):
+            inverse(m)
+    else:
+        assert_exact(inverse(m), Matrix([row[n:] for row in inv], cols=n))
+
+
+def test_elimination_matches_fraction_rref_oracle():
+    rng = random.Random(20261017)
+
+    def entry():
+        x = rng.randint(-6, 6)
+        kind = rng.random()
+        if kind < 0.3:
+            return 0
+        if kind < 0.6:
+            return x
+        if kind < 0.8:
+            return Fraction(x)
+        return Fraction(x, rng.randint(1, 7))
+
+    for _ in range(400):
+        nrows = rng.randint(1, 8)
+        ncols = nrows if rng.random() < 0.5 else rng.randint(1, 8)
+        rows = [[entry() for _ in range(ncols)] for _ in range(nrows)]
+        if nrows >= 3 and rng.random() < 0.4:
+            i, j, k = rng.sample(range(nrows), 3)
+            s, t = Fraction(rng.randint(-3, 3), rng.randint(1, 3)), rng.randint(-2, 2)
+            rows[i] = [s * a + t * c for a, c in zip(rows[j], rows[k])]
+        check_against_oracle(rows, [entry() for _ in range(nrows)])
+
+
+def test_elimination_matches_oracle_on_circle_boundary():
+    n = 80
+    # column j is the edge (j, j+1 mod n): its boundary is v_{j+1} - v_j
+    rows = [[(i == (j + 1) % n) - (i == j) for j in range(n)] for i in range(n)]
+    assert rank(Matrix(rows)) == n - 1
+    check_against_oracle(rows, [1] + [0] * (n - 1))
+    check_against_oracle(rows, [1, -1] + [0] * (n - 2))
 
 
 def test_primitivize():
