@@ -189,7 +189,10 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.fn(args)
-    except (FanhodgeError, OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
+    except KeyError as exc:
+        print(f"error: missing key {exc}", file=sys.stderr)
+        return 2
+    except (FanhodgeError, OSError, json.JSONDecodeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
 from .errors import NotAComplex, NotEquidimensional, SncConditionViolated
@@ -286,44 +285,33 @@ def pseudomanifold_report(dc: DeltaComplex) -> PseudomanifoldReport:
     if not closed:
         return PseudomanifoldReport(False, False, None)
 
-    # propagate compatible orientations across shared codimension-1 faces
+    # propagate compatible orientations from each top simplex to its
+    # neighbours across its own codimension-1 faces
+    tops = dc.simplices[top]
     signs: dict[int, int] = {}
-    oriented = True
-    for start in range(dc.count(top)):
+    for start in range(len(tops)):
         if start in signs:
             continue
         signs[start] = 1
         queue = [start]
-        while queue and oriented:
+        while queue:
             cur = queue.pop()
-            for fid, inc in incidences.items():
-                (a, sa), (b, sb) = inc
-                if a == b:
-                    if sa + sb != 0:
-                        oriented = False
-                        break
-                    continue
-                if cur not in (a, b):
-                    continue
+            for fid in tops[cur].faces:
+                # the faces of one simplex have distinct vertex sets, so the
+                # two incidences of fid belong to two different simplices
+                (a, sa), (b, sb) = incidences[fid]
                 other, so, sc = (b, sb, sa) if cur == a else (a, sa, sb)
                 want = -signs[cur] * sc * so
-                if other in signs:
-                    if signs[other] != want:
-                        oriented = False
-                        break
-                else:
+                if other not in signs:
                     signs[other] = want
                     queue.append(other)
-    if not oriented:
-        return PseudomanifoldReport(True, False, None)
+                elif signs[other] != want:
+                    return PseudomanifoldReport(True, False, None)
 
-    chain = [Fraction(signs[i]) for i in range(dc.count(top))]
-    cc = boundary_matrices(dc)
-    image = cc.boundary[top] * Matrix([[c] for c in chain], cols=1)
-    if not image.is_zero():
+    # the signed sum of the top simplices is a cycle iff its signed
+    # incidences cancel on every codimension-1 face
+    if any(sum(signs[t] * sign for t, sign in inc) for inc in incidences.values()):
         return PseudomanifoldReport(True, False, None)
-    if signs[0] < 0:
-        signs = {i: -s for i, s in signs.items()}
     fclass = tuple((i, signs[i]) for i in range(dc.count(top)))
     return PseudomanifoldReport(True, True, fclass)
 

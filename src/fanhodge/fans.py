@@ -6,6 +6,16 @@ together with the unimodular generators identifying them.  Equivalence of
 rays and cones is the union-find closure of the generators restricted to
 the window; an undersized window can under-merge classes (documented
 limitation, window length is user input).
+
+Each ``FanSystem`` computes its combinatorial structure at most once, on
+first use: the face registry, the window rays of each cusp, the directed
+ray maps (each inverse computed once) with the images of the window rays,
+the face pairings with their source -> [(target, matrix)] adjacency, the
+ray classes and the cone orbit classes of each dimension.  Every query and
+subdivision step below reads from it.  The cache is not a dataclass field,
+so it never changes equality, hashing or the JSON form, and public queries
+return fresh containers so callers cannot alter it.  A subdivision returns
+a new ``FanSystem`` with a cache of its own.
 """
 
 from __future__ import annotations
@@ -13,19 +23,20 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Sequence
 
 from .errors import NonFreeAction, UnsaturatedWindow
 from .linalg import (
     Matrix,
     apply_matrix,
+    coordinate_forms,
     det,
     extend_to_lattice_basis,
     inverse,
     invariant_factors,
     primitivize,
     rank,
-    solve,
 )
 
 Ray = tuple[int, ...]
@@ -68,6 +79,12 @@ class RayClass:
     members: tuple[tuple[str, Ray], ...]
 
 
+def _require_int_matrix(m: Matrix, where: str) -> None:
+    for row in m.to_lists():
+        for x in row:
+            if type(x) is not int:
+                raise ValueError(f"{where}: matrix entry {x!r} is not an integer")
+
 
 @dataclass(frozen=True)
 class FanSystem:
@@ -75,7 +92,9 @@ class FanSystem:
 
     Construction canonicalizes: rays of each cone are sorted
     lexicographically, cones are sorted by (cusp, rays) and re-numbered, so
-    equal windows compare equal and JSON round-trips are stable.
+    equal windows compare equal and JSON round-trips are stable.  Rays and
+    matrices must hold Python ints (not bool or float): anything else raises
+    ValueError instead of being truncated.
     """
 
     cusps: tuple[CuspLabel, ...]
@@ -89,6 +108,7 @@ class FanSystem:
         ranks = {c.name: c.lattice_rank for c in self.cusps}
         for c in self.cusps:
             for parent, emb in c.parent_embeddings:
+                _require_int_matrix(emb, f"cusp {c.name!r}: embedding into {parent!r}")
                 if parent not in ranks:
                     raise ValueError(f"unknown parent cusp {parent!r}")
                 if emb.shape != (ranks[parent], c.lattice_rank):
@@ -98,11 +118,16 @@ class FanSystem:
                 if extend_to_lattice_basis(emb.columns(), ranks[parent]) is None:
                     raise ValueError("embedding image is not saturated")
         canonical = []
-        for cone in self.cones:
+        for i, cone in enumerate(self.cones):
             if cone.cusp not in ranks:
                 raise ValueError(f"cone on unknown cusp {cone.cusp!r}")
+            for ray in cone.rays:
+                if not all(type(x) is int for x in ray):
+                    raise ValueError(
+                        f"cone {i}: ray {list(ray)} has a non-integer entry"
+                    )
             r = ranks[cone.cusp]
-            rays = tuple(sorted(tuple(int(x) for x in ray) for ray in cone.rays))
+            rays = tuple(sorted(tuple(ray) for ray in cone.rays))
             for ray in rays:
                 if len(ray) != r:
                     raise ValueError("ray length != cusp lattice rank")
@@ -117,13 +142,18 @@ class FanSystem:
             "cones",
             tuple(Cone(cusp, rays, i) for i, (cusp, rays) in enumerate(canonical)),
         )
-        for ident in self.identifications:
+        for i, ident in enumerate(self.identifications):
+            _require_int_matrix(ident.matrix, f"identification {i}")
             if ident.source not in ranks or ident.target not in ranks:
                 raise ValueError("identification on unknown cusp")
             if ident.matrix.shape != (ranks[ident.target], ranks[ident.source]):
                 raise ValueError("identification matrix shape mismatch")
             if abs(det(ident.matrix)) != 1:
                 raise ValueError("identification is not a lattice automorphism")
+
+    @cached_property
+    def _index(self) -> _FanIndex:
+        return _FanIndex(self)
 
     # -- basic queries ----------------------------------------------------
 
@@ -132,22 +162,6 @@ class FanSystem:
             if c.name == name:
                 return c
         raise KeyError(name)
-
-    def window_rays(self, cusp: str) -> set[Ray]:
-        out: set[Ray] = set()
-        for cone in self.cones:
-            if cone.cusp == cusp:
-                out.update(cone.rays)
-        return out
-
-    def face_keys(self) -> dict[int, list[FaceKey]]:
-        """All faces of window cones, per dimension, sorted; dim 0 omitted."""
-        by_dim: dict[int, set[FaceKey]] = {}
-        for cone in self.cones:
-            for d in range(1, cone.dim() + 1):
-                for subset in itertools.combinations(sorted(cone.rays), d):
-                    by_dim.setdefault(d, set()).add((cone.cusp, subset))
-        return {d: sorted(keys) for d, keys in by_dim.items()}
 
 
 # -- orbit machinery -------------------------------------------------------
@@ -175,20 +189,125 @@ class _DSU:
         return [sorted(g) for g in sorted(groups.values(), key=min)]
 
 
-def _ray_maps(fs: FanSystem) -> list[tuple[str, str, Matrix]]:
-    """Directed ray-level maps: identifications (both ways) and embeddings."""
-    maps = []
-    for ident in fs.identifications:
-        maps.append((ident.source, ident.target, ident.matrix))
-        inv = inverse(ident.matrix)
-        maps.append(
-            (ident.target, ident.source,
-             Matrix([[int(x) for x in row] for row in inv.to_lists()]))
+class _FanIndex:
+    """Combinatorial structure of one FanSystem, each part built on first use.
+
+    Holds the window's fields rather than the FanSystem itself, so no
+    reference cycle keeps intermediate subdivisions alive.
+    """
+
+    def __init__(self, fs: FanSystem):
+        self._cusps = fs.cusps
+        self._cones = fs.cones
+        self._identifications = fs.identifications
+        self._orbits: dict[int, tuple[tuple[FaceKey, ...], ...]] = {}
+
+    @cached_property
+    def windows(self) -> dict[str, frozenset[Ray]]:
+        rays: dict[str, set[Ray]] = {c.name: set() for c in self._cusps}
+        for cone in self._cones:
+            rays[cone.cusp].update(cone.rays)
+        return {name: frozenset(r) for name, r in rays.items()}
+
+    @cached_property
+    def faces(self) -> dict[int, tuple[FaceKey, ...]]:
+        """All faces of window cones, per dimension, sorted; dim 0 omitted."""
+        by_dim: dict[int, set[FaceKey]] = {}
+        for cone in self._cones:
+            for d in range(1, cone.dim() + 1):
+                for subset in itertools.combinations(cone.rays, d):
+                    by_dim.setdefault(d, set()).add((cone.cusp, subset))
+        return {d: tuple(sorted(keys)) for d, keys in by_dim.items()}
+
+    @cached_property
+    def ray_maps(self) -> tuple[tuple[str, str, Matrix, dict[Ray, Ray]], ...]:
+        """Directed ray maps: identifications (both ways) and embeddings.
+
+        Each comes with the images of those source window rays whose image
+        lies in the target window.
+        """
+        maps = []
+        for ident in self._identifications:
+            maps.append((ident.source, ident.target, ident.matrix))
+            inv = inverse(ident.matrix)
+            maps.append(
+                (ident.target, ident.source,
+                 Matrix([[int(x) for x in row] for row in inv.to_lists()]))
+            )
+        for cusp in self._cusps:
+            for parent, emb in cusp.parent_embeddings:
+                maps.append((cusp.name, parent, emb))
+        out = []
+        for src, dst, m in maps:
+            target = self.windows[dst]
+            images = {}
+            for ray in self.windows[src]:
+                image = tuple(int(x) for x in apply_matrix(m, ray))
+                if image in target:
+                    images[ray] = image
+            out.append((src, dst, m, images))
+        return tuple(out)
+
+    @cached_property
+    def ray_classes(self) -> tuple[RayClass, ...]:
+        dsu = _DSU(sorted(
+            (name, ray) for name, rays in self.windows.items() for ray in rays
+        ))
+        for src, dst, _m, images in self.ray_maps:
+            for ray, image in images.items():
+                dsu.union((src, ray), (dst, image))
+        return tuple(
+            RayClass(representative=members[0], members=tuple(members))
+            for members in dsu.classes()
         )
-    for cusp in fs.cusps:
-        for parent, emb in cusp.parent_embeddings:
-            maps.append((cusp.name, parent, emb))
-    return maps
+
+    @cached_property
+    def ray_class_index(self) -> dict[tuple[str, Ray], int]:
+        return {
+            member: i
+            for i, cls in enumerate(self.ray_classes)
+            for member in cls.members
+        }
+
+    @cached_property
+    def pairings(self) -> tuple[tuple[FaceKey, FaceKey, Matrix], ...]:
+        """Directed face-level pairings induced by the ray maps.
+
+        A map is *defined* on a face only when every image ray lies in the
+        target window; all image rays in the window but no matching face is
+        an inconsistent (unsaturated) window.
+        """
+        all_keys = {k for keys in self.faces.values() for k in keys}
+        edges = []
+        for src, dst, m, images in self.ray_maps:
+            for keys in self.faces.values():
+                for key in keys:
+                    if key[0] != src or not all(r in images for r in key[1]):
+                        continue
+                    image_key: FaceKey = (dst, tuple(sorted(images[r] for r in key[1])))
+                    if image_key not in all_keys:
+                        raise UnsaturatedWindow(
+                            f"identification maps face {key} to {image_key}, "
+                            "which is not a face of any window cone"
+                        )
+                    edges.append((key, image_key, m))
+        return tuple(edges)
+
+    @cached_property
+    def adjacency(self) -> dict[FaceKey, list[tuple[FaceKey, Matrix]]]:
+        out: dict[FaceKey, list[tuple[FaceKey, Matrix]]] = {}
+        for src, dst, m in self.pairings:
+            out.setdefault(src, []).append((dst, m))
+        return out
+
+    def orbit_classes(self, dim: int) -> tuple[tuple[FaceKey, ...], ...]:
+        if dim not in self._orbits:
+            dsu = _DSU(self.faces.get(dim, ()))
+            for src, dst, _m in self.pairings:
+                if len(src[1]) == dim:
+                    dsu.union(src, dst)
+            self._orbits[dim] = tuple(tuple(cls) for cls in dsu.classes())
+        return self._orbits[dim]
 
 
 def ray_classes(fs: FanSystem) -> list[RayClass]:
@@ -197,73 +316,21 @@ def ray_classes(fs: FanSystem) -> list[RayClass]:
     Classes are numbered by their smallest member, lexicographic on
     (cusp, coordinates).
     """
-    items = sorted(
-        (cusp.name, ray) for cusp in fs.cusps for ray in fs.window_rays(cusp.name)
-    )
-    dsu = _DSU(items)
-    windows = {cusp.name: fs.window_rays(cusp.name) for cusp in fs.cusps}
-    for src, dst, m in _ray_maps(fs):
-        for ray in windows[src]:
-            image = tuple(int(x) for x in apply_matrix(m, ray))
-            if image in windows[dst]:
-                dsu.union((src, ray), (dst, image))
-    return [
-        RayClass(representative=members[0], members=tuple(members))
-        for members in dsu.classes()
-    ]
+    return list(fs._index.ray_classes)
 
 
 def ray_class_index(fs: FanSystem) -> dict[tuple[str, Ray], int]:
-    return {
-        member: i
-        for i, cls in enumerate(ray_classes(fs))
-        for member in cls.members
-    }
-
-
-def _face_edges(fs: FanSystem) -> list[tuple[FaceKey, FaceKey, Matrix]]:
-    """Directed face-level pairings induced by the ray maps.
-
-    A map is *defined* on a face only when every image ray lies in the
-    target window; all image rays in the window but no matching face is an
-    inconsistent (unsaturated) window.
-    """
-    registry = fs.face_keys()
-    all_keys = {k for keys in registry.values() for k in keys}
-    windows = {cusp.name: fs.window_rays(cusp.name) for cusp in fs.cusps}
-    edges = []
-    for src, dst, m in _ray_maps(fs):
-        for d, keys in registry.items():
-            for key in keys:
-                if key[0] != src:
-                    continue
-                images = [tuple(int(x) for x in apply_matrix(m, r)) for r in key[1]]
-                if not all(img in windows[dst] for img in images):
-                    continue
-                image_key: FaceKey = (dst, tuple(sorted(images)))
-                if image_key not in all_keys:
-                    raise UnsaturatedWindow(
-                        f"identification maps face {key} to {image_key}, "
-                        "which is not a face of any window cone"
-                    )
-                edges.append((key, image_key, m))
-    return edges
+    return dict(fs._index.ray_class_index)
 
 
 def cone_orbit_classes(fs: FanSystem, dim: int) -> list[list[FaceKey]]:
     """Orbit classes of dim-dimensional faces of window cones."""
-    registry = fs.face_keys()
-    keys = registry.get(dim, [])
-    dsu = _DSU(keys)
-    for src, dst, _m in _face_edges(fs):
-        if len(src[1]) == dim:
-            dsu.union(src, dst)
-    return dsu.classes()
+    return [list(cls) for cls in fs._index.orbit_classes(dim)]
 
 
 def _check_free_action(fs: FanSystem) -> None:
     """Reject identifications that fix a face while permuting its rays."""
-    for src, dst, m in _face_edges(fs):
+    for src, dst, m in fs._index.pairings:
         if src == dst:
             for ray in src[1]:
                 image = tuple(int(x) for x in apply_matrix(m, ray))
@@ -291,7 +358,7 @@ class SncReport:
 
 def check_snc_condition(fs: FanSystem) -> SncReport:
     """No window cone may have two distinct rays in the same ray class."""
-    index = ray_class_index(fs)
+    index = fs._index.ray_class_index
     violations = []
     for cone in fs.cones:
         for a, b in itertools.combinations(cone.rays, 2):
@@ -306,17 +373,17 @@ def check_snc_condition(fs: FanSystem) -> SncReport:
 def _propagate_new_ray(
     fs: FanSystem, members: list[FaceKey], rep: FaceKey, w: Ray
 ) -> dict[FaceKey, Ray]:
-    """BFS the new ray through the pairing graph of one orbit class."""
-    adjacency: dict[FaceKey, list[tuple[FaceKey, Matrix]]] = {}
-    member_set = set(members)
-    for src, dst, m in _face_edges(fs):
-        if src in member_set and dst in member_set:
-            adjacency.setdefault(src, []).append((dst, m))
+    """BFS the new ray through the pairing graph of one orbit class.
+
+    Orbit classes are closed under the pairings, so the walk over the
+    cached adjacency never leaves the class.
+    """
+    adjacency = fs._index.adjacency
     assignment = {rep: w}
     queue = [rep]
     while queue:
         cur = queue.pop()
-        for nxt, m in adjacency.get(cur, []):
+        for nxt, m in adjacency.get(cur, ()):
             image = primitivize(tuple(int(x) for x in apply_matrix(m, assignment[cur])))
             if nxt in assignment:
                 if assignment[nxt] != image:
@@ -326,7 +393,7 @@ def _propagate_new_ray(
             else:
                 assignment[nxt] = image
                 queue.append(nxt)
-    if set(assignment) != member_set:
+    if set(assignment) != set(members):
         # window members not reachable from the representative; propagate
         # from each already-assigned face until stable (disconnected graphs
         # cannot occur for union-find classes built from the same edges)
@@ -427,12 +494,20 @@ def smooth_subdivide(fs: FanSystem) -> FanSystem:
 
     Each step subdivides one non-smooth cone orbit at a minimal interior
     lattice point; the sublattice index strictly decreases, so the loop
-    terminates.
+    terminates.  Smoothness depends only on the cusp and the rays, so each
+    distinct cone is tested once across all steps.
     """
     _check_free_action(fs)
     current = fs
+    smooth: dict[tuple[str, tuple[Ray, ...]], bool] = {}
     while True:
-        nonsmooth = [c for c in current.cones if not is_smooth(current, c)]
+        nonsmooth = []
+        for c in current.cones:
+            key = (c.cusp, c.rays)
+            if key not in smooth:
+                smooth[key] = is_smooth(current, c)
+            if not smooth[key]:
+                nonsmooth.append(c)
         if not nonsmooth:
             return current
         target = min(nonsmooth, key=lambda c: c.key())
@@ -459,26 +534,34 @@ def smooth_subdivide(fs: FanSystem) -> FanSystem:
 # -- refinement and equivariance helpers ------------------------------------
 
 
-def cone_contains_vector(rays: Sequence[Ray], v: Sequence[int]) -> bool:
-    """Membership of a vector in the nonnegative span of the rays."""
-    if not rays:
-        return all(x == 0 for x in v)
-    coeffs = solve(Matrix.from_columns(rays), v)
-    return coeffs is not None and all(c >= 0 for c in coeffs)
+def _in_cone(forms, v: Ray) -> bool:
+    equations, coordinates = forms
+    return all(
+        sum(a * b for a, b in zip(e, v)) == 0 for e in equations
+    ) and all(sum(a * b for a, b in zip(f, v)) >= 0 for f in coordinates)
 
 
 def is_refinement(fine: FanSystem, coarse: FanSystem) -> bool:
-    """Every cone of `fine` lies inside some cone of `coarse` (same cusp)."""
-    for cone in fine.cones:
-        hosts = [
-            c
-            for c in coarse.cones
-            if c.cusp == cone.cusp
-            and all(cone_contains_vector(c.rays, r) for r in cone.rays)
-        ]
-        if not hosts:
-            return False
-    return True
+    """Every cone of `fine` lies inside some cone of `coarse` (same cusp).
+
+    Each coarse cone is eliminated once into the integer forms of
+    ``coordinate_forms``; a ray lies in the cone iff the equations vanish
+    on it and the coordinate forms are nonnegative.  The search for a fine
+    cone's host stops at the first coarse cone that contains all its rays.
+    """
+    ranks = {c.name: c.lattice_rank for c in coarse.cusps}
+    if any(ranks.get(c.name, c.lattice_rank) != c.lattice_rank for c in fine.cusps):
+        raise ValueError("fine and coarse cusps have different lattice ranks")
+    hosts: dict[str, list] = {}
+    for c in coarse.cones:
+        hosts.setdefault(c.cusp, []).append(coordinate_forms(c.rays, ranks[c.cusp]))
+    return all(
+        any(
+            all(_in_cone(forms, r) for r in cone.rays)
+            for forms in hosts.get(cone.cusp, ())
+        )
+        for cone in fine.cones
+    )
 
 
 # -- fixtures ---------------------------------------------------------------

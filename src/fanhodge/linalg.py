@@ -4,12 +4,13 @@ Everything here works with Python ints and ``fractions.Fraction``, so there
 is no overflow and no rounding anywhere.  Matrices are immutable; all
 operations return new values and are safe to call concurrently.
 
-``rank``, ``rational_kernel_basis``, ``solve``, ``inverse`` and ``det`` share
-one elimination core, ``_echelon``: integer Gauss-Jordan on rows scaled to
-integers, with every combined row divided by the gcd of its entries, so the
-sparse +-1 boundary and Gysin maps stay sparse and small.  Each of them only
-reads the unique reduced row echelon form off its output.  The Smith normal
-form has its own loop, because it needs the unimodular transforms.
+``rank``, ``rational_kernel_basis``, ``solve``, ``inverse``, ``det`` and
+``coordinate_forms`` share one elimination core, ``_echelon``: integer
+Gauss-Jordan on rows scaled to integers, with every combined row divided by
+the gcd of its entries, so the sparse +-1 boundary and Gysin maps stay
+sparse and small.  Each of them only reads the unique reduced row echelon
+form off its output.  The Smith normal form has its own loop, because it
+needs the unimodular transforms.
 """
 
 from __future__ import annotations
@@ -284,6 +285,38 @@ def det(m: Matrix) -> Fraction:
     if len(pivots) < m.rows:
         return Fraction(0)
     return prod(rows[r][r] for r in range(m.rows)) / factor
+
+
+def coordinate_forms(
+    vectors: Iterable[Sequence[int]], ambient_rank: int
+) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
+    """Integer linear forms that test the span and the coordinate signs.
+
+    For k independent integer vectors b_1..b_k of length n, returns
+    ``(equations, coordinates)``: n - k forms whose common zero set is the
+    rational span of the b_i, and k forms f_i with f_i . (c_1 b_1 + ... +
+    c_k b_k) = s_i c_i for fixed s_i > 0.  So v lies in the cone spanned by
+    the b_i iff every equation vanishes on v and every coordinate form is
+    nonnegative on v.  Both are read off one elimination of [B | I].
+
+    Raises DependentInput when the vectors are linearly dependent over Q.
+    """
+    cols = [tuple(v) for v in vectors]
+    if any(len(c) != ambient_rank for c in cols):
+        raise ValueError("vector length != ambient_rank")
+    k = len(cols)
+    rows = [
+        [c[i] for c in cols] + [int(i == j) for j in range(ambient_rank)]
+        for i in range(ambient_rank)
+    ]
+    pivots, _ = _echelon(rows)
+    if pivots[:k] != list(range(k)):
+        raise DependentInput("input vectors are linearly dependent over Q")
+    coordinates = [
+        tuple(x if row[r] > 0 else -x for x in row[k:])
+        for r, row in enumerate(rows[:k])
+    ]
+    return [tuple(row[k:]) for row in rows[k:]], coordinates
 
 
 # -- Smith normal form -----------------------------------------------------

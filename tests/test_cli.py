@@ -143,3 +143,26 @@ def test_input_and_usage_errors(tmp_path, capsys):
 
 def test_version_flag(capsys):
     assert main(["--version"]) == 0
+
+
+@pytest.mark.parametrize("command", ["subdivide", "check-snc"])
+@pytest.mark.parametrize("entry", [1.9, True])
+def test_non_integer_ray_exits_2(tmp_path, capsys, command, entry):
+    window = {
+        "cusps": [{"name": "F", "rank": 2}],
+        "cones": [{"cusp": "F", "rays": [[1, 0], [0, 1]]},
+                  {"cusp": "F", "rays": [[entry, 0], [0, -1]]}],
+    }
+    p = tmp_path / "window.json"
+    p.write_text(json.dumps(window))
+    code, out, err = run(capsys, command, str(p))
+    assert code == 2 and out == ""
+    assert f"cone 1: ray [{entry!r}, 0]" in err
+
+
+def test_missing_key_is_named(tmp_path, capsys):
+    p = tmp_path / "window.json"
+    p.write_text(json.dumps({"cones": []}))
+    code, _, err = run(capsys, "check-snc", str(p))
+    assert code == 2
+    assert err == "error: missing key 'cusps'\n"

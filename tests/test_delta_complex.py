@@ -146,3 +146,44 @@ def test_subdivision_invariance_of_betti():
     assert homology_dims(boundary_matrices(dc_fine)) == homology_dims(
         boundary_matrices(dc_coarse)
     )
+
+
+# six-vertex real projective plane (hemi-icosahedron)
+RP2_TOPS = [
+    (0, 1, 2), (0, 2, 3), (0, 3, 4), (0, 4, 5), (0, 1, 5),
+    (1, 2, 4), (1, 3, 4), (1, 3, 5), (2, 3, 5), (2, 4, 5),
+]
+# seven-vertex (Moebius-Csaszar) torus and five-vertex Moebius band
+TORUS_TOPS = sorted(
+    {tuple(sorted((i, (i + 1) % 7, (i + 3) % 7))) for i in range(7)}
+    | {tuple(sorted((i, (i + 2) % 7, (i + 3) % 7))) for i in range(7)}
+)
+MOBIUS_TOPS = sorted({tuple(sorted((i, (i + 1) % 5, (i + 2) % 5))) for i in range(5)})
+
+
+def test_projective_plane_is_closed_but_not_orientable():
+    dc = from_top_simplices(RP2_TOPS)
+    rep = pseudomanifold_report(dc)
+    assert rep.closed and not rep.oriented and rep.fundamental_class is None
+    cc = boundary_matrices(dc)
+    assert homology_dims(cc) == [1, 0, 0]
+    assert integral_homology(cc) == [(1, []), (0, [2]), (0, [])]
+    with pytest.raises(ValueError):
+        fundamental_class_vector(dc)
+
+
+def test_moebius_band_is_not_closed():
+    dc = from_top_simplices(MOBIUS_TOPS)
+    rep = pseudomanifold_report(dc)
+    assert not rep.closed and not rep.oriented and rep.fundamental_class is None
+    assert homology_dims(boundary_matrices(dc)) == [1, 1, 0]
+
+
+def test_torus_is_closed_and_oriented():
+    dc = from_top_simplices(TORUS_TOPS)
+    assert [dc.count(d) for d in (0, 1, 2)] == [7, 21, 14]
+    rep = pseudomanifold_report(dc)
+    assert rep.closed and rep.oriented
+    cc = boundary_matrices(dc)
+    assert homology_dims(cc) == [1, 2, 1]
+    assert (cc.boundary[2] * fundamental_class_vector(dc)).is_zero()

@@ -1,10 +1,13 @@
 """Fan windows: ray classes, the ray condition, and equivariant subdivision."""
 
 import random
+import re
+from fractions import Fraction
 
 import pytest
 
-from fanhodge.errors import NonFreeAction, UnsaturatedWindow
+from fanhodge.delta_complex import homology_report, quotient_delta_complex
+from fanhodge.errors import DependentInput, NonFreeAction, UnsaturatedWindow
 from fanhodge.fans import (
     Cone,
     CuspLabel,
@@ -21,7 +24,7 @@ from fanhodge.fans import (
     smooth_subdivide,
     two_division_subdivide,
 )
-from fanhodge.linalg import Matrix
+from fanhodge.linalg import Matrix, coordinate_forms, det, primitivize, rank, solve
 
 M = ((2, 1), (1, 1))
 
@@ -146,3 +149,177 @@ def test_json_round_trip():
     back = fan_system_from_dict(fan_system_to_dict(fs))
     assert {c.key() for c in back.cones} == {c.key() for c in fs.cones}
     assert back.cusps == fs.cusps
+
+
+def cone_contains_vector(rays, v):
+    """Membership oracle: solve for the coefficients, test them for signs."""
+    if not rays:
+        return all(x == 0 for x in v)
+    coeffs = solve(Matrix.from_columns(rays), v)
+    return coeffs is not None and all(c >= 0 for c in coeffs)
+
+
+def oracle_is_refinement(fine, coarse):
+    return all(
+        any(
+            c.cusp == cone.cusp
+            and all(cone_contains_vector(c.rays, r) for r in cone.rays)
+            for c in coarse.cones
+        )
+        for cone in fine.cones
+    )
+
+
+def one_cusp(rank_, *cones):
+    return FanSystem(
+        cusps=(CuspLabel("F", rank_),), cones=tuple(Cone("F", r) for r in cones)
+    )
+
+
+def test_refinement_negative_cases():
+    coarse = hilbert_cusp_window(M, 3)
+    fine = two_division_subdivide(coarse)
+    assert is_refinement(fine, coarse)
+    assert not is_refinement(coarse, fine)
+    # a cone that sticks out of the positive quadrant
+    quadrant = one_cusp(2, ((1, 0), (0, 1)))
+    assert is_refinement(one_cusp(2, ((1, 0), (1, 1))), quadrant)
+    assert not is_refinement(one_cusp(2, ((1, 0), (-1, 1))), quadrant)
+    assert not is_refinement(one_cusp(2, ((1, 1),), ((1, 2), (-1, 3))), quadrant)
+    # a ray outside the span of a lower-dimensional cone
+    wall = one_cusp(3, ((1, 0, 0), (0, 1, 0)))
+    assert is_refinement(one_cusp(3, ((1, 1, 0),)), wall)
+    assert not is_refinement(one_cusp(3, ((1, 1, 1),)), wall)
+    assert not is_refinement(one_cusp(3, ((1, -1, 0),)), wall)
+    # no coarse cone on the fine cone's cusp, or a cusp of another rank
+    assert not is_refinement(fine, FanSystem(cusps=coarse.cusps, cones=()))
+    with pytest.raises(ValueError):
+        is_refinement(wall, quadrant)
+
+
+def _independent(rays):
+    return all(any(r) for r in rays) and rank(Matrix.from_columns(rays)) == len(rays)
+
+
+def _random_cone(rng, n, k):
+    while True:
+        rays = tuple(
+            primitivize([rng.randint(-3, 3) for _ in range(n)]) for _ in range(k)
+        )
+        if _independent(rays):
+            return rays
+
+
+def _random_point(rng, rays, n):
+    """A nonnegative combination of the rays, sometimes pushed off the cone."""
+    v = [sum(rng.randint(0, 3) * r[i] for r in rays) for i in range(n)]
+    if rng.random() < 0.3:
+        v[rng.randrange(n)] += rng.choice((-1, 1))
+    return primitivize(v)
+
+
+def _dot(f, v):
+    return sum(a * b for a, b in zip(f, v))
+
+
+def test_refinement_matches_solve_oracle_on_random_windows():
+    rng = random.Random(20240611)
+    outcomes = set()
+    for n in (2, 3):
+        for _ in range(150):
+            coarse_cones = [_random_cone(rng, n, rng.randint(1, n - 1))
+                            for _ in range(rng.randint(1, 3))]
+            if rng.random() < 0.5:
+                coarse_cones.append(_random_cone(rng, n, n))
+            coarse = one_cusp(n, *coarse_cones)
+            for rays in coarse_cones:
+                equations, coordinates = coordinate_forms(rays, n)
+                for _ in range(4):
+                    v = _random_point(rng, rays, n)
+                    inside = all(_dot(e, v) == 0 for e in equations) and all(
+                        _dot(f, v) >= 0 for f in coordinates
+                    )
+                    assert inside == cone_contains_vector(rays, v)
+            fine_cones = []
+            for _ in range(rng.randint(1, 3)):
+                host = rng.choice(coarse_cones)
+                k = rng.randint(1, len(host))
+                for _ in range(20):
+                    rays = tuple(_random_point(rng, host, n) for _ in range(k))
+                    if _independent(rays):
+                        fine_cones.append(rays)
+                        break
+            if not fine_cones:
+                continue
+            fine = one_cusp(n, *fine_cones)
+            expected = oracle_is_refinement(fine, coarse)
+            assert is_refinement(fine, coarse) == expected
+            outcomes.add(expected)
+    assert outcomes == {True, False}
+
+
+def test_coordinate_forms_reject_dependent_vectors():
+    with pytest.raises(DependentInput):
+        coordinate_forms([(1, 2, 0), (2, 4, 0)], 3)
+    assert coordinate_forms([], 2) == ([(1, 0), (0, 1)], [])
+
+
+@pytest.mark.parametrize("a, b, length", [(1, 1, 40), (2, 1, 40), (1, 3, 20)])
+def test_large_hilbert_windows_against_oracles(a, b, length):
+    """Chain of `length` cones identified by M^length: after subdivision every
+    cone is unimodular, the ray condition holds, the fan refines the window
+    and the quotient is a circle."""
+    m = ((1 + a * b, a), (b, 1))
+    chain = hilbert_cusp_window(m, length)
+    power = Matrix.identity(2)
+    for _ in range(length):
+        power = power * Matrix(list(m))
+    fs = FanSystem(chain.cusps, chain.cones, (Identification(power, "F", "F"),))
+    sub = smooth_subdivide(two_division_subdivide(fs))
+    assert check_snc_condition(sub).ok
+    assert all(abs(det(Matrix.from_columns(c.rays))) == 1 for c in sub.cones)
+    assert is_refinement(sub, fs)
+    report = homology_report(quotient_delta_complex(sub, "F"))
+    assert report["betti"] == [1, 1]
+    assert report["closed"] and report["oriented"]
+
+
+@pytest.mark.parametrize(
+    "ray, shown", [((1.9, 0), "[1.9, 0]"), ((True, 0), "[True, 0]"),
+                   ((Fraction(1), 0), "[Fraction(1, 1), 0]")]
+)
+def test_non_integer_ray_rejected(ray, shown):
+    with pytest.raises(ValueError, match=rf"cone 1: ray {re.escape(shown)}"):
+        FanSystem(
+            cusps=(CuspLabel("F", 2),),
+            cones=(Cone("F", ((1, 0), (0, 1))), Cone("F", ((0, 1), ray))),
+        )
+
+
+def test_non_integer_matrices_rejected():
+    with pytest.raises(ValueError, match=r"identification 0: matrix entry 1\.0"):
+        FanSystem(
+            cusps=(CuspLabel("F", 2),),
+            cones=(Cone("F", ((1, 0), (0, 1))),),
+            identifications=(Identification(Matrix([[1.0, 0], [0, 1]]), "F", "F"),),
+        )
+    with pytest.raises(ValueError, match="embedding into 'P'"):
+        FanSystem(
+            cusps=(
+                CuspLabel("P", 2),
+                CuspLabel("C", 1, (("P", Matrix([[True], [0]])),)),
+            ),
+            cones=(),
+        )
+
+
+def test_cached_structure_leaves_equality_and_json_alone():
+    fs = two_division_subdivide(hilbert_cusp_window(M, 3))
+    fresh = fan_system_from_dict(fan_system_to_dict(fs))
+    before = fan_system_to_dict(fs)
+    classes = cone_orbit_classes(fs, 2)
+    classes[0].append("mutated by the caller")
+    assert cone_orbit_classes(fs, 2) != classes
+    assert ray_classes(fs) == ray_classes(fresh)
+    assert fs == fresh and hash(fs) == hash(fresh)
+    assert fan_system_to_dict(fs) == before
