@@ -4,6 +4,11 @@ A Delta-complex here is a family of simplices with ordered, pairwise
 distinct vertices and order-preserving face maps; two simplices may share
 the same vertex set.  Built from a fan window, the d-simplices are the
 orbit classes of (d+1)-dimensional cones and the vertices are ray classes.
+
+Rational Betti numbers come from exact ranks of the boundary maps; integral
+homology takes one Smith form per boundary map, whose invariant factors
+give both the torsion and, by their count, the rank that the next degree
+needs.
 """
 
 from __future__ import annotations
@@ -225,18 +230,22 @@ def homology_dims(cc: ChainComplexQ) -> list[int]:
 
 
 def integral_homology(cc: ChainComplexQ) -> list[tuple[int, list[int]]]:
-    """Diagnostic: (free rank, torsion coefficients) per degree, via SNF."""
+    """Diagnostic: (free rank, torsion coefficients) per degree, via SNF.
+
+    One Smith form per boundary map: its invariant factors give the torsion
+    of H_d and, by their count, the rank of the boundary that H_{d+1}
+    needs.
+    """
     out = []
+    boundary_rank = 0  # rank of the boundary out of degree d
     for d in range(len(cc.dims)):
-        if d == 0:
-            ker = cc.dims[0]
-        else:
-            ker = cc.dims[d] - rank(cc.boundary[d])
+        ker = cc.dims[d] - boundary_rank
         if d + 1 < len(cc.dims):
             factors = invariant_factors(cc.boundary[d + 1])
         else:
             factors = []
         out.append((ker - len(factors), [f for f in factors if f > 1]))
+        boundary_rank = len(factors)
     return out
 
 

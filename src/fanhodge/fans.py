@@ -16,17 +16,23 @@ subdivision step below reads from it.  The cache is not a dataclass field,
 so it never changes equality, hashing or the JSON form, and public queries
 return fresh containers so callers cannot alter it.  A subdivision returns
 a new ``FanSystem`` with a cache of its own.
+
+The lattice work reads the Smith form U B V = D of a cone's ray matrix B:
+the cone is smooth iff every invariant factor is 1, and the lattice points
+of its half-open parallelepiped are walked through the group Z/d_1 x ... x
+Z/d_k, which has exactly mult = d_1 ... d_k elements, to find the stellar
+subdivision point.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
+from math import prod
 from typing import Sequence
 
-from .errors import NonFreeAction, UnsaturatedWindow
+from .errors import DependentInput, NonFreeAction, UnsaturatedWindow
 from .linalg import (
     Matrix,
     apply_matrix,
@@ -37,6 +43,7 @@ from .linalg import (
     invariant_factors,
     primitivize,
     rank,
+    smith_normal_form,
 )
 
 Ray = tuple[int, ...]
@@ -345,9 +352,20 @@ def _check_free_action(fs: FanSystem) -> None:
 
 
 def is_smooth(fs: FanSystem, c: Cone) -> bool:
-    """True iff the rays extend to a basis of the cusp lattice."""
+    """True iff the rays extend to a basis of the cusp lattice.
+
+    That holds iff every invariant factor of the ray matrix is 1.  Raises
+    DependentInput when the rays are linearly dependent over Q.
+    """
     ambient = fs.cusp(c.cusp).lattice_rank
-    return extend_to_lattice_basis(c.rays, ambient) is not None
+    if any(len(r) != ambient for r in c.rays):
+        raise ValueError("ray length != cusp lattice rank")
+    if not c.rays:
+        return True
+    factors = invariant_factors(Matrix.from_columns(c.rays))
+    if len(factors) < len(c.rays):
+        raise DependentInput("cone rays are linearly dependent over Q")
+    return all(f == 1 for f in factors)
 
 
 @dataclass(frozen=True)
@@ -448,28 +466,39 @@ def _subdivision_point(rays: Sequence[Ray]) -> tuple[Ray, tuple[Ray, ...]] | Non
     """Minimal lattice point inside the half-open ray parallelepiped.
 
     Returns (point, supporting rays with positive coefficient), or None for
-    a smooth cone.  Coefficient denominators divide the sublattice index,
-    so a grid search over k/mult is exhaustive.
+    a smooth cone.  With U B V = D the Smith form of the ray matrix B, the
+    lattice points x = B c with c in [0, 1)^k have c = V (y_1/d_1, ...,
+    y_k/d_k) mod 1, one for each y in Z/d_1 x ... x Z/d_k: exactly mult =
+    d_1 ... d_k of them.  Each is handled by its integer numerators
+    mult * c_j, and the minimum is taken by (sum of the c_j, the c_j).
     """
-    b = Matrix.from_columns(rays)
-    mult = 1
-    for f in invariant_factors(b):
-        mult *= f
+    k = len(rays)
+    _, d, v = smith_normal_form(Matrix.from_columns(rays))
+    diag = [d[i, i] for i in range(k)]
+    mult = prod(diag)
     if mult == 1:
         return None
+    # numerator steps of the nontrivial cyclic factors
+    steps = [
+        [v[j, i] * (mult // diag[i]) for j in range(k)]
+        for i in range(k)
+        if diag[i] > 1
+    ]
     best = None
-    for ks in itertools.product(range(mult), repeat=len(rays)):
-        if not any(ks):
-            continue
-        c = [Fraction(k, mult) for k in ks]
-        x = [sum(ci * ray[i] for ci, ray in zip(c, rays)) for i in range(len(rays[0]))]
-        if all(xi.denominator == 1 for xi in x):
-            key = (sum(c), tuple(c))
-            if best is None or key < best[0]:
-                best = (key, c, tuple(int(xi) for xi in x))
+    for y in itertools.product(*(range(di) for di in diag if di > 1)):
+        c = tuple(
+            sum(yi * step[j] for yi, step in zip(y, steps)) % mult for j in range(k)
+        )
+        key = (sum(c), c)
+        if key[0] and (best is None or key < best):  # y = 0 is the origin
+            best = key
     assert best is not None
-    _, c, x = best
-    support = tuple(ray for ci, ray in zip(c, rays) if ci > 0)
+    _, c = best
+    x = tuple(
+        sum(cj * ray[i] for cj, ray in zip(c, rays)) // mult
+        for i in range(len(rays[0]))
+    )
+    support = tuple(ray for cj, ray in zip(c, rays) if cj > 0)
     return primitivize(x), support
 
 
@@ -617,6 +646,19 @@ def fan_system_to_dict(fs: FanSystem) -> dict:
     }
 
 
+def _rays_from_json(rays, path: str) -> tuple[Ray, ...]:
+    """Rays as tuples; a non-list names its JSON path in a ValueError.
+
+    Entry types are checked by ``FanSystem`` itself.
+    """
+    if not isinstance(rays, list):
+        raise ValueError(f"{path}: expected a list of rays, got {rays!r}")
+    for j, ray in enumerate(rays):
+        if not isinstance(ray, list):
+            raise ValueError(f"{path}[{j}]: expected a list of ints, got {ray!r}")
+    return tuple(tuple(r) for r in rays)
+
+
 def fan_system_from_dict(data: dict) -> FanSystem:
     cusps = tuple(
         CuspLabel(
@@ -629,7 +671,8 @@ def fan_system_from_dict(data: dict) -> FanSystem:
         for c in data["cusps"]
     )
     cones = tuple(
-        Cone(c["cusp"], tuple(tuple(r) for r in c["rays"])) for c in data["cones"]
+        Cone(c["cusp"], _rays_from_json(c["rays"], f"cones[{i}].rays"))
+        for i, c in enumerate(data["cones"])
     )
     idents = tuple(
         Identification(Matrix(i["matrix"]), i["source"], i["target"])

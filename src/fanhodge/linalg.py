@@ -10,7 +10,10 @@ Gauss-Jordan on rows scaled to integers, with every combined row divided by
 the gcd of its entries, so the sparse +-1 boundary and Gysin maps stay
 sparse and small.  Each of them only reads the unique reduced row echelon
 form off its output.  The Smith normal form has its own loop, because it
-needs the unimodular transforms.
+needs the unimodular transforms.  Its pivot search stops at the first unit
+entry, and a unit pivot skips the divisibility sweep of the remaining
+block, so the sparse +-1 boundary maps cost one short scan per pivot;
+coefficient growth on dense input is not bounded.
 """
 
 from __future__ import annotations
@@ -326,8 +329,10 @@ def smith_normal_form(m: Matrix) -> tuple[Matrix, Matrix, Matrix]:
     """Smith normal form of an integer matrix.
 
     Returns (U, D, V) with U * m * V = D, U and V unimodular, and D diagonal
-    with nonnegative entries d_i | d_{i+1}.  Pivots are chosen by minimal
-    absolute value to limit coefficient growth.
+    with nonnegative entries d_i | d_{i+1}.  Each pivot is the first entry
+    of minimal absolute value in row-major order, to limit coefficient
+    growth; the search stops at the first unit, and a unit pivot skips the
+    sweep that makes the pivot divide the rest of the block.
     """
     if not m.is_integer():
         raise ValueError("smith_normal_form needs an integer matrix")
@@ -361,14 +366,22 @@ def smith_normal_form(m: Matrix) -> tuple[Matrix, Matrix, Matrix]:
         a[i] = [-x for x in a[i]]
         u[i] = [-x for x in u[i]]
 
-    t = 0
-    while t < min(nrows, ncols):
-        # pivot of minimal absolute value in the remaining block
+    def find_pivot(t):
+        # first entry of minimal absolute value in the remaining block, in
+        # row-major order; nothing is smaller than a unit, so stop there
         best = None
         for i in range(t, nrows):
             for j in range(t, ncols):
-                if a[i][j] != 0 and (best is None or abs(a[i][j]) < abs(a[best[0]][best[1]])):
-                    best = (i, j)
+                x = abs(a[i][j])
+                if x and (best is None or x < best[0]):
+                    if x == 1:
+                        return i, j
+                    best = (x, i, j)
+        return None if best is None else best[1:]
+
+    t = 0
+    while t < min(nrows, ncols):
+        best = find_pivot(t)
         if best is None:
             break
         swap_rows(t, best[0])
@@ -392,6 +405,8 @@ def smith_normal_form(m: Matrix) -> tuple[Matrix, Matrix, Matrix]:
                         dirty = True
             if dirty:
                 continue
+            if abs(a[t][t]) == 1:
+                break  # a unit divides the rest of the block
             # enforce divisibility of the rest of the block by the pivot
             offender = None
             for i in range(t + 1, nrows):

@@ -55,12 +55,19 @@ class PureHS:
         }
 
     @staticmethod
-    def from_dict(data: dict) -> "PureHS":
+    def from_dict(data: dict, path: str = "") -> "PureHS":
+        """Read the JSON form; the weight and every Hodge number must be an
+        int (not bool or float), else ValueError names ``path`` and the key."""
+        weight = data["weight"]
+        if type(weight) is not int:
+            raise ValueError(f"{path}weight: expected int, got {weight!r}")
         table = {}
         for key, d in data.get("h", {}).items():
+            if type(d) is not int:
+                raise ValueError(f"{path}h[{key!r}]: expected int, got {d!r}")
             p, q = (int(x) for x in key.split(","))
             table[(p, q)] = d
-        return PureHS(data["weight"], table)
+        return PureHS(weight, table)
 
 
 def tate_twist(h: PureHS, m: int) -> PureHS:

@@ -533,9 +533,14 @@ def strata_complex_from_dict(data: dict) -> StrataComplex:
         Stratum(
             s["id"],
             s["index_set"],
-            {int(deg): PureHS.from_dict(hs) for deg, hs in s.get("cohomology", {}).items()},
+            {
+                int(deg): PureHS.from_dict(
+                    hs, f"strata[{i}] (id {s['id']!r}).cohomology[{deg!r}]."
+                )
+                for deg, hs in s.get("cohomology", {}).items()
+            },
         )
-        for s in data["strata"]
+        for i, s in enumerate(data["strata"])
     ]
     gysin = {}
     for g in data.get("gysin", []):

@@ -166,3 +166,43 @@ def test_missing_key_is_named(tmp_path, capsys):
     code, _, err = run(capsys, "check-snc", str(p))
     assert code == 2
     assert err == "error: missing key 'cusps'\n"
+
+
+@pytest.mark.parametrize("command", ["subdivide", "check-snc"])
+@pytest.mark.parametrize(
+    "rays, message",
+    [([5, [0, 1]], "cones[0].rays[0]: expected a list of ints, got 5"),
+     ([[1, 0], "0,1"], "cones[0].rays[1]: expected a list of ints, got '0,1'"),
+     (5, "cones[0].rays: expected a list of rays, got 5")],
+)
+def test_non_list_ray_exits_2(tmp_path, capsys, command, rays, message):
+    p = tmp_path / "window.json"
+    p.write_text(json.dumps({"cusps": [{"name": "F", "rank": 2}],
+                             "cones": [{"cusp": "F", "rays": rays}]}))
+    code, out, err = run(capsys, command, str(p))
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("argv", [["spectral", "--k", "0"], ["fn-filtration"]])
+@pytest.mark.parametrize(
+    "field, value, message",
+    [("h", 1.5, "h['0,0']: expected int, got 1.5"),
+     ("h", True, "h['0,0']: expected int, got True"),
+     ("weight", 0.0, "weight: expected int, got 0.0")],
+)
+def test_non_integer_hodge_data_exits_2(
+    fixture_files, tmp_path, capsys, argv, field, value, message
+):
+    strata = json.loads(open(fixture_files["p1xp1"]).read())
+    assert strata["strata"][0]["id"] == "Y"
+    hs = strata["strata"][0]["cohomology"]["0"]
+    if field == "h":
+        hs["h"]["0,0"] = value
+    else:
+        hs["weight"] = value
+    p = tmp_path / "strata.json"
+    p.write_text(json.dumps(strata))
+    code, out, err = run(capsys, argv[0], str(p), *argv[1:])
+    assert code == 2 and out == ""
+    assert err == f"error: strata[0] (id 'Y').cohomology['0'].{message}\n"

@@ -1,5 +1,7 @@
 """Quotient Delta-complexes, boundary maps, homology, pseudomanifolds."""
 
+import random
+
 import pytest
 
 from fanhodge.delta_complex import (
@@ -187,3 +189,26 @@ def test_torus_is_closed_and_oriented():
     cc = boundary_matrices(dc)
     assert homology_dims(cc) == [1, 2, 1]
     assert (cc.boundary[2] * fundamental_class_vector(dc)).is_zero()
+
+
+def circle(n):
+    return from_top_simplices([(i, i + 1) for i in range(n - 1)] + [(0, n - 1)])
+
+
+def random_2_complex(rng):
+    vertices = rng.randint(4, 9)
+    tops = {tuple(sorted(rng.sample(range(vertices), 3))) for _ in range(rng.randint(1, 14))}
+    return from_top_simplices(sorted(tops))
+
+
+@pytest.mark.parametrize(
+    "dc",
+    [circle(40), circle(160), from_top_simplices(RP2_TOPS),
+     from_top_simplices(TORUS_TOPS), from_top_simplices(MOBIUS_TOPS)]
+    + [random_2_complex(random.Random(seed)) for seed in range(30)],
+)
+def test_integral_free_ranks_are_the_betti_numbers(dc):
+    cc = boundary_matrices(dc)
+    integral = integral_homology(cc)
+    assert [free for free, _ in integral] == homology_dims(cc)
+    assert all(t > 1 for _, torsion in integral for t in torsion)

@@ -1,5 +1,6 @@
 """Fan windows: ray classes, the ray condition, and equivariant subdivision."""
 
+import itertools
 import random
 import re
 from fractions import Fraction
@@ -24,7 +25,17 @@ from fanhodge.fans import (
     smooth_subdivide,
     two_division_subdivide,
 )
-from fanhodge.linalg import Matrix, coordinate_forms, det, primitivize, rank, solve
+from fanhodge.fans import _subdivision_point
+from fanhodge.linalg import (
+    Matrix,
+    coordinate_forms,
+    det,
+    extend_to_lattice_basis,
+    invariant_factors,
+    primitivize,
+    rank,
+    solve,
+)
 
 M = ((2, 1), (1, 1))
 
@@ -323,3 +334,91 @@ def test_cached_structure_leaves_equality_and_json_alone():
     assert ray_classes(fs) == ray_classes(fresh)
     assert fs == fresh and hash(fs) == hash(fresh)
     assert fan_system_to_dict(fs) == before
+
+
+def _multiplicity(rays):
+    mult = 1
+    for f in invariant_factors(Matrix.from_columns(rays)):
+        mult *= f
+    return mult
+
+
+def grid_subdivision_point(rays):
+    """Oracle for ``_subdivision_point``: search the whole grid of
+    coefficient vectors c = ks / mult, ks in {0, ..., mult-1}^k (mult^k
+    points), for the integral point B c of least (sum(c), c)."""
+    mult = _multiplicity(rays)
+    if mult == 1:
+        return None
+    best = None
+    for ks in itertools.product(range(mult), repeat=len(rays)):
+        x = [sum(k * ray[i] for k, ray in zip(ks, rays)) for i in range(len(rays[0]))]
+        if any(ks) and all(xi % mult == 0 for xi in x):
+            key = (sum(ks), ks)
+            if best is None or key < best[0]:
+                best = (key, tuple(xi // mult for xi in x))
+    (_, ks), x = best
+    return primitivize(x), tuple(ray for k, ray in zip(ks, rays) if k > 0)
+
+
+def test_subdivision_point_matches_grid_oracle():
+    rng = random.Random(20241018)
+    seen = {(n, kind): 0 for n in (2, 3, 4) for kind in ("smooth", "full", "lower")}
+    for n in (2, 3, 4):
+        done = 0
+        while done < 150:
+            k = rng.randint(1, n)
+            rays = _random_cone(rng, n, k)
+            mult = _multiplicity(rays)
+            # mostly singular cones, and a grid small enough for the oracle
+            if mult ** k > 20_000 or (mult == 1 and rng.random() < 0.8):
+                continue
+            done += 1
+            point = _subdivision_point(rays)
+            assert point == grid_subdivision_point(rays), rays
+            if point is None:
+                seen[(n, "smooth")] += 1
+                continue
+            seen[(n, "full" if k == n else "lower")] += 1
+            w, support = point
+            assert support and set(support) <= set(rays)
+            assert _multiplicity(tuple(r for r in rays if r not in support) + (w,)) < mult
+    assert seen.pop((2, "lower")) == 0  # a primitive ray spans a saturated line
+    assert min(seen.values()) >= 20, seen
+
+
+def test_is_smooth_reads_the_smith_diagonal():
+    rng = random.Random(7)
+    answers = set()
+    for n in (2, 3, 4):
+        for _ in range(60):
+            rays = _random_cone(rng, n, rng.randint(1, n))
+            fs = one_cusp(n, rays)
+            expected = extend_to_lattice_basis(rays, n) is not None
+            assert is_smooth(fs, Cone("F", rays)) == expected
+            answers.add(expected)
+    assert answers == {True, False}
+    fs = one_cusp(2, ((1, 0),))
+    assert is_smooth(fs, Cone("F", ()))
+    with pytest.raises(DependentInput):
+        is_smooth(fs, Cone("F", ((1, 0), (-1, 0))))
+    with pytest.raises(ValueError):
+        is_smooth(fs, Cone("F", ((1, 0, 0),)))
+
+
+@pytest.mark.parametrize("last", [(1, 1, 1, 29), (1, 1, 1, 1, 1, 97)])
+def test_high_rank_cones_subdivide_smoothly(last):
+    """The Siegel-type ranks: a singular cone of multiplicity 29 in rank 4
+    and 97 in rank 6, resolved by stellar subdivision."""
+    n = len(last)
+    rays = tuple(tuple(int(i == j) for j in range(n)) for i in range(n - 1)) + (last,)
+    fs = one_cusp(n, rays)
+    assert _multiplicity(rays) == last[-1]
+    sub = smooth_subdivide(fs)
+    assert len(sub.cones) > 1
+    for cone in sub.cones:
+        assert len(cone.rays) == n
+        assert abs(det(Matrix.from_columns(cone.rays))) == 1
+        assert is_smooth(sub, cone)
+    assert is_refinement(sub, fs)
+    assert check_snc_condition(sub).ok

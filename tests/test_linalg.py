@@ -250,3 +250,43 @@ def test_extend_to_lattice_basis():
     assert extend_to_lattice_basis([(2, 0)], 2) is None
     with pytest.raises(DependentInput):
         extend_to_lattice_basis([(1, 0), (2, 0)], 2)
+
+
+def sparse_unit_matrix(rng, rows, cols, per_column):
+    """+-1 entries at up to ``per_column`` random rows of each column, like
+    the boundary map of a complex of dimension < per_column."""
+    columns = []
+    for _ in range(cols):
+        col = [0] * rows
+        for i in rng.sample(range(rows), rng.randint(1, min(per_column, rows))):
+            col[i] = rng.choice((-1, 1))
+        columns.append(col)
+    return Matrix.from_columns(columns)
+
+
+def assert_smith_form(m):
+    u, d, v = smith_normal_form(m)
+    assert u * m * v == d
+    assert abs(det(u)) == 1 and abs(det(v)) == 1
+    diag = [d[i, i] for i in range(min(m.rows, m.cols))]
+    assert all(d[i, j] == 0 for i in range(d.rows) for j in range(d.cols) if i != j)
+    assert all(x >= 0 for x in diag)
+    for a, b in zip(diag, diag[1:]):
+        assert (b == 0) if a == 0 else (b % a == 0)
+    return diag
+
+
+def test_snf_of_sparse_unit_matrices_up_to_40x40():
+    rng = random.Random(20241018)
+    non_unit = 0
+    for size in (10, 20, 30, 40):
+        shapes = [(size, size)] + [
+            (rng.randint(size // 2, size), rng.randint(size // 2, size))
+            for _ in range(5)
+        ]
+        for rows, cols in shapes:
+            m = sparse_unit_matrix(rng, rows, cols, rng.choice((2, 3)))
+            diag = assert_smith_form(m)
+            assert sum(1 for x in diag if x) == rank(m)
+            non_unit += any(x > 1 for x in diag)
+    assert non_unit > 0

@@ -60,3 +60,19 @@ def test_json_round_trip():
     assert PureHS.from_dict(h.to_dict()) == h
     t = MixedHSTable(3, [h, PureHS(4, {(2, 2): 5})])
     assert MixedHSTable.from_dict(t.to_dict()) == t
+
+
+@pytest.mark.parametrize(
+    "data, message",
+    [({"weight": 0, "h": {"0,0": 1.5}}, "h['0,0']: expected int, got 1.5"),
+     ({"weight": 0, "h": {"0,0": False}}, "h['0,0']: expected int, got False"),
+     ({"weight": 2, "h": {"1,1": "2"}}, "h['1,1']: expected int, got '2'"),
+     ({"weight": 2.0, "h": {"1,1": 2}}, "weight: expected int, got 2.0"),
+     ({"weight": True, "h": {}}, "weight: expected int, got True")],
+)
+def test_from_dict_requires_int_hodge_data(data, message):
+    with pytest.raises(ValueError) as exc:
+        PureHS.from_dict(data, "strata[3].cohomology['2'].")
+    assert str(exc.value) == f"strata[3].cohomology['2'].{message}"
+    with pytest.raises(ValueError, match=r"^h\[|^weight"):
+        PureHS.from_dict(data)
