@@ -1,4 +1,5 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the JSON type checks
+whose ValueError names the path of a malformed value."""
 
 
 class FanhodgeError(Exception):
@@ -35,3 +36,36 @@ class MissingInput(FanhodgeError):
 
 class InvalidParams(FanhodgeError):
     """Preset parameters are out of range."""
+
+
+_JSON_KINDS = {dict: "an object", list: "a list", str: "a string", int: "an int"}
+
+
+def json_path(*parts) -> str:
+    """A JSON path from its parts: a str part is used as is, an int part is
+    an index ``[i]``, and no parts is the top level."""
+    return "".join(f"[{p}]" if type(p) is int else p for p in parts) or "top level"
+
+
+def expect(value, kind: type, *path):
+    """``value`` if it has the JSON type ``kind`` (dict, list, str or int;
+    a bool is not an int), else a ValueError that names ``json_path(*path)``.
+    The path is joined only for the message."""
+    if type(value) is kind if kind is int else isinstance(value, kind):
+        return value
+    shown = repr(value)
+    if len(shown) > 60:
+        shown = shown[:57] + "..."
+    raise ValueError(f"{json_path(*path)}: expected {_JSON_KINDS[kind]}, got {shown}")
+
+
+def expect_rows(rows, *path) -> int:
+    """The column count of ``rows``, a list of lists of equal length, else
+    a ValueError that names the path of the first bad row."""
+    for i, row in enumerate(expect(rows, list, *path)):
+        if type(row) is not list or len(row) != len(rows[0]):
+            expect(row, list, *path, i)
+            raise ValueError(
+                f"{json_path(*path, i)}: expected {len(rows[0])} entries, got {len(row)}"
+            )
+    return len(rows[0]) if rows else 0

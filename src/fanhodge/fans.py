@@ -32,7 +32,7 @@ from functools import cached_property
 from math import prod
 from typing import Sequence
 
-from .errors import DependentInput, NonFreeAction, UnsaturatedWindow
+from .errors import DependentInput, NonFreeAction, UnsaturatedWindow, expect, expect_rows
 from .linalg import (
     Matrix,
     apply_matrix,
@@ -114,6 +114,10 @@ class FanSystem:
             raise ValueError("duplicate cusp names")
         ranks = {c.name: c.lattice_rank for c in self.cusps}
         for c in self.cusps:
+            if type(c.lattice_rank) is not int or c.lattice_rank < 0:
+                raise ValueError(
+                    f"cusp {c.name!r}: lattice rank {c.lattice_rank!r} is not a nonnegative int"
+                )
             for parent, emb in c.parent_embeddings:
                 _require_int_matrix(emb, f"cusp {c.name!r}: embedding into {parent!r}")
                 if parent not in ranks:
@@ -660,22 +664,32 @@ def _rays_from_json(rays, path: str) -> tuple[Ray, ...]:
 
 
 def fan_system_from_dict(data: dict) -> FanSystem:
-    cusps = tuple(
-        CuspLabel(
-            name=c["name"],
-            lattice_rank=c["rank"],
-            parent_embeddings=tuple(
-                (e["parent"], Matrix(e["matrix"])) for e in c.get("embeddings", [])
-            ),
-        )
-        for c in data["cusps"]
-    )
-    cones = tuple(
-        Cone(c["cusp"], _rays_from_json(c["rays"], f"cones[{i}].rays"))
-        for i, c in enumerate(data["cones"])
-    )
-    idents = tuple(
-        Identification(Matrix(i["matrix"]), i["source"], i["target"])
-        for i in data.get("identifications", [])
-    )
-    return FanSystem(cusps=cusps, cones=cones, identifications=idents)
+    """Read the JSON form.  A value of the wrong JSON type raises a
+    ValueError that names its path; a missing key raises KeyError."""
+    expect(data, dict)
+    cusps = []
+    for i, c in enumerate(expect(data["cusps"], list, "cusps")):
+        expect(c, dict, "cusps", i)
+        embeddings = []
+        for j, e in enumerate(expect(c.get("embeddings", []), list, "cusps", i, ".embeddings")):
+            path = ("cusps", i, ".embeddings", j)
+            expect(e, dict, *path)
+            matrix = e["matrix"]
+            embeddings.append((expect(e["parent"], str, *path, ".parent"),
+                               Matrix(matrix, cols=expect_rows(matrix, *path, ".matrix"))))
+        cusps.append(CuspLabel(expect(c["name"], str, "cusps", i, ".name"),
+                               expect(c["rank"], int, "cusps", i, ".rank"), tuple(embeddings)))
+    cones = []
+    for i, c in enumerate(expect(data["cones"], list, "cones")):
+        expect(c, dict, "cones", i)
+        cones.append(Cone(expect(c["cusp"], str, "cones", i, ".cusp"),
+                          _rays_from_json(c["rays"], f"cones[{i}].rays")))
+    idents = []
+    for i, g in enumerate(expect(data.get("identifications", []), list, "identifications")):
+        path = ("identifications", i)
+        expect(g, dict, *path)
+        matrix = g["matrix"]
+        idents.append(Identification(Matrix(matrix, cols=expect_rows(matrix, *path, ".matrix")),
+                                     expect(g["source"], str, *path, ".source"),
+                                     expect(g["target"], str, *path, ".target")))
+    return FanSystem(cusps=tuple(cusps), cones=tuple(cones), identifications=tuple(idents))

@@ -1,30 +1,37 @@
-"""Exact dense linear algebra over the integers and rationals.
+"""Exact linear algebra over the integers and rationals.
 
 Everything here works with Python ints and ``fractions.Fraction``, so there
-is no overflow and no rounding anywhere.  Matrices are immutable; all
-operations return new values and are safe to call concurrently.
+is no overflow and no rounding anywhere.  Matrices are immutable and dense;
+all operations return new values and are safe to call concurrently.
 
-``rank``, ``rational_kernel_basis``, ``solve``, ``inverse``, ``det`` and
-``coordinate_forms`` share one elimination core, ``_echelon``: integer
-Gauss-Jordan on rows scaled to integers, with every combined row divided by
-the gcd of its entries, so the sparse +-1 boundary and Gysin maps stay
-sparse and small.  Each of them only reads the unique reduced row echelon
-form off its output.  The Smith normal form has its own loop, because it
-needs the unimodular transforms.  Its pivot search stops at the first unit
-entry, and a unit pivot skips the divisibility sweep of the remaining
-block, so the sparse +-1 boundary maps cost one short scan per pivot;
-coefficient growth on dense input is not bounded.
+``rank``, ``rational_kernel_basis``, ``inverse``, ``det`` and
+``coordinate_forms`` share one elimination core: sparse integer
+Gauss-Jordan on ``{column: int}`` rows, with a column -> rows index so that
+a pivot touches only the rows holding its column, and every combined row
+divided by the gcd of its entries.  The sparse +-1 boundary and Gysin maps
+therefore cost in proportion to their nonzeros and keep small entries.
+Its forward pass, ``_row_echelon``, is all that ``rank`` and ``det`` need;
+``_echelon`` adds the backward pass for the others.  Pivot columns are
+taken left to right, so each reader gets the unique reduced row echelon
+form, whatever the pivot rows.  The Smith
+normal form has its own loop, because it needs the unimodular transforms.
+Its pivot search stops at the first unit entry, and a unit pivot skips the
+divisibility sweep of the remaining block, so the sparse +-1 boundary maps
+cost one short scan per pivot; coefficient growth on dense input is not
+bounded.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm, prod
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 from .errors import DependentInput
 
 Entry = int | Fraction
+_second = itemgetter(1)
 
 
 class Matrix:
@@ -106,20 +113,6 @@ class Matrix:
 
     __rmul__ = __mul__
 
-    def __add__(self, other: "Matrix") -> "Matrix":
-        if self.shape != other.shape:
-            raise ValueError("shape mismatch")
-        return Matrix(
-            [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self._d, other._d)],
-            cols=self.cols,
-        )
-
-    def __sub__(self, other: "Matrix") -> "Matrix":
-        return self + (-1) * other
-
-    def __neg__(self) -> "Matrix":
-        return (-1) * self
-
     def transpose(self) -> "Matrix":
         return Matrix(list(zip(*self._d)) if self._d else [], cols=self.rows)
 
@@ -174,93 +167,183 @@ def primitivize(v: Sequence[int]) -> tuple[int, ...]:
 # -- elimination ----------------------------------------------------------
 
 
-def _echelon(rows: list) -> tuple[list[int], Fraction]:
-    """Integer Gauss-Jordan elimination of ``rows``, in place.
+def _clear(
+    sparse: list[dict[int, int]],
+    where: dict[int, set[int]],
+    c: int,
+    prow: dict[int, int],
+    others: list[int],
+) -> tuple[int, int]:
+    """Clear column c of the rows ``others`` with the pivot row ``prow``.
 
-    Each row is first scaled to integers by the lcm of its denominators.
-    For each pivot ``p`` every other row with an entry ``a != 0`` in the
-    pivot column becomes ``p * row - a * pivot_row``, divided by the gcd of
-    its entries; rows with 0 there are left untouched, so sparse +-1
-    boundary and Gysin maps stay cheap.  Afterwards the reduced row echelon
-    form has entries ``Fraction(rows[r][j], rows[r][pivots[r]])``.
-
-    Returns the pivot columns and the factor by which the determinant of
-    the rows changed.
+    A row with an entry ``a != 0`` in column c becomes
+    ``p * row - a * prow`` (both factors divided by their gcd), divided by
+    the gcd of its entries, so sparse +-1 maps stay sparse and small.
+    Returns the factor ``(num, den)`` by which the determinant changed.
     """
     num = den = 1
+    p = prow[c]
+    for i in others:
+        row = sparse[i]
+        a = row[c]
+        s, b = (p, a) if p > 0 else (-p, -a)
+        if s != 1:
+            g = gcd(s, b)
+            s, b = s // g, b // g
+            if s != 1:
+                for j in row:
+                    row[j] *= s
+                num *= s
+        for j, y in prow.items():
+            x = row.get(j)
+            if x is None:
+                row[j] = -b * y
+                where[j].add(i)
+            else:
+                x -= b * y
+                if x:
+                    row[j] = x
+                else:
+                    del row[j]
+                    where[j].discard(i)
+        g = gcd(*row.values())
+        if g > 1:
+            for j in row:
+                row[j] //= g
+            den *= g
+    return num, den
+
+
+def _row_echelon(rows: Iterable[Sequence[Entry]]) -> tuple[
+    list[dict[int, int]], dict[int, set[int]], list[int], list[int], tuple[int, int]
+]:
+    """Forward pass of the elimination core: a row echelon form of ``rows``.
+
+    Each row becomes a ``{column: int}`` dict of its nonzero entries, scaled
+    to integers by the lcm of its denominators, and a column -> rows index
+    finds the rows that hold a column.  Pivot columns are taken strictly
+    left to right.  In each, the pivot row is the unused row with a unit
+    entry there, then with the fewest nonzeros, then with the lowest index,
+    and the column is cleared from the other unused rows.
+
+    Returns the rows, the column index, the pivot row of each pivot column,
+    the pivot columns and the factor ``(num, den)`` by which the
+    determinant changed.  For rows of full rank that factor includes the
+    sign of the pivot row order; otherwise the determinant is 0 and the
+    sign does not matter.  Rows that are not pivot rows end up empty.
+    """
+    num = den = 1
+    sparse: list[dict[int, int]] = []
+    where: dict[int, set[int]] = {}  # column -> rows with a nonzero there
     for i, row in enumerate(rows):
-        row = [x if type(x) is int else Fraction(x) for x in row]
-        scale = lcm(*(x.denominator for x in row))
-        rows[i] = [x.numerator * scale // x.denominator for x in row]
-        num *= scale
-    nrows = len(rows)
+        entries = dict(filter(_second, enumerate(row)))
+        # a sum of ints is an int; any Fraction entry makes it a Fraction
+        if type(sum(entries.values())) is not int:
+            fracs = {j: Fraction(x) for j, x in entries.items()}
+            scale = lcm(*(x.denominator for x in fracs.values()))
+            entries = {j: x.numerator * (scale // x.denominator) for j, x in fracs.items()}
+            num *= scale
+        sparse.append(entries)
+        for j in entries:
+            holders = where.get(j)
+            if holders is None:
+                where[j] = {i}
+            else:
+                holders.add(i)
+    nrows = len(sparse)
+    used = [False] * nrows
+    order: list[int] = []  # pivot row of each pivot column
     pivots: list[int] = []
-    for c in range(len(rows[0]) if rows else 0):
-        r = len(pivots)
-        if r == nrows:
-            break
-        pivot = next((i for i in range(r, nrows) if rows[i][c]), None)
-        if pivot is None:
+    for c in sorted(where):
+        holders = where[c]
+        pi = -1
+        for i in holders:
+            if not used[i]:
+                if pi < 0:
+                    pi = i
+                    continue
+                x = sparse[i][c]
+                y = sparse[pi][c]
+                # unit entry first, then fewest nonzeros, then lowest index
+                ku, kp = x in (1, -1), y in (1, -1)
+                if ku != kp:
+                    if ku:
+                        pi = i
+                elif (len(sparse[i]), i) < (len(sparse[pi]), pi):
+                    pi = i
+        if pi < 0:
             continue
-        if pivot != r:
-            rows[r], rows[pivot] = rows[pivot], rows[r]
-            num = -num
-        prow = rows[r]
-        p = prow[c]
-        for i, row in enumerate(rows):
-            a = row[c]
-            if a and i != r:
-                row = [p * x - a * y for x, y in zip(row, prow)]
-                g = gcd(*row)
-                if g > 1:
-                    row = [x // g for x in row]
-                    den *= g
-                num *= p
-                rows[i] = row
+        used[pi] = True
+        others = [i for i in holders if not used[i]]
+        if others:
+            s, g = _clear(sparse, where, c, sparse[pi], others)
+            num *= s
+            den *= g
+        order.append(pi)
         pivots.append(c)
-    return pivots, Fraction(num, den)
+        if len(order) == nrows:
+            break
+    if len(order) == nrows:
+        seen = [False] * nrows
+        for i in range(nrows):
+            if not seen[i]:
+                seen[i] = True
+                j = order[i]
+                while j != i:
+                    seen[j] = True
+                    j = order[j]
+                    num = -num
+    return sparse, where, order, pivots, (num, den)
+
+
+def _echelon(rows: Iterable[Sequence[Entry]]) -> tuple[list[dict[int, int]], list[int]]:
+    """Sparse integer Gauss-Jordan elimination of ``rows``.
+
+    The forward pass ``_row_echelon`` clears each pivot column below its
+    pivot; the backward pass then clears it above, last pivot first, so a
+    pivot row is combined into the rows above it only once it is final.
+    Reducing a long cycle that way costs in proportion to its length, where
+    clearing above each pivot as it is found costs the square.
+
+    Returns the pivot rows in pivot order and the pivot columns.  Pivot
+    columns are taken left to right, so row ``r`` of the unique reduced row
+    echelon form has entries ``Fraction(rows[r].get(j, 0), rows[r][pivots[r]])``.
+    """
+    sparse, where, order, pivots, _ = _row_echelon(rows)
+    for pi, c in zip(reversed(order), reversed(pivots)):
+        if len(where[c]) > 1:
+            _clear(sparse, where, c, sparse[pi], [i for i in where[c] if i != pi])
+    return [sparse[i] for i in order], pivots
 
 
 def rank(m: Matrix) -> int:
     """Rank over the rationals."""
-    return len(_echelon(list(m._d))[0])
+    return len(_row_echelon(m._d)[3])
 
 
 def rational_kernel_basis(m: Matrix) -> Matrix:
     """Basis of ker(m) as matrix columns; exact, full column rank.
 
     Returns a matrix with ``cols - rank`` columns (possibly zero columns).
+    Column k is the free column f_k set to 1 and the others to 0, solved
+    for the pivot columns, so its entries are all ``Fraction``s.
     """
     if m.rows == 0:
         return Matrix.identity(m.cols)
-    rows = list(m._d)
-    pivots, _ = _echelon(rows)
-    basis_cols: list[list[Fraction]] = []
-    for f in range(m.cols):
-        if f in pivots:
-            continue
-        v = [Fraction(0)] * m.cols
-        v[f] = Fraction(1)
-        for r, p in enumerate(pivots):
-            v[p] = -Fraction(rows[r][f], rows[r][p])
-        basis_cols.append(v)
-    if not basis_cols:
-        return Matrix.zeros(m.cols, 0)
-    return Matrix.from_columns(basis_cols)
-
-
-def solve(m: Matrix, b: Sequence[Entry]) -> tuple[Fraction, ...] | None:
-    """One exact solution of m x = b, or None when inconsistent."""
-    if len(b) != m.rows:
-        raise ValueError(f"right-hand side has length {len(b)}, expected {m.rows}")
-    rows = [list(row) + [bi] for row, bi in zip(m._d, b)]
-    pivots, _ = _echelon(rows)
-    if m.cols in pivots:
-        return None
-    x = [Fraction(0)] * m.cols
-    for r, p in enumerate(pivots):
-        x[p] = Fraction(rows[r][m.cols], rows[r][p])
-    return tuple(x)
+    reduced, pivots = _echelon(m._d)
+    is_pivot = set(pivots)
+    free = {f: k for k, f in enumerate(f for f in range(m.cols) if f not in is_pivot)}
+    zero, one = Fraction(0), Fraction(1)
+    rows = [[zero] * len(free) for _ in range(m.cols)]
+    for f, k in free.items():
+        rows[f][k] = one
+    for p, row in zip(pivots, reduced):
+        x = row[p]
+        out = rows[p]
+        for j, y in row.items():
+            if j != p:
+                out[free[j]] = Fraction(-y, x)
+    return Matrix(rows, cols=len(free))
 
 
 def inverse(m: Matrix) -> Matrix:
@@ -268,14 +351,15 @@ def inverse(m: Matrix) -> Matrix:
     if m.rows != m.cols:
         raise ValueError("not square")
     n = m.rows
-    rows = [
-        list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(m._d)
-    ]
-    pivots, _ = _echelon(rows)
+    reduced, pivots = _echelon(
+        [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(m._d)]
+    )
     if pivots != list(range(n)):
         raise ValueError("singular matrix")
+    right, zeros = range(n, 2 * n), (0,) * n
     return Matrix(
-        [[Fraction(x, row[r]) for x in row[n:]] for r, row in enumerate(rows)], cols=n
+        [[Fraction(x, row[r]) for x in map(row.get, right, zeros)] for r, row in enumerate(reduced)],
+        cols=n,
     )
 
 
@@ -283,11 +367,10 @@ def det(m: Matrix) -> Fraction:
     """Exact determinant of a square matrix."""
     if m.rows != m.cols:
         raise ValueError("not square")
-    rows = list(m._d)
-    pivots, factor = _echelon(rows)
+    rows, _, order, pivots, (num, den) = _row_echelon(m._d)
     if len(pivots) < m.rows:
         return Fraction(0)
-    return prod(rows[r][r] for r in range(m.rows)) / factor
+    return Fraction(prod(rows[i][c] for i, c in zip(order, pivots)) * den, num)
 
 
 def coordinate_forms(
@@ -308,18 +391,18 @@ def coordinate_forms(
     if any(len(c) != ambient_rank for c in cols):
         raise ValueError("vector length != ambient_rank")
     k = len(cols)
-    rows = [
+    reduced, pivots = _echelon(
         [c[i] for c in cols] + [int(i == j) for j in range(ambient_rank)]
         for i in range(ambient_rank)
-    ]
-    pivots, _ = _echelon(rows)
+    )
     if pivots[:k] != list(range(k)):
         raise DependentInput("input vectors are linearly dependent over Q")
+    right, zeros = range(k, k + ambient_rank), (0,) * ambient_rank
+    forms = [tuple(map(row.get, right, zeros)) for row in reduced]
     coordinates = [
-        tuple(x if row[r] > 0 else -x for x in row[k:])
-        for r, row in enumerate(rows[:k])
+        f if reduced[r][r] > 0 else tuple(-x for x in f) for r, f in enumerate(forms[:k])
     ]
-    return [tuple(row[k:]) for row in rows[k:]], coordinates
+    return forms[k:], coordinates
 
 
 # -- Smith normal form -----------------------------------------------------

@@ -10,6 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
+from .errors import expect
+
 
 @dataclass(frozen=True)
 class PureHS:
@@ -28,9 +30,11 @@ class PureHS:
         cleaned = tuple(sorted((pq, d) for pq, d in items.items() if d != 0))
         object.__setattr__(self, "weight", weight)
         object.__setattr__(self, "hodge_numbers", cleaned)
+        # lookup table for h(); not a field, so equality and hashing ignore it
+        object.__setattr__(self, "_table", dict(cleaned))
 
     def h(self, p: int, q: int) -> int:
-        return dict(self.hodge_numbers).get((p, q), 0)
+        return self._table.get((p, q), 0)
 
     @property
     def dim(self) -> int:
@@ -58,14 +62,18 @@ class PureHS:
     def from_dict(data: dict, path: str = "") -> "PureHS":
         """Read the JSON form; the weight and every Hodge number must be an
         int (not bool or float), else ValueError names ``path`` and the key."""
+        expect(data, dict, path.rstrip("."))
         weight = data["weight"]
         if type(weight) is not int:
             raise ValueError(f"{path}weight: expected int, got {weight!r}")
         table = {}
-        for key, d in data.get("h", {}).items():
+        for key, d in expect(data.get("h", {}), dict, path, "h").items():
             if type(d) is not int:
                 raise ValueError(f"{path}h[{key!r}]: expected int, got {d!r}")
-            p, q = (int(x) for x in key.split(","))
+            try:
+                p, q = (int(x) for x in key.split(","))
+            except (AttributeError, ValueError):
+                raise ValueError(f"{path}h[{key!r}]: expected a key 'p,q' of two ints") from None
             table[(p, q)] = d
         return PureHS(weight, table)
 

@@ -9,22 +9,35 @@ description of the weight filtration on the top Hodge piece.
 A stratum with index set I of size m lives in codimension m; the ambient
 space itself is the unique stratum with empty index set.  Several strata
 may share one index set (disconnected intersections).
+
+Each ``StrataComplex`` indexes itself once, on first use: strata by id and
+by codimension, the Gysin blocks by key, and each stratum's codimension-1
+facets, found by index-set lookup, with the sign of the omitted component.
+Like ``FanSystem``'s cache, these lookups are not dataclass fields, so they
+never change equality, hashing or the JSON form.  A bidegree complex is
+assembled from the nonzero Gysin entries only, and d1 o d1 = 0 is checked
+on the sparse columns, so E1/d1/E2 and the F^n filtration cost in
+proportion to the nonzeros; the elimination that follows is the sparse core
+of ``linalg``.  Integral Gysin entries stay ints; only "p/q" strings in the
+JSON form become Fractions.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Mapping, Sequence
 
-from .errors import NotAComplex, SncConditionViolated
+from .errors import NotAComplex, SncConditionViolated, expect, expect_rows, json_path
 from .fans import (
     FanSystem,
     check_snc_condition,
     cone_orbit_classes,
     ray_class_index,
 )
-from .linalg import Matrix, rank, rational_kernel_basis
+from .linalg import Entry, Matrix, rank, rational_kernel_basis
 from .mhs import MixedHSTable, PureHS, tate_twist
 
 GysinKey = tuple[str, str, int, int, int]  # (src id, dst id, degree, p, q)
@@ -46,19 +59,18 @@ class Stratum:
     ):
         object.__setattr__(self, "id", id)
         object.__setattr__(self, "index_set", tuple(index_set))
-        object.__setattr__(
-            self, "cohomology", tuple(sorted(dict(cohomology).items()))
-        )
+        by_degree = dict(cohomology)
+        object.__setattr__(self, "cohomology", tuple(sorted(by_degree.items())))
+        # lookup table for h(); not a field, so equality and hashing ignore it
+        object.__setattr__(self, "_by_degree", by_degree)
 
     @property
     def codim(self) -> int:
         return len(self.index_set)
 
     def h(self, degree: int, p: int, q: int) -> int:
-        for deg, hs in self.cohomology:
-            if deg == degree:
-                return hs.h(p, q)
-        return 0
+        hs = self._by_degree.get(degree)
+        return 0 if hs is None else hs.h(p, q)
 
 
 @dataclass(frozen=True)
@@ -122,26 +134,50 @@ class StrataComplex:
                     f"shape {m.shape}, declared dims {want}"
                 )
 
-    def stratum(self, sid: str) -> Stratum:
+    # -- lookups, each built once on first use ---------------------------
+
+    @cached_property
+    def _by_id(self) -> dict[str, Stratum]:
+        return {s.id: s for s in self.strata}
+
+    @cached_property
+    def _by_codim(self) -> dict[int, tuple[Stratum, ...]]:
+        groups: dict[int, list[Stratum]] = {}
         for s in self.strata:
-            if s.id == sid:
-                return s
-        raise KeyError(sid)
+            groups.setdefault(s.codim, []).append(s)
+        return {m: tuple(group) for m, group in groups.items()}
+
+    @cached_property
+    def _gysin(self) -> dict[GysinKey, Matrix]:
+        return dict(self.gysin)
+
+    @cached_property
+    def _facets(self) -> dict[str, tuple[tuple[Stratum, int], ...]]:
+        """Per stratum id, its codimension-1 facets in strata order, each
+        with the sign (-1)^(i-1) of the omitted component's position i."""
+        position = {s.id: i for i, s in enumerate(self.strata)}
+        by_index_set: dict[tuple[str, ...], list[Stratum]] = {}
+        for s in self.strata:
+            by_index_set.setdefault(s.index_set, []).append(s)
+        facets = {}
+        for s in self.strata:
+            found = [
+                (t, -1 if i % 2 else 1)
+                for i in range(s.codim)
+                for t in by_index_set.get(s.index_set[:i] + s.index_set[i + 1 :], ())
+            ]
+            found.sort(key=lambda ts: position[ts[0].id])
+            facets[s.id] = tuple(found)
+        return facets
+
+    def stratum(self, sid: str) -> Stratum:
+        return self._by_id[sid]
 
     def strata_of_codim(self, m: int) -> list[Stratum]:
-        return [s for s in self.strata if s.codim == m]
+        return list(self._by_codim.get(m, ()))
 
     def gysin_block(self, src: str, dst: str, degree: int, p: int, q: int) -> Matrix | None:
-        for key, m in self.gysin:
-            if key == (src, dst, degree, p, q):
-                return m
-        return None
-
-
-def _omitted_position(src: Stratum, dst: Stratum) -> int:
-    """1-based position in src.index_set of the component missing from dst."""
-    omitted = (set(src.index_set) - set(dst.index_set)).pop()
-    return src.index_set.index(omitted) + 1
+        return self._gysin.get((src, dst, degree, p, q))
 
 
 @dataclass(frozen=True)
@@ -170,56 +206,74 @@ class BidegreeComplex:
 
 
 def bidegree_complex(sc: StrataComplex, P: int, Q: int) -> BidegreeComplex:
-    """Assemble the signed Gysin complex in one normalized bidegree."""
+    """Assemble the signed Gysin complex in one normalized bidegree.
+
+    Each map is assembled from the nonzero Gysin entries into sparse
+    columns, and d1 o d1 = 0 is checked on those columns, so the work is
+    proportional to the nonzeros; only the returned matrices are dense.
+    """
     top = min(P, Q, sc.n)
     basis: list[tuple[tuple[str, int], ...]] = []
+    offsets: list[dict[str, int]] = []
     for m in range(top + 1):
         deg = P + Q - 2 * m
         col: list[tuple[str, int]] = []
-        if 0 <= deg:
-            for s in sorted(sc.strata_of_codim(m), key=lambda s: s.id):
-                d = s.h(deg, P - m, Q - m)
+        off: dict[str, int] = {}
+        for s in sorted(sc.strata_of_codim(m), key=lambda s: s.id):
+            d = s.h(deg, P - m, Q - m)
+            if d:
+                off[s.id] = len(col)
                 col.extend((s.id, i) for i in range(d))
         basis.append(tuple(col))
-    offsets: list[dict[str, int]] = []
-    for col in basis:
-        off: dict[str, int] = {}
-        for pos, (sid, i) in enumerate(col):
-            off.setdefault(sid, pos)
         offsets.append(off)
     maps: list[Matrix] = [Matrix.zeros(0, 0)]
+    sparse: list[list[dict[int, Entry]]] = [[]]  # maps[m] by columns: {row: entry}
+    facets = sc._facets
     for m in range(1, top + 1):
-        deg = P + Q - 2 * m
-        rows = [[0] * len(basis[m]) for _ in range(len(basis[m - 1]))]
+        deg, p, q = P + Q - 2 * m, P - m, Q - m
+        columns: list[dict[int, Entry]] = [{} for _ in basis[m]]
         for src in sc.strata_of_codim(m):
-            sdim = src.h(deg, P - m, Q - m)
-            if sdim == 0:
+            if src.id not in offsets[m]:
                 continue
-            for dst in sc.strata_of_codim(m - 1):
-                if not set(dst.index_set) <= set(src.index_set):
-                    continue
-                if len(set(src.index_set) - set(dst.index_set)) != 1:
-                    continue
-                block = sc.gysin_block(src.id, dst.id, deg, P - m, Q - m)
+            coff = offsets[m][src.id]
+            for dst, sign in facets[src.id]:
+                block = sc.gysin_block(src.id, dst.id, deg, p, q)
                 if block is None:
-                    if dst.h(deg + 2, P - m + 1, Q - m + 1) != 0:
+                    if dst.h(deg + 2, p + 1, q + 1) != 0:
                         raise ValueError(
                             f"missing gysin block {src.id!r}->{dst.id!r} "
-                            f"degree {deg} bidegree ({P-m},{Q-m})"
+                            f"degree {deg} bidegree ({p},{q})"
                         )
                     continue
-                sign = (-1) ** (_omitted_position(src, dst) - 1)
+                if not block.rows:
+                    continue
                 roff = offsets[m - 1][dst.id]
-                coff = offsets[m][src.id]
                 for i in range(block.rows):
-                    for j in range(block.cols):
-                        rows[roff + i][coff + j] += sign * block[i, j]
-        maps.append(Matrix(rows, cols=len(basis[m])))
+                    for j, x in enumerate(block.row(i)):
+                        if x:
+                            column = columns[coff + j]
+                            x = column.get(roff + i, 0) + sign * x
+                            if x:
+                                column[roff + i] = x
+                            else:
+                                del column[roff + i]
+        rows = [[0] * len(columns) for _ in basis[m - 1]]
+        for j, column in enumerate(columns):
+            for i, x in column.items():
+                rows[i][j] = x
+        maps.append(Matrix(rows, cols=len(columns)))
+        sparse.append(columns)
     for m in range(2, top + 1):
-        if not (maps[m - 1] * maps[m]).is_zero():
-            raise NotAComplex(
-                f"signed Gysin maps do not compose to zero at bidegree ({P},{Q})"
-            )
+        into = sparse[m - 1]
+        for column in sparse[m]:
+            image: dict[int, Entry] = {}
+            for i, x in column.items():
+                for r, y in into[i].items():
+                    image[r] = image.get(r, 0) + y * x
+            if any(image.values()):
+                raise NotAComplex(
+                    f"signed Gysin maps do not compose to zero at bidegree ({P},{Q})"
+                )
     return BidegreeComplex(P, Q, tuple(basis), tuple(maps))
 
 
@@ -244,15 +298,16 @@ class SpectralPage:
 
     `entries` maps (p,q)=(-m,k+m) to the Tate-normalized Hodge table of
     H^{k-m}(D(m))(-m).  `complexes` holds the signed-Gysin chain complex of
-    every normalized bidegree on the antidiagonals k..min(2k,2n); the d1
-    differential out of entry (-m,k+m) in bidegree (P,Q) is
-    -complexes[(P,Q)].map_out(m).
+    every normalized bidegree on the antidiagonals k..min(2k,2n) that
+    carries dimension; the d1 differential out of entry (-m,k+m) in
+    bidegree (P,Q) is -complexes[(P,Q)].map_out(m).  It is None until d1()
+    attaches the differentials, and empty when no bidegree carries any.
     """
 
     k: int
     n: int
     entries: tuple[tuple[tuple[int, int], PureHS], ...]
-    complexes: tuple[tuple[tuple[int, int], BidegreeComplex], ...] = ()
+    complexes: tuple[tuple[tuple[int, int], BidegreeComplex], ...] | None = None
 
     def entry(self, p: int, q: int) -> PureHS:
         for pq, hs in self.entries:
@@ -261,7 +316,7 @@ class SpectralPage:
         return PureHS(q - p)
 
     def complex_at(self, P: int, Q: int) -> BidegreeComplex | None:
-        for pq, bc in self.complexes:
+        for pq, bc in self.complexes or ():
             if pq == (P, Q):
                 return bc
         return None
@@ -294,7 +349,7 @@ def d1(sc: StrataComplex, page: SpectralPage) -> SpectralPage:
 
 def e2_page(page: SpectralPage) -> MixedHSTable:
     """E2 = E-infinity dimensions: the weight graded Hodge table of H^k."""
-    if not page.complexes:
+    if page.complexes is None:
         raise ValueError("attach differentials with d1() first")
     graded = []
     for (p, q), _ in page.entries:
@@ -496,8 +551,31 @@ def _frac_to_json(x) -> int | str:
     return int(f) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
 
 
-def _frac_from_json(x) -> Fraction:
-    return Fraction(x) if not isinstance(x, str) else Fraction(*map(int, x.split("/")))
+_RATIONAL = re.compile(r"([+-]?\d+)/(\d+)")
+_GYSIN_FIELDS = (("src", str), ("dst", str), ("degree", int), ("p", int), ("q", int))
+_GYSIN_TYPES = tuple(kind for _, kind in _GYSIN_FIELDS)
+
+
+def _gysin_matrix_from_json(rows, *path) -> Matrix:
+    """A rectangular list of rows whose entries are ints, which stay ints,
+    or "p/q" strings, which become Fractions; else ValueError naming the
+    path of the first bad value."""
+    ncols = expect_rows(rows, *path)
+    out = []
+    for i, row in enumerate(rows):
+        if all(type(x) is int for x in row):
+            out.append(row)
+            continue
+        entries = []
+        for j, x in enumerate(row):
+            match = _RATIONAL.fullmatch(x) if type(x) is str else None
+            if type(x) is not int and (match is None or int(match[2]) == 0):
+                raise ValueError(
+                    f"{json_path(*path, i, j)}: expected an int or a 'p/q' string, got {x!r}"
+                )
+            entries.append(x if match is None else Fraction(int(match[1]), int(match[2])))
+        out.append(entries)
+    return Matrix(out, cols=ncols)
 
 
 def strata_complex_to_dict(sc: StrataComplex) -> dict:
@@ -529,29 +607,39 @@ def strata_complex_to_dict(sc: StrataComplex) -> dict:
 
 
 def strata_complex_from_dict(data: dict) -> StrataComplex:
-    strata = [
-        Stratum(
-            s["id"],
-            s["index_set"],
-            {
-                int(deg): PureHS.from_dict(
-                    hs, f"strata[{i}] (id {s['id']!r}).cohomology[{deg!r}]."
-                )
-                for deg, hs in s.get("cohomology", {}).items()
-            },
-        )
-        for i, s in enumerate(data["strata"])
-    ]
+    """Read the JSON form.  A value of the wrong JSON type raises a
+    ValueError that names its path; a missing key raises KeyError."""
+    expect(data, dict)
+    components = expect(data["components"], list, "components")
+    for i, c in enumerate(components):
+        expect(c, str, "components", i)
+    strata = []
+    for i, s in enumerate(expect(data["strata"], list, "strata")):
+        expect(s, dict, "strata", i)
+        sid = expect(s["id"], str, "strata", i, ".id")
+        index_set = expect(s["index_set"], list, "strata", i, ".index_set")
+        for j, c in enumerate(index_set):
+            expect(c, str, "strata", i, ".index_set", j)
+        cohomology = {}
+        for deg, hs in expect(s.get("cohomology", {}), dict, "strata", i, ".cohomology").items():
+            path = f"strata[{i}] (id {sid!r}).cohomology[{deg!r}]"
+            try:
+                degree = int(deg)
+            except ValueError:
+                raise ValueError(f"{path}: expected an int degree as key") from None
+            cohomology[degree] = PureHS.from_dict(hs, path + ".")
+        strata.append(Stratum(sid, index_set, cohomology))
     gysin = {}
-    for g in data.get("gysin", []):
-        rows = [[_frac_from_json(x) for x in row] for row in g["matrix"]]
-        ncols = len(rows[0]) if rows else 0
-        gysin[(g["src"], g["dst"], g["degree"], g["p"], g["q"])] = Matrix(
-            rows, cols=ncols
-        )
+    for k, g in enumerate(expect(data.get("gysin", []), list, "gysin")):
+        expect(g, dict, "gysin", k)
+        key = tuple(g[f] for f, _ in _GYSIN_FIELDS)
+        if tuple(map(type, key)) != _GYSIN_TYPES:
+            for x, (f, kind) in zip(key, _GYSIN_FIELDS):
+                expect(x, kind, "gysin", k, "." + f)
+        gysin[key] = _gysin_matrix_from_json(g["matrix"], "gysin", k, ".matrix")
     return StrataComplex(
-        n=data["n"],
-        components=data["components"],
+        n=expect(data["n"], int, "n"),
+        components=components,
         strata=strata,
         gysin=gysin,
     )

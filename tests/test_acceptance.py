@@ -173,7 +173,7 @@ def test_criterion_6_signed_gysin_is_boundary_tensor_identity():
             sc = annotate_from_fans(fs, CuspStrataAnnotation({"F": d}))
             gysin = signed_gysin_matrix(sc)
             expected = tensor_identity(boundary, d)
-            assert gysin == expected or gysin == -expected
+            assert gysin == expected or gysin == (-1) * expected
 
 
 def test_criterion_7_stairs_regions(capsys):

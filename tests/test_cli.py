@@ -1,6 +1,7 @@
 """End-to-end command-line behavior: exit codes, JSON output, determinism."""
 
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -206,3 +207,90 @@ def test_non_integer_hodge_data_exits_2(
     code, out, err = run(capsys, argv[0], str(p), *argv[1:])
     assert code == 2 and out == ""
     assert err == f"error: strata[0] (id 'Y').cohomology['0'].{message}\n"
+
+
+def test_spectral_on_a_zero_table_prints_an_empty_table(tmp_path, capsys):
+    p = tmp_path / "zero.json"
+    p.write_text(json.dumps(
+        {"n": 1, "components": ["A"],
+         "strata": [{"id": "X", "index_set": [],
+                     "cohomology": {"0": {"weight": 0, "h": {"0,0": 1}}}}]}
+    ))
+    code, out, err = run(capsys, "spectral", str(p), "--k", "1")
+    assert code == 0 and err == ""
+    assert json.loads(out) == {"degree": 1, "graded": []}
+
+
+def _gysin_strata(entry=1, matrix=None):
+    """Codim-1 point X on the curve Y, with one Gysin block X -> Y."""
+    return {
+        "n": 1, "components": ["A"],
+        "strata": [
+            {"id": "Y", "index_set": [], "cohomology": {"2": {"weight": 2, "h": {"1,1": 1}}}},
+            {"id": "X", "index_set": ["A"], "cohomology": {"0": {"weight": 0, "h": {"0,0": 1}}}},
+        ],
+        "gysin": [{"src": "X", "dst": "Y", "degree": 0, "p": 0, "q": 0,
+                   "matrix": [[entry]] if matrix is None else matrix}],
+    }
+
+
+@pytest.mark.parametrize("command", [["fn-filtration"], ["spectral", "--k", "1"]])
+@pytest.mark.parametrize(
+    "strata, message",
+    [({"n": 1, "components": [], "strata": 7}, "strata: expected a list, got 7"),
+     ({"n": "2", "components": [], "strata": []}, "n: expected an int, got '2'"),
+     ([1], "top level: expected an object, got [1]"),
+     ({"n": 1, "components": [], "strata": [5]}, "strata[0]: expected an object, got 5"),
+     (_gysin_strata(matrix=5), "gysin[0].matrix: expected a list, got 5"),
+     (_gysin_strata(matrix=[[1], [1, 1]]), "gysin[0].matrix[1]: expected 1 entries, got 2"),
+     (_gysin_strata(entry=0.1),
+      "gysin[0].matrix[0][0]: expected an int or a 'p/q' string, got 0.1"),
+     (_gysin_strata(entry=True),
+      "gysin[0].matrix[0][0]: expected an int or a 'p/q' string, got True"),
+     (_gysin_strata(entry="1/0"),
+      "gysin[0].matrix[0][0]: expected an int or a 'p/q' string, got '1/0'")],
+)
+def test_malformed_strata_json_names_the_path(tmp_path, capsys, command, strata, message):
+    p = tmp_path / "strata.json"
+    p.write_text(json.dumps(strata))
+    code, out, err = run(capsys, command[0], str(p), *command[1:])
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n"
+
+
+def test_rational_gysin_entries_are_read_exactly(tmp_path, capsys):
+    from fanhodge.weight_ss import strata_complex_from_dict
+
+    sc = strata_complex_from_dict(_gysin_strata(entry="-3/6"))
+    (_, block), = sc.gysin
+    assert block[0, 0] == Fraction(-1, 2)
+    assert type(strata_complex_from_dict(_gysin_strata(entry=2)).gysin[0][1][0, 0]) is int
+    p = tmp_path / "strata.json"
+    p.write_text(json.dumps(_gysin_strata(entry="-3/6")))
+    code, out, _ = run(capsys, "fn-filtration", str(p))
+    assert code == 0 and json.loads(out)["graded"] == [{"m": 1, "dim": 0}]
+
+
+@pytest.mark.parametrize("command", ["check-snc", "homology", "subdivide"])
+@pytest.mark.parametrize(
+    "window, message",
+    [({"cusps": [{"name": "F", "rank": 2}], "cones": 5}, "cones: expected a list, got 5"),
+     ({"cusps": [5], "cones": []}, "cusps[0]: expected an object, got 5"),
+     ([], "top level: expected an object, got []"),
+     ({"cusps": [{"name": "F", "rank": 2}], "cones": [],
+       "identifications": [{"matrix": 3, "source": "F", "target": "F"}]},
+      "identifications[0].matrix: expected a list, got 3"),
+     ({"cusps": [{"name": "F", "rank": "2"}], "cones": [{"cusp": "F", "rays": [[1, 0]]}]},
+      "cusps[0].rank: expected an int, got '2'"),
+     ({"cusps": [{"name": "F", "rank": -1}], "cones": []},
+      "cusp 'F': lattice rank -1 is not a nonnegative int"),
+     ({"cusps": [{"name": "F", "rank": 2,
+                  "embeddings": [{"parent": "F", "matrix": [[1, 0], [0]]}]}], "cones": []},
+      "cusps[0].embeddings[0].matrix[1]: expected 2 entries, got 1")],
+)
+def test_malformed_fan_json_names_the_path(tmp_path, capsys, command, window, message):
+    p = tmp_path / "window.json"
+    p.write_text(json.dumps(window))
+    code, out, err = run(capsys, command, str(p))
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n"

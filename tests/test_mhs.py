@@ -76,3 +76,16 @@ def test_from_dict_requires_int_hodge_data(data, message):
     assert str(exc.value) == f"strata[3].cohomology['2'].{message}"
     with pytest.raises(ValueError, match=r"^h\[|^weight"):
         PureHS.from_dict(data)
+
+
+@pytest.mark.parametrize(
+    "data, message",
+    [([0], "strata[3]: expected an object, got [0]"),
+     ({"weight": 0, "h": [1]}, "strata[3].h: expected an object, got [1]"),
+     ({"weight": 0, "h": {"0": 1}}, "strata[3].h['0']: expected a key 'p,q' of two ints"),
+     ({"weight": 0, "h": {"a,b": 1}}, "strata[3].h['a,b']: expected a key 'p,q' of two ints")],
+)
+def test_from_dict_names_the_path_of_malformed_tables(data, message):
+    with pytest.raises(ValueError) as exc:
+        PureHS.from_dict(data, "strata[3].")
+    assert str(exc.value) == message

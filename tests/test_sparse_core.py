@@ -1,0 +1,158 @@
+"""The sparse elimination core of ``fanhodge.linalg`` against the dense one.
+
+``dense_oracle`` keeps the dense integer Gauss-Jordan that the library used
+before its core became sparse.  Both compute the unique reduced row echelon
+form, so ranks, kernel bases, determinants and inverses must be identical,
+not just equivalent.  The examples are seeded (``derandomize``) and carry no
+wall-clock bound.
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from dense_oracle import dense_det, dense_inverse, dense_kernel_basis, dense_rank, solve
+from fanhodge.delta_complex import boundary_matrices, from_top_simplices
+from fanhodge.errors import DependentInput
+from fanhodge.linalg import (
+    Matrix,
+    coordinate_forms,
+    det,
+    inverse,
+    rank,
+    rational_kernel_basis,
+)
+
+SEEDED = settings(max_examples=150, deadline=None, derandomize=True)
+
+
+def assert_same_as_dense(m: Matrix) -> None:
+    assert rank(m) == dense_rank(m)
+    assert rational_kernel_basis(m) == dense_kernel_basis(m)
+    if m.rows != m.cols:
+        return
+    assert det(m) == dense_det(m)
+    if det(m) == 0:
+        with pytest.raises(ValueError):
+            inverse(m)
+    else:
+        assert inverse(m) == dense_inverse(m)
+
+
+@st.composite
+def rational_matrices(draw, max_dim=12):
+    """Up to max_dim x max_dim, of a drawn density; entries are ints and
+    Fractions, and some rows repeat combinations of others."""
+    nrows = draw(st.integers(1, max_dim))
+    ncols = nrows if draw(st.booleans()) else draw(st.integers(1, max_dim))
+    density = draw(st.sampled_from((0.1, 0.25, 0.5, 1.0)))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+
+    def entry():
+        if rng.random() >= density:
+            return 0
+        x = rng.choice([v for v in range(-9, 10) if v])
+        return x if rng.random() < 0.6 else Fraction(x, rng.randint(1, 7))
+
+    rows = [[entry() for _ in range(ncols)] for _ in range(nrows)]
+    for _ in range(draw(st.integers(0, nrows // 2))):
+        i, j, k = (rng.randrange(nrows) for _ in range(3))
+        s, t = Fraction(rng.randint(-3, 3), rng.randint(1, 3)), rng.randint(-2, 2)
+        rows[i] = [s * a + t * b for a, b in zip(rows[j], rows[k])]
+    return Matrix(rows, cols=ncols)
+
+
+@SEEDED
+@given(rational_matrices())
+def test_rational_matrices_match_dense_core(m):
+    assert_same_as_dense(m)
+    assert_same_as_dense(m.transpose())
+
+
+def circle_boundary(rng, n):
+    """Boundary map of an n-cycle with shuffled vertices and random edge
+    orientations: n x n, two +-1 entries per column, rank n - 1."""
+    label = list(range(n))
+    rng.shuffle(label)
+    columns = []
+    for k in range(n):
+        col = [0] * n
+        head, tail = label[k], label[(k + 1) % n]
+        if rng.random() < 0.5:
+            head, tail = tail, head
+        col[head], col[tail] = 1, -1
+        columns.append(col)
+    return Matrix.from_columns(columns)
+
+
+@settings(max_examples=15, deadline=None, derandomize=True)
+@given(st.integers(3, 200), st.integers(0, 2**32 - 1))
+def test_circle_boundaries_match_dense_core(n, seed):
+    m = circle_boundary(random.Random(seed), n)
+    assert rank(m) == n - 1
+    assert_same_as_dense(m)
+
+
+def random_2_complex_boundaries(rng, vertices, triangles):
+    tops = {tuple(sorted(rng.sample(range(vertices), 3))) for _ in range(triangles)}
+    return boundary_matrices(from_top_simplices(sorted(tops))).boundary
+
+
+@settings(max_examples=15, deadline=None, derandomize=True)
+@given(st.integers(4, 40), st.integers(1, 66), st.integers(0, 2**32 - 1))
+def test_random_2_complex_boundaries_match_dense_core(vertices, triangles, seed):
+    # at most 3 * 66 = 198 edges, so both maps are at most 200 x 200
+    boundary = random_2_complex_boundaries(random.Random(seed), vertices, triangles)
+    for d in (1, 2):
+        assert_same_as_dense(boundary[d])
+    assert (boundary[1] * boundary[2]).is_zero()
+
+
+def test_largest_2_complex_boundary_matches_dense_core():
+    rng = random.Random(20261018)
+    m = random_2_complex_boundaries(rng, 40, 66)[2]
+    assert m.rows > 150 and m.cols > 60
+    assert_same_as_dense(m)
+    assert_same_as_dense(m.transpose())
+
+
+def in_cone_by_solve(rays, v):
+    coeffs = solve(Matrix.from_columns(rays), v)
+    return coeffs is not None and all(c >= 0 for c in coeffs)
+
+
+@SEEDED
+@given(st.integers(1, 6), st.data())
+def test_coordinate_forms_membership_matches_solve(n, data):
+    k = data.draw(st.integers(1, n))
+    rays = data.draw(
+        st.lists(st.lists(st.integers(-3, 3), min_size=n, max_size=n),
+                 min_size=k, max_size=k)
+    )
+    if rank(Matrix.from_columns(rays)) < k:
+        with pytest.raises(DependentInput):
+            coordinate_forms(rays, n)
+        return
+    equations, coordinates = coordinate_forms(rays, n)
+    assert len(equations) == n - k and len(coordinates) == k
+    points = data.draw(st.lists(st.lists(st.integers(0, 3), min_size=k, max_size=k),
+                                min_size=1, max_size=6))
+    for coeffs in points:
+        v = [sum(c * r[i] for c, r in zip(coeffs, rays)) for i in range(n)]
+        if data.draw(st.booleans()):
+            v[data.draw(st.integers(0, n - 1))] += data.draw(st.sampled_from((-1, 1)))
+        inside = all(sum(e * x for e, x in zip(f, v)) == 0 for f in equations) and all(
+            sum(c * x for c, x in zip(f, v)) >= 0 for f in coordinates
+        )
+        assert inside == in_cone_by_solve(rays, v)
+
+
+def test_determinant_sign_follows_the_row_order():
+    # the sparse core picks unit pivots first, so it reorders these rows
+    m = Matrix([[2, 1, 0], [1, 0, 0], [0, 3, 1]])
+    assert det(m) == dense_det(m) == -1
+    swapped = Matrix([m.row(1), m.row(0), m.row(2)])
+    assert det(swapped) == 1
