@@ -11,13 +11,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import InvalidParams, MissingInput
+from .errors import InvalidParams, MissingInput, expect
 from .stairs import CorankData
 
 NONNEAT_NOTE = (
     "non-neat group: all dimension identities apply to the G-invariant "
     "dimensions (G the finite quotient acting on the neat cover)"
 )
+
+
+# the optional global counts of an inventory, in JSON order
+_GLOBAL_COUNTS = ("dim_M_can", "dim_Omega_n_minus_1", "dim_GrW_np1_Fn",
+                  "dim_H0K_corank1", "dim_Hn1", "dim_FnW_np1")
 
 
 @dataclass(frozen=True)
@@ -62,14 +67,7 @@ class CuspInventory:
 
     def to_dict(self) -> dict:
         out = {"cusps": [c.to_dict() for c in self.cusps], "neat": self.neat}
-        for key in (
-            "dim_M_can",
-            "dim_Omega_n_minus_1",
-            "dim_GrW_np1_Fn",
-            "dim_H0K_corank1",
-            "dim_Hn1",
-            "dim_FnW_np1",
-        ):
+        for key in _GLOBAL_COUNTS:
             value = getattr(self, key)
             if value is not None:
                 out[key] = value
@@ -77,19 +75,22 @@ class CuspInventory:
 
     @staticmethod
     def from_dict(data: dict) -> "CuspInventory":
-        return CuspInventory(
-            cusps=tuple(
-                CuspRecord(c["label"], c["dim_S_cat"], c["dim_U"])
-                for c in data.get("cusps", ())
-            ),
-            dim_M_can=data.get("dim_M_can"),
-            dim_Omega_n_minus_1=data.get("dim_Omega_n_minus_1"),
-            dim_GrW_np1_Fn=data.get("dim_GrW_np1_Fn"),
-            dim_H0K_corank1=data.get("dim_H0K_corank1"),
-            dim_Hn1=data.get("dim_Hn1"),
-            dim_FnW_np1=data.get("dim_FnW_np1"),
-            neat=data.get("neat", True),
-        )
+        """Read the JSON form.  Counts must be ints (not bool, float or
+        string) and ``neat`` a bool; a value of the wrong JSON type raises a
+        ValueError that names its path, and a missing key raises KeyError."""
+        expect(data, dict)
+        cusps = []
+        for i, c in enumerate(expect(data.get("cusps", []), list, "cusps")):
+            expect(c, dict, "cusps", i)
+            cusps.append(CuspRecord(expect(c["label"], str, "cusps", i, ".label"),
+                                    expect(c["dim_S_cat"], int, "cusps", i, ".dim_S_cat"),
+                                    expect(c["dim_U"], int, "cusps", i, ".dim_U")))
+        counts = {}
+        for key in _GLOBAL_COUNTS:
+            value = data.get(key)
+            counts[key] = None if value is None else expect(value, int, key)
+        return CuspInventory(cusps=tuple(cusps), neat=expect(data.get("neat", True), bool, "neat"),
+                             **counts)
 
 
 @dataclass(frozen=True)

@@ -38,7 +38,8 @@ class InvalidParams(FanhodgeError):
     """Preset parameters are out of range."""
 
 
-_JSON_KINDS = {dict: "an object", list: "a list", str: "a string", int: "an int"}
+_JSON_KINDS = {dict: "an object", list: "a list", str: "a string", int: "an int",
+               bool: "a bool"}
 
 
 def json_path(*parts) -> str:
@@ -48,8 +49,9 @@ def json_path(*parts) -> str:
 
 
 def expect(value, kind: type, *path):
-    """``value`` if it has the JSON type ``kind`` (dict, list, str or int;
-    a bool is not an int), else a ValueError that names ``json_path(*path)``.
+    """``value`` if it has the JSON type ``kind`` (dict, list, str, int or
+    bool; a bool is not an int), else a ValueError that names
+    ``json_path(*path)``.
     The path is joined only for the message."""
     if type(value) is kind if kind is int else isinstance(value, kind):
         return value

@@ -10,22 +10,31 @@ limitation, window length is user input).
 Each ``FanSystem`` computes its combinatorial structure at most once, on
 first use: the face registry, the window rays of each cusp, the directed
 ray maps (each inverse computed once) with the images of the window rays,
-the face pairings with their source -> [(target, matrix)] adjacency, the
-ray classes and the cone orbit classes of each dimension.  Every query and
-subdivision step below reads from it.  The cache is not a dataclass field,
+the face pairings, the ray classes and the cone orbit classes of each
+dimension.  Every query reads from it.  The cache is not a dataclass field,
 so it never changes equality, hashing or the JSON form, and public queries
-return fresh containers so callers cannot alter it.  A subdivision returns
-a new ``FanSystem`` with a cache of its own.
+return fresh containers so callers cannot alter it.
 
-The lattice work reads the Smith form U B V = D of a cone's ray matrix B:
-the cone is smooth iff every invariant factor is 1, and the lattice points
-of its half-open parallelepiped are walked through the group Z/d_1 x ... x
-Z/d_k, which has exactly mult = d_1 ... d_k elements, to find the stellar
-subdivision point.
+The two subdivisions do not rebuild a ``FanSystem`` per step.  Each works
+on one mutable local state, ``_LocalFan``: the cone set, a (cusp, ray) ->
+cones incidence and the directed integer ray maps taken from the input's
+index.  A face exists iff the incidence sets of its rays intersect, a face
+orbit is walked through the maps, and a step touches only the cones that
+contain a face of the orbit.  Each cone a step leaves in the fan is
+validated once (ray length, primitivity, independence), and one
+``FanSystem`` is built at the end from the input's cusps and
+identifications without checking them again.
+
+The lattice work reads the ray matrix B of a cone: a full-dimensional cone
+is smooth iff det B = +-1, a lower-dimensional one iff every invariant
+factor is 1.  The lattice points of the half-open parallelepiped are walked
+through the Smith group Z/d_1 x ... x Z/d_k, which has exactly mult = d_1
+... d_k elements, to find the stellar subdivision point.
 """
 
 from __future__ import annotations
 
+import heapq
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
@@ -38,7 +47,6 @@ from .linalg import (
     apply_matrix,
     coordinate_forms,
     det,
-    extend_to_lattice_basis,
     inverse,
     invariant_factors,
     primitivize,
@@ -93,6 +101,23 @@ def _require_int_matrix(m: Matrix, where: str) -> None:
                 raise ValueError(f"{where}: matrix entry {x!r} is not an integer")
 
 
+def _check_cone(rays: tuple[Ray, ...], lattice_rank: int) -> None:
+    """The per-cone checks: ray length, primitive nonzero rays, and rays
+    independent over Q (one ``rank``).  Rays must already be int tuples."""
+    for ray in rays:
+        if len(ray) != lattice_rank:
+            raise ValueError("ray length != cusp lattice rank")
+        if primitivize(ray) != ray or all(x == 0 for x in ray):
+            raise ValueError(f"non-primitive ray {ray}")
+    if rays and rank(Matrix.from_columns(rays)) != len(rays):
+        raise ValueError(f"dependent rays in cone {rays} (simplicial only)")
+
+
+def _numbered(cones) -> tuple[Cone, ...]:
+    """Distinct (cusp, sorted rays) pairs, sorted and numbered from 0."""
+    return tuple(Cone(cusp, rays, i) for i, (cusp, rays) in enumerate(sorted(set(cones))))
+
+
 @dataclass(frozen=True)
 class FanSystem:
     """Finite window of lattice cones plus group identifications.
@@ -124,9 +149,11 @@ class FanSystem:
                     raise ValueError(f"unknown parent cusp {parent!r}")
                 if emb.shape != (ranks[parent], c.lattice_rank):
                     raise ValueError("embedding shape mismatch")
-                if rank(emb) != c.lattice_rank:
+                # full column rank and a saturated image: lattice_rank unit factors
+                factors = invariant_factors(emb)
+                if len(factors) != c.lattice_rank:
                     raise ValueError("embedding not of full column rank")
-                if extend_to_lattice_basis(emb.columns(), ranks[parent]) is None:
+                if any(f != 1 for f in factors):
                     raise ValueError("embedding image is not saturated")
         canonical = []
         for i, cone in enumerate(self.cones):
@@ -137,22 +164,10 @@ class FanSystem:
                     raise ValueError(
                         f"cone {i}: ray {list(ray)} has a non-integer entry"
                     )
-            r = ranks[cone.cusp]
             rays = tuple(sorted(tuple(ray) for ray in cone.rays))
-            for ray in rays:
-                if len(ray) != r:
-                    raise ValueError("ray length != cusp lattice rank")
-                if primitivize(ray) != ray or all(x == 0 for x in ray):
-                    raise ValueError(f"non-primitive ray {ray}")
-            if rays and rank(Matrix.from_columns(rays)) != len(rays):
-                raise ValueError(f"dependent rays in cone {rays} (simplicial only)")
+            _check_cone(rays, ranks[cone.cusp])
             canonical.append((cone.cusp, rays))
-        canonical = sorted(set(canonical))
-        object.__setattr__(
-            self,
-            "cones",
-            tuple(Cone(cusp, rays, i) for i, (cusp, rays) in enumerate(canonical)),
-        )
+        object.__setattr__(self, "cones", _numbered(canonical))
         for i, ident in enumerate(self.identifications):
             _require_int_matrix(ident.matrix, f"identification {i}")
             if ident.source not in ranks or ident.target not in ranks:
@@ -161,6 +176,18 @@ class FanSystem:
                 raise ValueError("identification matrix shape mismatch")
             if abs(det(ident.matrix)) != 1:
                 raise ValueError("identification is not a lattice automorphism")
+
+    @classmethod
+    def _trusted(cls, like: FanSystem, cones) -> FanSystem:
+        """The FanSystem with the cusps and identifications of ``like`` and
+        the given (cusp, sorted rays) pairs, canonicalised as construction
+        does but not checked again: ``like`` was validated on construction,
+        and each cone passed ``_check_cone`` when it was made."""
+        fs = object.__new__(cls)
+        object.__setattr__(fs, "cusps", like.cusps)
+        object.__setattr__(fs, "cones", _numbered(cones))
+        object.__setattr__(fs, "identifications", like.identifications)
+        return fs
 
     @cached_property
     def _index(self) -> _FanIndex:
@@ -304,13 +331,6 @@ class _FanIndex:
                     edges.append((key, image_key, m))
         return tuple(edges)
 
-    @cached_property
-    def adjacency(self) -> dict[FaceKey, list[tuple[FaceKey, Matrix]]]:
-        out: dict[FaceKey, list[tuple[FaceKey, Matrix]]] = {}
-        for src, dst, m in self.pairings:
-            out.setdefault(src, []).append((dst, m))
-        return out
-
     def orbit_classes(self, dim: int) -> tuple[tuple[FaceKey, ...], ...]:
         if dim not in self._orbits:
             dsu = _DSU(self.faces.get(dim, ()))
@@ -358,15 +378,24 @@ def _check_free_action(fs: FanSystem) -> None:
 def is_smooth(fs: FanSystem, c: Cone) -> bool:
     """True iff the rays extend to a basis of the cusp lattice.
 
-    That holds iff every invariant factor of the ray matrix is 1.  Raises
-    DependentInput when the rays are linearly dependent over Q.
+    A cone with as many rays as the lattice rank is smooth iff the
+    determinant of its ray matrix is +-1, read off the elimination core;
+    a lower-dimensional one iff every invariant factor is 1.  Raises
+    DependentInput when the rays are linearly dependent over Q, and
+    ValueError when a ray's length is not the cusp's lattice rank.
     """
     ambient = fs.cusp(c.cusp).lattice_rank
     if any(len(r) != ambient for r in c.rays):
         raise ValueError("ray length != cusp lattice rank")
     if not c.rays:
         return True
-    factors = invariant_factors(Matrix.from_columns(c.rays))
+    rays = Matrix.from_columns(c.rays)
+    if len(c.rays) == ambient:
+        d = det(rays)
+        if d == 0:
+            raise DependentInput("cone rays are linearly dependent over Q")
+        return abs(d) == 1
+    factors = invariant_factors(rays)
     if len(factors) < len(c.rays):
         raise DependentInput("cone rays are linearly dependent over Q")
     return all(f == 1 for f in factors)
@@ -392,78 +421,173 @@ def check_snc_condition(fs: FanSystem) -> SncReport:
 # -- subdivision ------------------------------------------------------------
 
 
-def _propagate_new_ray(
-    fs: FanSystem, members: list[FaceKey], rep: FaceKey, w: Ray
-) -> dict[FaceKey, Ray]:
-    """BFS the new ray through the pairing graph of one orbit class.
+def _mat_vec(rows: list[list[int]], v: Ray) -> Ray:
+    return tuple(sum(a * b for a, b in zip(row, v)) for row in rows)
 
-    Orbit classes are closed under the pairings, so the walk over the
-    cached adjacency never leaves the class.
+
+class _LocalFan:
+    """The mutable cone state of one subdivision run.
+
+    A cone is its (cusp, sorted rays) key.  ``incidence`` maps (cusp, ray)
+    to the cones holding that ray, so the cones holding a face are the
+    intersection of its rays' sets, and a ray is in the window while its set
+    is nonempty.  The directed ray maps are the input's, as integer rows;
+    each image of a ray is computed once.  An embedding is one-way, so for
+    each one its source rays are also kept by image, to find the faces that
+    embed into an orbit.
     """
-    adjacency = fs._index.adjacency
-    assignment = {rep: w}
-    queue = [rep]
-    while queue:
-        cur = queue.pop()
-        for nxt, m in adjacency.get(cur, ()):
-            image = primitivize(tuple(int(x) for x in apply_matrix(m, assignment[cur])))
-            if nxt in assignment:
-                if assignment[nxt] != image:
-                    raise NonFreeAction(
-                        f"conflicting new-ray propagation at face {nxt}"
+
+    def __init__(self, fs: FanSystem):
+        self.ranks = {c.name: c.lattice_rank for c in fs.cusps}
+        self.cones: set[FaceKey] = set()
+        self.incidence: dict[tuple[str, Ray], set[FaceKey]] = {}
+        self.maps = [(src, dst, m.to_lists(), {}) for src, dst, m, _ in fs._index.ray_maps]
+        # ray_maps lists each identification both ways first, then the embeddings
+        one_way = range(2 * len(fs.identifications), len(self.maps))
+        self.preimages: dict[int, dict[Ray, Ray]] = {i: {} for i in one_way}
+        self.out_of: dict[str, list[int]] = {}
+        self.into: dict[str, list[int]] = {}  # one-way maps only
+        for i, (src, dst, _, _) in enumerate(self.maps):
+            self.out_of.setdefault(src, []).append(i)
+            if i in one_way:
+                self.into.setdefault(dst, []).append(i)
+        for cone in fs.cones:
+            self.add(cone.cusp, cone.rays)
+
+    def image(self, i: int, ray: Ray) -> Ray:
+        images = self.maps[i][3]
+        out = images.get(ray)
+        if out is None:
+            out = images[ray] = _mat_vec(self.maps[i][2], ray)
+        return out
+
+    def add(self, cusp: str, rays: tuple[Ray, ...]) -> FaceKey:
+        key = (cusp, rays)
+        if key not in self.cones:
+            self.cones.add(key)
+            for ray in rays:
+                holders = self.incidence.get((cusp, ray))
+                if holders is None:
+                    self.incidence[(cusp, ray)] = holders = set()
+                    for i in self.preimages:
+                        if self.maps[i][0] == cusp:
+                            self.preimages[i][self.image(i, ray)] = ray
+                holders.add(key)
+        return key
+
+    def holders(self, cusp: str, rays) -> set[FaceKey]:
+        """The cones holding every ray: nonempty iff (cusp, rays) is a face."""
+        sets = [self.incidence.get((cusp, ray)) for ray in rays]
+        if not all(sets):
+            return set()
+        sets.sort(key=len)
+        return sets[0].intersection(*sets[1:])
+
+    def orbit(self, face: FaceKey, w: Ray) -> dict[FaceKey, Ray]:
+        """The new ray ``w`` of ``face`` carried to every face of its orbit.
+
+        The walk follows each directed map defined on a face, i.e. one that
+        sends all its rays into the window; such an image must be a face.
+        Each image ray is primitivized, and two different images of one face
+        mean the action is not free.  Embeddings are one-way, so a face that
+        embeds into the orbit but is not reached from ``face`` makes the
+        orbit unreachable from its representative.
+        """
+        assignment = {face: w}
+        stack = [face]
+        while stack:
+            cur = stack.pop()
+            cusp, rays = cur
+            for i in self.out_of.get(cusp, ()):
+                dst, rows = self.maps[i][1], self.maps[i][2]
+                images = [self.image(i, ray) for ray in rays]
+                if not all(self.incidence.get((dst, x)) for x in images):
+                    continue
+                nxt = (dst, tuple(sorted(images)))
+                if not self.holders(*nxt):
+                    raise UnsaturatedWindow(
+                        f"identification maps face {cur} to {nxt}, "
+                        "which is not a face of any window cone"
                     )
-            else:
-                assignment[nxt] = image
-                queue.append(nxt)
-    if set(assignment) != set(members):
-        # window members not reachable from the representative; propagate
-        # from each already-assigned face until stable (disconnected graphs
-        # cannot occur for union-find classes built from the same edges)
-        raise UnsaturatedWindow("orbit class not connected by pairings")
-    return assignment
+                image = primitivize(_mat_vec(rows, assignment[cur]))
+                if nxt in assignment:
+                    if assignment[nxt] != image:
+                        raise NonFreeAction(f"conflicting new-ray propagation at face {nxt}")
+                else:
+                    assignment[nxt] = image
+                    stack.append(nxt)
+        for cusp, rays in assignment:
+            for i in self.into.get(cusp, ()):
+                src = self.maps[i][0]
+                sources = [self.preimages[i].get(ray) for ray in rays]
+                if None in sources or not self.holders(src, sources):
+                    continue
+                if (src, tuple(sorted(sources))) not in assignment:
+                    raise UnsaturatedWindow("orbit class not connected by pairings")
+        return assignment
+
+    def split(self, face: FaceKey, w: Ray, pieces) -> list[FaceKey]:
+        """Replace each cone holding ``face`` by ``pieces(rays, face rays,
+        w)``; returns the cones added."""
+        cusp, support = face
+        added = []
+        for key in self.holders(cusp, support):
+            self.cones.remove(key)
+            for ray in key[1]:
+                self.incidence[(cusp, ray)].discard(key)
+            added.extend(self.add(cusp, piece) for piece in pieces(key[1], support, w))
+        return added
+
+    def validated(self, keys) -> list[FaceKey]:
+        """The distinct cones among ``keys`` still in the fan, each passed
+        through ``_check_cone``."""
+        alive = [key for key in dict.fromkeys(keys) if key in self.cones]
+        for cusp, rays in alive:
+            _check_cone(rays, self.ranks[cusp])
+        return alive
 
 
-def _split_cones_at_wall(
-    cones: list[tuple[str, tuple[Ray, ...]]], face: FaceKey, w: Ray
-) -> list[tuple[str, tuple[Ray, ...]]]:
-    """Insert the wall of a two-divided 2-face into every containing cone."""
-    cusp, (a, b) = face[0], face[1]
-    out = []
-    for c_cusp, rays in cones:
-        if c_cusp == cusp and a in rays and b in rays:
-            others = tuple(r for r in rays if r not in (a, b))
-            out.append((c_cusp, tuple(sorted(others + (a, w)))))
-            out.append((c_cusp, tuple(sorted(others + (w, b)))))
-        else:
-            out.append((c_cusp, rays))
-    return out
+def _wall_pieces(rays, support, w):
+    """The two cones into which the wall at w cuts a cone holding the 2-face."""
+    a, b = support
+    others = tuple(r for r in rays if r != a and r != b)
+    return tuple(sorted(others + (a, w))), tuple(sorted(others + (w, b)))
+
+
+def _star_pieces(rays, support, w):
+    """The cones of the star subdivision of a cone at w inside its face."""
+    return [
+        tuple(sorted(tuple(r for r in rays if r != omitted) + (w,)))
+        for omitted in support
+    ]
 
 
 def two_division_subdivide(fs: FanSystem) -> FanSystem:
     """Divide one representative of every 2-cone orbit at the ray sum.
 
-    The new ray is the primitivized sum of the representative's two
-    primitive generators; it is propagated through the orbit by the
-    identifications, then the corresponding wall is inserted into every
-    window cone containing the divided 2-face.
+    The representative is the least 2-face of its orbit, and orbits are
+    taken in the order of their representatives.  The new ray is the
+    primitivized sum of the representative's two primitive generators; it
+    is propagated through the orbit by the identifications.  Once every
+    orbit has its rays, the wall of each divided 2-face is inserted, orbit
+    by orbit and in sorted face order within one, into every window cone
+    that contains the 2-face at that moment.
     """
     _check_free_action(fs)
+    state = _LocalFan(fs)
     divisions: list[tuple[FaceKey, Ray]] = []
-    for members in cone_orbit_classes(fs, 2):
-        rep = members[0]
-        a, b = rep[1]
-        w = primitivize(tuple(x + y for x, y in zip(a, b)))
-        assignment = _propagate_new_ray(fs, members, rep, w)
-        for key in sorted(assignment):
-            divisions.append((key, assignment[key]))
-    cones = [(c.cusp, c.rays) for c in fs.cones]
+    divided: set[FaceKey] = set()
+    for face in fs._index.faces.get(2, ()):
+        if face not in divided:
+            a, b = face[1]
+            assignment = state.orbit(face, primitivize(tuple(x + y for x, y in zip(a, b))))
+            divided.update(assignment)
+            divisions.extend(sorted(assignment.items()))
+    added = []
     for face, w in divisions:
-        cones = _split_cones_at_wall(cones, face, w)
-    return FanSystem(
-        cusps=fs.cusps,
-        cones=tuple(Cone(cusp, rays) for cusp, rays in cones),
-        identifications=fs.identifications,
-    )
+        added += state.split(face, w, _wall_pieces)
+    state.validated(added)
+    return FanSystem._trusted(fs, state.cones)
 
 
 def _subdivision_point(rays: Sequence[Ray]) -> tuple[Ray, tuple[Ray, ...]] | None:
@@ -506,62 +630,42 @@ def _subdivision_point(rays: Sequence[Ray]) -> tuple[Ray, tuple[Ray, ...]] | Non
     return primitivize(x), support
 
 
-def _stellar_subdivide(
-    cones: list[tuple[str, tuple[Ray, ...]]], face: FaceKey, w: Ray
-) -> list[tuple[str, tuple[Ray, ...]]]:
-    """Star subdivision at a point interior to the given face."""
-    cusp, support = face
-    out = []
-    for c_cusp, rays in cones:
-        if c_cusp == cusp and all(r in rays for r in support):
-            for omitted in support:
-                kept = tuple(r for r in rays if r != omitted)
-                out.append((c_cusp, tuple(sorted(kept + (w,)))))
-        else:
-            out.append((c_cusp, rays))
-    return out
-
-
 def smooth_subdivide(fs: FanSystem) -> FanSystem:
     """Equivariant stellar resolution until every cone is smooth.
 
-    Each step subdivides one non-smooth cone orbit at a minimal interior
-    lattice point; the sublattice index strictly decreases, so the loop
+    Each step subdivides the orbit of the least non-smooth cone, by (cusp,
+    rays), at a minimal interior lattice point; the faces of the orbit are
+    starred in sorted order, each in the cones that contain it at that
+    moment.  The sublattice index strictly decreases, so the loop
     terminates.  Smoothness depends only on the cusp and the rays, so each
-    distinct cone is tested once across all steps.
+    distinct cone is tested once across all steps.  A window whose cones
+    are all smooth is returned as it is.
     """
     _check_free_action(fs)
-    current = fs
-    smooth: dict[tuple[str, tuple[Ray, ...]], bool] = {}
-    while True:
-        nonsmooth = []
-        for c in current.cones:
-            key = (c.cusp, c.rays)
-            if key not in smooth:
-                smooth[key] = is_smooth(current, c)
-            if not smooth[key]:
-                nonsmooth.append(c)
-        if not nonsmooth:
-            return current
-        target = min(nonsmooth, key=lambda c: c.key())
-        point = _subdivision_point(target.rays)
+    smooth = {(c.cusp, c.rays): is_smooth(fs, c) for c in fs.cones}
+    queue = [key for key, ok in smooth.items() if not ok]  # a heap, sorted already
+    if not queue:
+        return fs
+    state = _LocalFan(fs)
+    while queue:
+        if queue[0] not in state.cones:
+            heapq.heappop(queue)
+            continue
+        cusp, rays = queue[0]
+        point = _subdivision_point(rays)
         assert point is not None
         w, support = point
-        face: FaceKey = (target.cusp, tuple(sorted(support)))
-        members = next(
-            cls
-            for cls in cone_orbit_classes(current, len(support))
-            if face in cls
-        )
-        assignment = _propagate_new_ray(current, members, face, w)
-        cones = [(c.cusp, c.rays) for c in current.cones]
-        for key in sorted(assignment):
-            cones = _stellar_subdivide(cones, key, assignment[key])
-        current = FanSystem(
-            cusps=current.cusps,
-            cones=tuple(Cone(cusp, rays) for cusp, rays in cones),
-            identifications=current.identifications,
-        )
+        assignment = state.orbit((cusp, tuple(sorted(support))), w)
+        added = []
+        for face in sorted(assignment):
+            added += state.split(face, assignment[face], _star_pieces)
+        for key in state.validated(added):
+            ok = smooth.get(key)
+            if ok is None:
+                ok = smooth[key] = is_smooth(fs, Cone(*key))
+            if not ok:
+                heapq.heappush(queue, key)
+    return FanSystem._trusted(fs, state.cones)
 
 
 # -- refinement and equivariance helpers ------------------------------------
@@ -577,24 +681,40 @@ def _in_cone(forms, v: Ray) -> bool:
 def is_refinement(fine: FanSystem, coarse: FanSystem) -> bool:
     """Every cone of `fine` lies inside some cone of `coarse` (same cusp).
 
-    Each coarse cone is eliminated once into the integer forms of
-    ``coordinate_forms``; a ray lies in the cone iff the equations vanish
-    on it and the coordinate forms are nonnegative.  The search for a fine
-    cone's host stops at the first coarse cone that contains all its rays.
+    Each coarse cone is eliminated at most once, when first needed, into
+    the integer forms of ``coordinate_forms``; a ray lies in the cone iff
+    the equations vanish on it and the coordinate forms are nonnegative.
+    A fine cone's host is looked for first among the coarse cones that
+    share a ray with it, then among the other coarse cones of its cusp.
     """
     ranks = {c.name: c.lattice_rank for c in coarse.cusps}
     if any(ranks.get(c.name, c.lattice_rank) != c.lattice_rank for c in fine.cusps):
         raise ValueError("fine and coarse cusps have different lattice ranks")
-    hosts: dict[str, list] = {}
-    for c in coarse.cones:
-        hosts.setdefault(c.cusp, []).append(coordinate_forms(c.rays, ranks[c.cusp]))
-    return all(
-        any(
-            all(_in_cone(forms, r) for r in cone.rays)
-            for forms in hosts.get(cone.cusp, ())
-        )
-        for cone in fine.cones
-    )
+    by_cusp: dict[str, list[int]] = {}
+    by_ray: dict[tuple[str, Ray], list[int]] = {}
+    for i, c in enumerate(coarse.cones):
+        by_cusp.setdefault(c.cusp, []).append(i)
+        for ray in c.rays:
+            by_ray.setdefault((c.cusp, ray), []).append(i)
+    forms: dict[int, tuple] = {}
+
+    def hosts(i: int, rays: tuple[Ray, ...]) -> bool:
+        f = forms.get(i)
+        if f is None:
+            host = coarse.cones[i]
+            f = forms[i] = coordinate_forms(host.rays, ranks[host.cusp])
+        return all(_in_cone(f, r) for r in rays)
+
+    for cone in fine.cones:
+        candidates = sorted({i for r in cone.rays for i in by_ray.get((cone.cusp, r), ())})
+        if any(hosts(i, cone.rays) for i in candidates):
+            continue
+        tried = set(candidates)
+        if not any(
+            hosts(i, cone.rays) for i in by_cusp.get(cone.cusp, ()) if i not in tried
+        ):
+            return False
+    return True
 
 
 # -- fixtures ---------------------------------------------------------------

@@ -518,35 +518,3 @@ def invariant_factors(m: Matrix) -> list[int]:
             out.append(int(d[i, i]))
     return out
 
-
-def extend_to_lattice_basis(
-    vectors: Iterable[Sequence[int]], ambient_rank: int
-) -> Matrix | None:
-    """Extend independent integer columns to a basis of the full lattice.
-
-    Returns a unimodular matrix whose first columns are the input when the
-    input spans a saturated (primitive) sublattice; returns None when the
-    input generates a proper finite-index sublattice of its saturation.
-
-    Raises DependentInput when the columns are linearly dependent over Q.
-    """
-    cols = [tuple(v) for v in vectors]
-    if not cols:
-        return Matrix.identity(ambient_rank)
-    if any(len(c) != ambient_rank for c in cols):
-        raise ValueError("column length != ambient_rank")
-    k = len(cols)
-    u, d, _v = smith_normal_form(Matrix.from_columns(cols))
-    diag = [d[i, i] for i in range(min(k, ambient_rank))]
-    if len(diag) < k or 0 in diag:
-        raise DependentInput("input columns are linearly dependent over Q")
-    if any(x != 1 for x in diag):
-        return None  # proper finite-index sublattice of its saturation
-    uinv = inverse(u)
-    ext_cols = list(cols)
-    for j in range(k, ambient_rank):
-        col = uinv.column(j)
-        ext_cols.append(tuple(int(x) for x in col))
-    result = Matrix.from_columns(ext_cols)
-    assert abs(det(result)) == 1
-    return result

@@ -294,3 +294,31 @@ def test_malformed_fan_json_names_the_path(tmp_path, capsys, command, window, me
     code, out, err = run(capsys, command, str(p))
     assert code == 2 and out == ""
     assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "inventory, message",
+    [({"cusps": [{"label": "a", "dim_S_cat": "2", "dim_U": 1}]},
+      "cusps[0].dim_S_cat: expected an int, got '2'"),
+     ([1], "top level: expected an object, got [1]"),
+     ({"cusps": 5}, "cusps: expected a list, got 5"),
+     ({"cusps": [{"label": "a", "dim_S_cat": 0, "dim_U": 1}, 3]},
+      "cusps[1]: expected an object, got 3"),
+     ({"cusps": [{"label": "a", "dim_S_cat": 2, "dim_U": 1.0}]},
+      "cusps[0].dim_U: expected an int, got 1.0"),
+     ({"cusps": [{"label": "a", "dim_S_cat": True, "dim_U": 1}]},
+      "cusps[0].dim_S_cat: expected an int, got True"),
+     ({"cusps": [{"label": 7, "dim_S_cat": 2, "dim_U": 1}]},
+      "cusps[0].label: expected a string, got 7"),
+     ({"cusps": [], "dim_Omega_n_minus_1": "1"},
+      "dim_Omega_n_minus_1: expected an int, got '1'"),
+     ({"cusps": [], "dim_M_can": False}, "dim_M_can: expected an int, got False"),
+     ({"cusps": [], "neat": "yes"}, "neat: expected a bool, got 'yes'"),
+     ({"cusps": [], "neat": 1}, "neat: expected a bool, got 1")],
+)
+def test_malformed_inventory_json_names_the_path(tmp_path, capsys, inventory, message):
+    p = tmp_path / "inventory.json"
+    p.write_text(json.dumps(inventory))
+    code, out, err = run(capsys, "report", "--preset", "sp:2", "--inventory", str(p))
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n"

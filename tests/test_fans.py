@@ -1,6 +1,7 @@
 """Fan windows: ray classes, the ray condition, and equivariant subdivision."""
 
 import itertools
+import math
 import random
 import re
 from fractions import Fraction
@@ -30,12 +31,11 @@ from fanhodge.linalg import (
     Matrix,
     coordinate_forms,
     det,
-    extend_to_lattice_basis,
     invariant_factors,
     primitivize,
     rank,
 )
-from dense_oracle import solve
+from dense_oracle import dense_det, solve
 
 M = ((2, 1), (1, 1))
 
@@ -208,6 +208,22 @@ def test_refinement_negative_cases():
         is_refinement(wall, quadrant)
 
 
+def test_refinement_finds_a_host_that_shares_no_ray():
+    # x shares the ray (1, 2) with the fine cones but holds neither; y
+    # shares no ray with them, so only the scan past the candidates finds it
+    x, y = ((1, 2), (-1, 0)), ((1, 1), (1, 3))
+    coarse = one_cusp(2, x, y)
+    assert is_refinement(one_cusp(2, ((1, 2), (2, 3))), coarse)
+    assert not is_refinement(one_cusp(2, ((1, 2), (3, 1))), coarse)
+    # the only host that could hold (2, 3), (3, 4) is y, which shares no ray
+    assert is_refinement(one_cusp(2, ((2, 3), (3, 4))), coarse)
+    assert not is_refinement(one_cusp(2, ((2, 3), (3, 1))), one_cusp(2, y))
+    for fine in (one_cusp(2, ((1, 2), (2, 3))), one_cusp(2, ((2, 3), (3, 4))),
+                 one_cusp(2, ((2, 3), (3, 1)))):
+        for hosts in (coarse, one_cusp(2, y)):
+            assert is_refinement(fine, hosts) == oracle_is_refinement(fine, hosts)
+
+
 def _independent(rays):
     return all(any(r) for r in rays) and rank(Matrix.from_columns(rays)) == len(rays)
 
@@ -324,6 +340,20 @@ def test_non_integer_matrices_rejected():
         )
 
 
+@pytest.mark.parametrize(
+    "matrix, message",
+    [([[1, 2], [2, 4], [0, 0]], "embedding not of full column rank"),
+     ([[2], [0]], "embedding image is not saturated")],
+)
+def test_bad_embeddings_rejected(matrix, message):
+    emb = Matrix(matrix)
+    with pytest.raises(ValueError, match=message):
+        FanSystem(
+            cusps=(CuspLabel("P", emb.rows), CuspLabel("C", emb.cols, (("P", emb),))),
+            cones=(),
+        )
+
+
 def test_cached_structure_leaves_equality_and_json_alone():
     fs = two_division_subdivide(hilbert_cusp_window(M, 3))
     fresh = fan_system_from_dict(fan_system_to_dict(fs))
@@ -387,14 +417,24 @@ def test_subdivision_point_matches_grid_oracle():
     assert min(seen.values()) >= 20, seen
 
 
-def test_is_smooth_reads_the_smith_diagonal():
+def gcd_of_maximal_minors(rays):
+    """The k x k minors of the n x k ray matrix, by the dense oracle: the
+    rays extend to a lattice basis iff their gcd is 1."""
+    b = Matrix.from_columns(rays)
+    g = 0
+    for rows in itertools.combinations(range(b.rows), b.cols):
+        g = math.gcd(g, int(dense_det(b.submatrix(rows, range(b.cols)))))
+    return g
+
+
+def test_is_smooth_matches_the_gcd_of_maximal_minors():
     rng = random.Random(7)
     answers = set()
     for n in (2, 3, 4):
         for _ in range(60):
             rays = _random_cone(rng, n, rng.randint(1, n))
             fs = one_cusp(n, rays)
-            expected = extend_to_lattice_basis(rays, n) is not None
+            expected = gcd_of_maximal_minors(rays) == 1
             assert is_smooth(fs, Cone("F", rays)) == expected
             answers.add(expected)
     assert answers == {True, False}
@@ -402,6 +442,8 @@ def test_is_smooth_reads_the_smith_diagonal():
     assert is_smooth(fs, Cone("F", ()))
     with pytest.raises(DependentInput):
         is_smooth(fs, Cone("F", ((1, 0), (-1, 0))))
+    with pytest.raises(DependentInput):
+        is_smooth(one_cusp(3, ((1, 0, 0),)), Cone("F", ((1, 0, 0), (2, 0, 0))))
     with pytest.raises(ValueError):
         is_smooth(fs, Cone("F", ((1, 0, 0),)))
 

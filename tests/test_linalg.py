@@ -7,11 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fanhodge.errors import DependentInput
 from fanhodge.linalg import (
     Matrix,
     det,
-    extend_to_lattice_basis,
     invariant_factors,
     inverse,
     primitivize,
@@ -242,14 +240,6 @@ def test_primitivize():
     assert primitivize((4, -6)) == (2, -3)
     assert primitivize((0, 0, 5)) == (0, 0, 1)
     assert primitivize((0, 0)) == (0, 0)
-
-
-def test_extend_to_lattice_basis():
-    b = extend_to_lattice_basis([(2, 1)], 2)
-    assert b is not None and abs(det(b)) == 1
-    assert extend_to_lattice_basis([(2, 0)], 2) is None
-    with pytest.raises(DependentInput):
-        extend_to_lattice_basis([(1, 0), (2, 0)], 2)
 
 
 def sparse_unit_matrix(rng, rows, cols, per_column):
