@@ -6,9 +6,9 @@ the same vertex set.  Built from a fan window, the d-simplices are the
 orbit classes of (d+1)-dimensional cones and the vertices are ray classes.
 
 Rational Betti numbers come from exact ranks of the boundary maps; integral
-homology takes one Smith form per boundary map, whose invariant factors
-give both the torsion and, by their count, the rank that the next degree
-needs.
+homology takes the invariant factors of each boundary map (unit pivots,
+then the residual modulo one minor; no transforms), which give both the
+torsion and, by their count, the rank that the next degree needs.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from typing import Sequence
 
 from .errors import NotAComplex, NotEquidimensional, SncConditionViolated
 from .fans import FanSystem, check_snc_condition, cone_orbit_classes, ray_class_index
-from .linalg import Matrix, invariant_factors, rank
+from .linalg import Entry, Matrix, invariant_factors, rank
 
 
 @dataclass(frozen=True)
@@ -181,6 +181,15 @@ def quotient_delta_complex(fs: FanSystem, cusp: str) -> DeltaComplex:
     return DeltaComplex(tuple(tuple(level) for level in levels))
 
 
+def _row_nonzeros(m: Matrix) -> list[list[tuple[int, Entry]]]:
+    """(column, entry) for the nonzero entries of each row of m."""
+    columns = range(m.cols)
+    return [
+        [(j, row[j]) for j in itertools.compress(columns, row)]
+        for row in map(m.row, range(m.rows))
+    ]
+
+
 @dataclass(frozen=True)
 class ChainComplexQ:
     """Rational chain complex: boundary[d] maps degree d to degree d-1."""
@@ -193,9 +202,20 @@ class ChainComplexQ:
             m = self.boundary[d]
             if m.shape != (self.dims[d - 1], self.dims[d]):
                 raise ValueError(f"boundary {d} has shape {m.shape}")
+        # boundary[d-1] * boundary[d] = 0, row by row on the nonzeros of
+        # both; each map's are read once
+        if len(self.dims) > 2:
+            prev = _row_nonzeros(self.boundary[1])
         for d in range(2, len(self.dims)):
-            if not (self.boundary[d - 1] * self.boundary[d]).is_zero():
-                raise NotAComplex(f"boundary {d-1} o boundary {d} != 0")
+            rows = _row_nonzeros(self.boundary[d])
+            for row in prev:
+                image: dict[int, Entry] = {}
+                for k, x in row:
+                    for j, y in rows[k]:
+                        image[j] = image.get(j, 0) + x * y
+                if any(image.values()):
+                    raise NotAComplex(f"boundary {d-1} o boundary {d} != 0")
+            prev = rows
 
     @property
     def top(self) -> int:
@@ -230,11 +250,11 @@ def homology_dims(cc: ChainComplexQ) -> list[int]:
 
 
 def integral_homology(cc: ChainComplexQ) -> list[tuple[int, list[int]]]:
-    """Diagnostic: (free rank, torsion coefficients) per degree, via SNF.
+    """Diagnostic: (free rank, torsion coefficients) per degree.
 
-    One Smith form per boundary map: its invariant factors give the torsion
-    of H_d and, by their count, the rank of the boundary that H_{d+1}
-    needs.
+    One ``invariant_factors`` call per boundary map: the factors give the
+    torsion of H_d and, by their count, the rank of the boundary that
+    H_{d+1} needs.
     """
     out = []
     boundary_rank = 0  # rank of the boundary out of degree d

@@ -21,9 +21,10 @@ cones incidence and the directed integer ray maps taken from the input's
 index.  A face exists iff the incidence sets of its rays intersect, a face
 orbit is walked through the maps, and a step touches only the cones that
 contain a face of the orbit.  Each cone a step leaves in the fan is
-validated once (ray length, primitivity, independence), and one
-``FanSystem`` is built at the end from the input's cusps and
-identifications without checking them again.
+validated once (ray length, primitivity, independence); in the stellar
+loop a full-dimensional cone is validated by the one determinant that also
+answers whether it is smooth.  One ``FanSystem`` is built at the end from
+the input's cusps and identifications without checking them again.
 
 The lattice work reads the ray matrix B of a cone: a full-dimensional cone
 is smooth iff det B = +-1, a lower-dimensional one iff every invariant
@@ -101,14 +102,20 @@ def _require_int_matrix(m: Matrix, where: str) -> None:
                 raise ValueError(f"{where}: matrix entry {x!r} is not an integer")
 
 
-def _check_cone(rays: tuple[Ray, ...], lattice_rank: int) -> None:
-    """The per-cone checks: ray length, primitive nonzero rays, and rays
-    independent over Q (one ``rank``).  Rays must already be int tuples."""
+def _check_rays(rays: tuple[Ray, ...], lattice_rank: int) -> None:
+    """Ray length and primitive nonzero rays.  Rays must already be int
+    tuples."""
     for ray in rays:
         if len(ray) != lattice_rank:
             raise ValueError("ray length != cusp lattice rank")
         if primitivize(ray) != ray or all(x == 0 for x in ray):
             raise ValueError(f"non-primitive ray {ray}")
+
+
+def _check_cone(rays: tuple[Ray, ...], lattice_rank: int) -> None:
+    """The per-cone checks: ``_check_rays`` and rays independent over Q
+    (one ``rank``)."""
+    _check_rays(rays, lattice_rank)
     if rays and rank(Matrix.from_columns(rays)) != len(rays):
         raise ValueError(f"dependent rays in cone {rays} (simplicial only)")
 
@@ -182,7 +189,7 @@ class FanSystem:
         """The FanSystem with the cusps and identifications of ``like`` and
         the given (cusp, sorted rays) pairs, canonicalised as construction
         does but not checked again: ``like`` was validated on construction,
-        and each cone passed ``_check_cone`` when it was made."""
+        and each cone passed the per-cone checks when it was made."""
         fs = object.__new__(cls)
         object.__setattr__(fs, "cusps", like.cusps)
         object.__setattr__(fs, "cones", _numbered(cones))
@@ -401,6 +408,21 @@ def is_smooth(fs: FanSystem, c: Cone) -> bool:
     return all(f == 1 for f in factors)
 
 
+def _checked_is_smooth(fs: FanSystem, key: FaceKey, lattice_rank: int) -> bool:
+    """``_check_cone`` and then ``is_smooth`` on a cone that a subdivision
+    made.  A full-dimensional cone takes one elimination: its determinant
+    is nonzero iff the rays are independent, and +-1 iff it is smooth."""
+    cusp, rays = key
+    if len(rays) != lattice_rank:
+        _check_cone(rays, lattice_rank)
+        return is_smooth(fs, Cone(cusp, rays))
+    _check_rays(rays, lattice_rank)
+    d = det(Matrix.from_columns(rays))
+    if d == 0:
+        raise ValueError(f"dependent rays in cone {rays} (simplicial only)")
+    return abs(d) == 1
+
+
 @dataclass(frozen=True)
 class SncReport:
     ok: bool
@@ -538,13 +560,9 @@ class _LocalFan:
             added.extend(self.add(cusp, piece) for piece in pieces(key[1], support, w))
         return added
 
-    def validated(self, keys) -> list[FaceKey]:
-        """The distinct cones among ``keys`` still in the fan, each passed
-        through ``_check_cone``."""
-        alive = [key for key in dict.fromkeys(keys) if key in self.cones]
-        for cusp, rays in alive:
-            _check_cone(rays, self.ranks[cusp])
-        return alive
+    def alive(self, keys) -> list[FaceKey]:
+        """The distinct cones among ``keys`` still in the fan."""
+        return [key for key in dict.fromkeys(keys) if key in self.cones]
 
 
 def _wall_pieces(rays, support, w):
@@ -586,7 +604,8 @@ def two_division_subdivide(fs: FanSystem) -> FanSystem:
     added = []
     for face, w in divisions:
         added += state.split(face, w, _wall_pieces)
-    state.validated(added)
+    for cusp, rays in state.alive(added):
+        _check_cone(rays, state.ranks[cusp])
     return FanSystem._trusted(fs, state.cones)
 
 
@@ -638,8 +657,9 @@ def smooth_subdivide(fs: FanSystem) -> FanSystem:
     starred in sorted order, each in the cones that contain it at that
     moment.  The sublattice index strictly decreases, so the loop
     terminates.  Smoothness depends only on the cusp and the rays, so each
-    distinct cone is tested once across all steps.  A window whose cones
-    are all smooth is returned as it is.
+    distinct cone is tested once across all steps; for a new
+    full-dimensional cone it is read off the determinant that validated it.
+    A window whose cones are all smooth is returned as it is.
     """
     _check_free_action(fs)
     smooth = {(c.cusp, c.rays): is_smooth(fs, c) for c in fs.cones}
@@ -659,11 +679,10 @@ def smooth_subdivide(fs: FanSystem) -> FanSystem:
         added = []
         for face in sorted(assignment):
             added += state.split(face, assignment[face], _star_pieces)
-        for key in state.validated(added):
-            ok = smooth.get(key)
-            if ok is None:
-                ok = smooth[key] = is_smooth(fs, Cone(*key))
-            if not ok:
+        for key in state.alive(added):
+            if key not in smooth:
+                smooth[key] = _checked_is_smooth(fs, key, state.ranks[key[0]])
+            if not smooth[key]:
                 heapq.heappush(queue, key)
     return FanSystem._trusted(fs, state.cones)
 

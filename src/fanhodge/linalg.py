@@ -13,16 +13,24 @@ therefore cost in proportion to their nonzeros and keep small entries.
 Its forward pass, ``_row_echelon``, is all that ``rank`` and ``det`` need;
 ``_echelon`` adds the backward pass for the others.  Pivot columns are
 taken left to right, so each reader gets the unique reduced row echelon
-form, whatever the pivot rows.  The Smith
-normal form has its own loop, because it needs the unimodular transforms.
-Its pivot search stops at the first unit entry, and a unit pivot skips the
-divisibility sweep of the remaining block, so the sparse +-1 boundary maps
-cost one short scan per pivot; coefficient growth on dense input is not
-bounded.
+form, whatever the pivot rows.
+
+``invariant_factors`` runs on the same sparse rows and keeps no
+transforms.  A unit phase eliminates +-1 pivots, sparsest first, exactly
+and without scaling; each is unimodular and gives a factor 1, and the
+sparse +-1 boundary maps are mostly used up by it.  A residual phase takes
+what is left modulo delta, the absolute value of one nonzero r x r minor
+of the residual of rank r, which every invariant factor divides, and
+diagonalises it over Z/delta with 2 x 2 extended-gcd steps, so no entry
+ever exceeds delta.  ``smith_normal_form`` keeps its own loop, because it
+returns the unimodular transforms.  Its pivot search stops at the first
+unit entry, and a unit pivot skips the divisibility sweep of the remaining
+block; coefficient growth in that loop on dense input is not bounded.
 """
 
 from __future__ import annotations
 
+import heapq
 from fractions import Fraction
 from math import gcd, lcm, prod
 from operator import itemgetter
@@ -129,7 +137,9 @@ class Matrix:
         return all(x == 0 for row in self._d for x in row)
 
     def is_integer(self) -> bool:
-        return all(Fraction(x).denominator == 1 for row in self._d for x in row)
+        return all(
+            type(x) is int or Fraction(x).denominator == 1 for row in self._d for x in row
+        )
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Matrix):
@@ -194,18 +204,7 @@ def _clear(
                 for j in row:
                     row[j] *= s
                 num *= s
-        for j, y in prow.items():
-            x = row.get(j)
-            if x is None:
-                row[j] = -b * y
-                where[j].add(i)
-            else:
-                x -= b * y
-                if x:
-                    row[j] = x
-                else:
-                    del row[j]
-                    where[j].discard(i)
+        _subtract(row, i, where, b, prow)
         g = gcd(*row.values())
         if g > 1:
             for j in row:
@@ -214,25 +213,35 @@ def _clear(
     return num, den
 
 
-def _row_echelon(rows: Iterable[Sequence[Entry]]) -> tuple[
-    list[dict[int, int]], dict[int, set[int]], list[int], list[int], tuple[int, int]
+def _subtract(
+    row: dict[int, int], i: int, where: dict[int, set[int]], b: int, prow: dict[int, int]
+) -> None:
+    """``row -= b * prow`` in place, keeping the index entries of row i."""
+    for j, y in prow.items():
+        x = row.get(j)
+        if x is None:
+            row[j] = -b * y
+            where[j].add(i)
+        else:
+            x -= b * y
+            if x:
+                row[j] = x
+            else:
+                del row[j]
+                where[j].discard(i)
+
+
+def _sparse_rows(rows: Iterable[Sequence[Entry]]) -> tuple[
+    list[dict[int, int]], dict[int, set[int]], int
 ]:
-    """Forward pass of the elimination core: a row echelon form of ``rows``.
+    """The set-up of the elimination core.
 
     Each row becomes a ``{column: int}`` dict of its nonzero entries, scaled
     to integers by the lcm of its denominators, and a column -> rows index
-    finds the rows that hold a column.  Pivot columns are taken strictly
-    left to right.  In each, the pivot row is the unused row with a unit
-    entry there, then with the fewest nonzeros, then with the lowest index,
-    and the column is cleared from the other unused rows.
-
-    Returns the rows, the column index, the pivot row of each pivot column,
-    the pivot columns and the factor ``(num, den)`` by which the
-    determinant changed.  For rows of full rank that factor includes the
-    sign of the pivot row order; otherwise the determinant is 0 and the
-    sign does not matter.  Rows that are not pivot rows end up empty.
+    finds the rows that hold a column.  Returns the rows, the index and the
+    product of the scales.
     """
-    num = den = 1
+    num = 1
     sparse: list[dict[int, int]] = []
     where: dict[int, set[int]] = {}  # column -> rows with a nonzero there
     for i, row in enumerate(rows):
@@ -250,6 +259,27 @@ def _row_echelon(rows: Iterable[Sequence[Entry]]) -> tuple[
                 where[j] = {i}
             else:
                 holders.add(i)
+    return sparse, where, num
+
+
+def _row_echelon(rows: Iterable[Sequence[Entry]]) -> tuple[
+    list[dict[int, int]], dict[int, set[int]], list[int], list[int], tuple[int, int]
+]:
+    """Forward pass of the elimination core: a row echelon form of ``rows``.
+
+    The rows are set up by ``_sparse_rows``.  Pivot columns are taken
+    strictly left to right.  In each, the pivot row is the unused row with
+    a unit entry there, then with the fewest nonzeros, then with the lowest
+    index, and the column is cleared from the other unused rows.
+
+    Returns the rows, the column index, the pivot row of each pivot column,
+    the pivot columns and the factor ``(num, den)`` by which the
+    determinant changed.  For rows of full rank that factor includes the
+    sign of the pivot row order; otherwise the determinant is 0 and the
+    sign does not matter.  Rows that are not pivot rows end up empty.
+    """
+    sparse, where, num = _sparse_rows(rows)
+    den = 1
     nrows = len(sparse)
     used = [False] * nrows
     order: list[int] = []  # pivot row of each pivot column
@@ -367,10 +397,15 @@ def det(m: Matrix) -> Fraction:
     """Exact determinant of a square matrix."""
     if m.rows != m.cols:
         raise ValueError("not square")
-    rows, _, order, pivots, (num, den) = _row_echelon(m._d)
-    if len(pivots) < m.rows:
+    return _det(m._d)
+
+
+def _det(rows: Sequence[Sequence[Entry]]) -> Fraction:
+    """Determinant of square ``rows``, from one forward pass."""
+    sparse, _, order, pivots, (num, den) = _row_echelon(rows)
+    if len(pivots) < len(sparse):
         return Fraction(0)
-    return Fraction(prod(rows[i][c] for i, c in zip(order, pivots)) * den, num)
+    return Fraction(prod(sparse[i][c] for i, c in zip(order, pivots)) * den, num)
 
 
 def coordinate_forms(
@@ -510,11 +545,157 @@ def smith_normal_form(m: Matrix) -> tuple[Matrix, Matrix, Matrix]:
 
 
 def invariant_factors(m: Matrix) -> list[int]:
-    """Nonzero diagonal entries of the Smith normal form, in order."""
-    _, d, _ = smith_normal_form(m)
+    """Nonzero diagonal entries of the Smith normal form, in order.
+
+    No transforms are kept.  First ``_unit_pivots`` eliminates +-1 pivots
+    on the sparse rows of the elimination core; each is a unimodular step
+    that contributes a factor 1.  The unit-free residual R, if any, has
+    rank r, pivot rows and pivot columns from one ``_row_echelon`` pass.
+    Let delta be |det| of the r x r submatrix of R on those rows and
+    columns.  It is a nonzero r x r minor, so d_1 ... d_r, the gcd of all
+    of them, divides delta, and so does every d_i.  Over Z/delta, R is
+    equivalent to diag(d_1, ..., d_r) mod delta, whose entries have
+    gcd(d_i, delta) = d_i, except that d_i = delta reads 0.  So
+    ``_factors_mod`` on R mod delta gives the d_i below delta, and the
+    rest of the r factors are delta.
+    """
+    if not m.is_integer():
+        raise ValueError("invariant_factors needs an integer matrix")
+    sparse, where, _ = _sparse_rows(m._d)
+    units = _unit_pivots(sparse, where)
+    residual = [row for row in sparse if row]
+    if not residual:
+        return [1] * units
+    cols = sorted(c for c, holders in where.items() if holders)
+    dense = [[row.get(c, 0) for c in cols] for row in residual]
+    _, _, order, pivots, _ = _row_echelon(dense)
+    delta = abs(_det([[dense[i][c] for c in pivots] for i in order]).numerator)
+    factors = _factors_mod(dense, delta) if delta > 1 else []
+    return [1] * units + factors + [delta] * (len(pivots) - len(factors))
+
+
+def _unit_pivots(sparse: list[dict[int, int]], where: dict[int, set[int]]) -> int:
+    """Eliminate +-1 pivots from integer rows in place; returns how many.
+
+    Columns are visited by their current number of nonzeros (a heap whose
+    stale entries are pushed back with the new count), and in a column the
+    pivot is the unit entry whose row has the fewest nonzeros: a cheap
+    approximation of the Markowitz order, least (row nnz - 1) * (column
+    nnz - 1) first.  The pivot column is cleared from the other rows
+    exactly (the pivot is +-1, so nothing is scaled), then the pivot row
+    and column are dropped, as column steps would clear the rest of the
+    row.  Clearing can create units, so columns passed over for want of one
+    are visited again after any round that made a pivot.
+    """
+    count = 0
+    todo = list(where)
+    while todo:
+        made = count
+        heap = [(len(where[c]), c) for c in todo if where[c]]
+        heapq.heapify(heap)
+        todo = []
+        while heap:
+            n, c = heapq.heappop(heap)
+            holders = where[c]
+            if len(holders) != n:
+                if holders:
+                    heapq.heappush(heap, (len(holders), c))
+                continue
+            pi = -1
+            for i in holders:
+                if sparse[i][c] in (1, -1) and (pi < 0 or len(sparse[i]) < len(sparse[pi])):
+                    pi = i
+            if pi < 0:
+                todo.append(c)
+                continue
+            prow = sparse[pi]
+            p = prow[c]
+            for k in [k for k in holders if k != pi]:
+                _subtract(sparse[k], k, where, sparse[k][c] * p, prow)
+            for j in prow:
+                where[j].discard(pi)
+            sparse[pi] = {}
+            count += 1
+        if count == made:
+            break
+    return count
+
+
+def _xgcd(a: int, b: int) -> tuple[int, int, int]:
+    """(g, s, t) with s * a + t * b = g = gcd(a, b), for a > 0.
+
+    When a divides b this is (a, 1, 0), so a step with it leaves the pivot
+    row or column as it is; any other pair with g = a would move the pivot
+    and refill what was cleared.
+    """
+    if b % a == 0:
+        return a, 1, 0
+    r0, r1, s0, s1, t0, t1 = a, b, 1, 0, 0, 1
+    while r1:
+        q = r0 // r1
+        r0, r1 = r1, r0 - q * r1
+        s0, s1 = s1, s0 - q * s1
+        t0, t1 = t1, t0 - q * t1
+    return r0, s0, t0
+
+
+def _factors_mod(rows: list[list[int]], delta: int) -> list[int]:
+    """gcd(pivot, delta) for each pivot of a diagonalisation over Z/delta.
+
+    Each pivot is an entry of least gcd with delta; its column and row are
+    cleared by 2 x 2 extended-gcd row and column steps (unimodular), and a
+    row of the remaining block with an entry that gcd(pivot, delta) does
+    not divide is added to the pivot row until none is left.  The values
+    come out in divisibility order; entries that are 0 mod delta give none.
+    """
+    a = [[x % delta for x in row] for row in rows]
+    nrows, ncols = len(a), len(a[0])
     out = []
-    for i in range(min(d.rows, d.cols)):
-        if d[i, i] != 0:
-            out.append(int(d[i, i]))
+    for t in range(min(nrows, ncols)):
+        best = None
+        for i in range(t, nrows):
+            row = a[i]
+            for j in range(t, ncols):
+                if row[j]:
+                    g = gcd(row[j], delta)
+                    if best is None or g < best[0]:
+                        best = (g, i, j)
+            if best is not None and best[0] == 1:
+                break
+        if best is None:
+            break
+        _, i, j = best
+        a[t], a[i] = a[i], a[t]
+        for row in a[t:]:
+            row[t], row[j] = row[j], row[t]
+        while True:
+            for i in range(t + 1, nrows):
+                b = a[i][t]
+                if b:
+                    g, s, u = _xgcd(a[t][t], b)
+                    x, y = a[t][t] // g, b // g
+                    rt, ri = a[t], a[i]
+                    if u:
+                        a[t] = [(s * p + u * q) % delta for p, q in zip(rt, ri)]
+                    a[i] = [(x * q - y * p) % delta for p, q in zip(rt, ri)]
+            for j in range(t + 1, ncols):
+                b = a[t][j]
+                if b:
+                    g, s, u = _xgcd(a[t][t], b)
+                    x, y = a[t][t] // g, b // g
+                    for row in a[t:]:
+                        p, q = row[t], row[j]
+                        if u:
+                            row[t] = (s * p + u * q) % delta
+                        row[j] = (x * q - y * p) % delta
+            if any(row[t] for row in a[t + 1:]):
+                continue  # the column steps refilled the pivot column
+            g = gcd(a[t][t], delta)
+            offenders = (row for row in a[t + 1:] if g > 1 and any(x % g for x in row[t + 1:]))
+            offender = next(offenders, None)
+            if offender is None:
+                out.append(g)
+                break
+            a[t] = [(p + q) % delta for p, q in zip(a[t], offender)]
     return out
 

@@ -109,6 +109,24 @@ def test_chain_complex_validation():
         )
 
 
+def test_chain_complex_validation_finds_one_flipped_sign():
+    # the boundary of a 4-simplex: three maps, each checked against the next
+    dc = from_top_simplices([tuple(v for v in range(5) if v != o) for o in range(5)])
+    cc = boundary_matrices(dc)
+    for d in (1, 2, 3):
+        rows = cc.boundary[d].to_lists()
+        j = next(j for j, x in enumerate(rows[-1]) if x)
+        rows[-1][j] = -rows[-1][j]
+        maps = list(cc.boundary)
+        maps[d] = Matrix(rows, cols=cc.dims[d])
+        with pytest.raises(NotAComplex):
+            ChainComplexQ(cc.dims, tuple(maps))
+    # a sum that cancels is no defect: scale one map by -1
+    maps = list(cc.boundary)
+    maps[2] = -1 * maps[2]
+    assert ChainComplexQ(cc.dims, tuple(maps)).dims == cc.dims
+
+
 def test_integral_torsion_diagnostic():
     cc = ChainComplexQ((1, 1), (Matrix.zeros(0, 1), Matrix([[2]])))
     assert integral_homology(cc) == [(0, [2]), (0, [])]

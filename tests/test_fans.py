@@ -26,7 +26,7 @@ from fanhodge.fans import (
     smooth_subdivide,
     two_division_subdivide,
 )
-from fanhodge.fans import _subdivision_point
+from fanhodge.fans import _checked_is_smooth, _subdivision_point
 from fanhodge.linalg import (
     Matrix,
     coordinate_forms,
@@ -464,3 +464,20 @@ def test_high_rank_cones_subdivide_smoothly(last):
         assert is_smooth(sub, cone)
     assert is_refinement(sub, fs)
     assert check_snc_condition(sub).ok
+
+
+def test_new_cones_are_checked_by_one_determinant():
+    plane, space = one_cusp(2, ((1, 0), (0, 1))), one_cusp(3, ((1, 0, 0),))
+    assert _checked_is_smooth(plane, ("F", ((0, 1), (1, 0))), 2) is True
+    assert _checked_is_smooth(plane, ("F", ((1, 0), (1, 2))), 2) is False
+    assert _checked_is_smooth(space, ("F", ((0, 1, 2), (1, 0, 0))), 3) is True
+    assert _checked_is_smooth(space, ("F", ((1, 0, 0), (1, 2, 0))), 3) is False
+    bad = [
+        (plane, ("F", ((-1, 0), (1, 0))), 2, "dependent rays"),
+        (space, ("F", ((-1, 0, 0), (1, 0, 0))), 3, "dependent rays"),
+        (plane, ("F", ((0, 1), (2, 0))), 2, "non-primitive"),
+        (plane, ("F", ((0, 1), (1, 0, 0))), 2, "ray length"),
+    ]
+    for fs, key, n, message in bad:
+        with pytest.raises(ValueError, match=message):
+            _checked_is_smooth(fs, key, n)

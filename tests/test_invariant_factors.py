@@ -1,0 +1,187 @@
+"""Invariant factors without transforms: unit pivots, then the residual
+modulo one minor, checked against the U/V Smith form and a
+determinantal-divisor oracle."""
+
+import random
+from fractions import Fraction
+from itertools import combinations
+from math import gcd, prod
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from fanhodge.delta_complex import boundary_matrices, integral_homology, quotient_delta_complex
+from fanhodge.fans import fan_system_from_dict, smooth_subdivide, two_division_subdivide
+from fanhodge.linalg import Matrix, det, invariant_factors, rank, smith_normal_form
+
+
+def snf_factors(m):
+    _, d, _ = smith_normal_form(m)
+    return [d[i, i] for i in range(min(m.rows, m.cols)) if d[i, i]]
+
+
+def bareiss_det(rows):
+    """Fraction-free determinant of a square integer matrix."""
+    a = [list(r) for r in rows]
+    n = len(a)
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        pivot = next((i for i in range(k, n) if a[i][k]), None)
+        if pivot is None:
+            return 0
+        if pivot != k:
+            a[k], a[pivot] = a[pivot], a[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+        prev = a[k][k]
+    return sign * a[-1][-1]
+
+
+def determinantal_factors(rows):
+    """d_k = D_k / D_{k-1}, with D_k the gcd of all k x k minors."""
+    nr, nc = len(rows), len(rows[0])
+    out, prev = [], 1
+    for k in range(1, min(nr, nc) + 1):
+        g = 0
+        for ri in combinations(range(nr), k):
+            for ci in combinations(range(nc), k):
+                g = gcd(g, bareiss_det([[rows[i][j] for j in ci] for i in ri]))
+        if g == 0:
+            break
+        out.append(g // prev)
+        prev = g
+    return out
+
+
+def matrices(max_dim):
+    return st.integers(1, max_dim).flatmap(
+        lambda r: st.integers(1, max_dim).flatmap(
+            lambda c: st.lists(
+                st.lists(st.integers(-9, 9), min_size=c, max_size=c), min_size=r, max_size=r
+            )
+        )
+    )
+
+
+# The U/V Smith loop does not always finish on dense 6 x 5 and larger
+# matrices with entries in [-9, 9], so from 6 rows or columns on the
+# determinantal divisors are the only oracle.
+@settings(max_examples=150, deadline=None)
+@given(matrices(5))
+def test_invariant_factors_match_the_smith_form_diagonal(rows):
+    m = Matrix(rows)
+    assert invariant_factors(m) == snf_factors(m)
+
+
+@settings(max_examples=100, deadline=None)
+@given(matrices(6))
+def test_invariant_factors_match_determinantal_divisors(rows):
+    assert invariant_factors(Matrix(rows)) == determinantal_factors(rows)
+
+
+def unit_matrix(rng, rows, cols, per_column):
+    """+-1 entries at ``per_column`` random rows of each column."""
+    columns = []
+    for _ in range(cols):
+        col = [0] * rows
+        for i in rng.sample(range(rows), min(per_column, rows)):
+            col[i] = rng.choice((-1, 1))
+        columns.append(col)
+    return Matrix.from_columns(columns)
+
+
+def assert_consistent(m, factors):
+    """Count = rank, a divisibility chain, product = |det| when square."""
+    assert len(factors) == rank(m)
+    assert all(f > 0 for f in factors)
+    assert all(b % a == 0 for a, b in zip(factors, factors[1:]))
+    if m.rows == m.cols and len(factors) == m.rows:
+        assert prod(factors) == abs(det(m))
+
+
+def test_sparse_unit_matrices_against_the_smith_form():
+    rng = random.Random(9001)
+    non_unit = 0
+    for size in (5, 10, 15, 20):
+        for per_column in (2, 3):
+            for rows, cols in ((size, size), (size, size - 2), (size - 3, size)):
+                m = unit_matrix(rng, rows, cols, per_column)
+                factors = invariant_factors(m)
+                assert factors == snf_factors(m)
+                non_unit += any(f > 1 for f in factors)
+    assert non_unit > 0
+
+
+def test_sparse_unit_matrices_up_to_60x60_with_six_per_column():
+    rng = random.Random(6060)
+    non_unit = 0
+    for size in (30, 45, 60):
+        for rows, cols in ((size, size), (size, size - 7), (size - 7, size)):
+            m = unit_matrix(rng, rows, cols, 6)
+            factors = invariant_factors(m)
+            assert_consistent(m, factors)
+            non_unit += factors[-1] > 1
+    assert non_unit > 0
+
+
+def test_dense_unit_matrix_of_density_one_fifth():
+    # 30 x 30 at density 0.2: the U/V Smith loop did not finish on this in 60 s
+    rng = random.Random(1)
+    m = Matrix([[rng.choice((-1, 1)) if rng.random() < 0.2 else 0 for _ in range(30)]
+                for _ in range(30)])
+    factors = invariant_factors(m)
+    assert_consistent(m, factors)
+    assert factors[-1] > 1
+
+
+def test_dense_20x20_matrices():
+    rng = random.Random(2020)
+    for shape in ((20, 20), (20, 17), (14, 20)):
+        m = Matrix([[rng.randint(-9, 9) for _ in range(shape[1])] for _ in range(shape[0])])
+        assert_consistent(m, invariant_factors(m))
+    # rank-deficient: a product of 20 x 12 and 12 x 20 integer matrices
+    a = Matrix([[rng.randint(-9, 9) for _ in range(12)] for _ in range(20)])
+    b = Matrix([[rng.randint(-9, 9) for _ in range(20)] for _ in range(12)])
+    factors = invariant_factors(a * b)
+    assert len(factors) == 12
+    assert_consistent(a * b, factors)
+
+
+def test_extended_gcd_must_keep_a_dividing_pivot():
+    m = Matrix([[0, 2, -4, 0], [0, 4, 0, -1], [1, 0, -2, -1], [0, 1, 2, -2]])
+    assert invariant_factors(m) == [1, 1, 1, 24]
+
+
+def test_known_shapes():
+    assert invariant_factors(Matrix.zeros(0, 3)) == []
+    assert invariant_factors(Matrix.zeros(3, 0)) == []
+    assert invariant_factors(Matrix.zeros(2, 2)) == []
+    assert invariant_factors(Matrix([[6, 4], [4, 6]])) == [2, 10]
+    assert invariant_factors(Matrix([[Fraction(4), 2.0], [True, 0]])) == [1, 2]
+
+
+@pytest.mark.parametrize("bad", [Fraction(1, 2), 0.5])
+def test_non_integer_input_is_rejected(bad):
+    with pytest.raises(ValueError, match="integer matrix"):
+        invariant_factors(Matrix([[1, bad]]))
+
+
+def test_is_integer_entry_types():
+    assert Matrix([[1, -2]]).is_integer()
+    assert Matrix([[Fraction(4, 2), Fraction(-3)]]).is_integer()
+    assert not Matrix([[Fraction(1, 2)]]).is_integer()
+    assert Matrix([[2.0]]).is_integer()
+    assert not Matrix([[2.5]]).is_integer()
+    assert Matrix([[True, False]]).is_integer()
+
+
+def test_integral_homology_of_the_subdivided_rank4_cone():
+    rays = [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [1, 1, 1, 29]]
+    fs = fan_system_from_dict(
+        {"cusps": [{"name": "F", "rank": 4}], "cones": [{"cusp": "F", "rays": rays}]}
+    )
+    dc = quotient_delta_complex(smooth_subdivide(two_division_subdivide(fs)), "F")
+    assert integral_homology(boundary_matrices(dc)) == [(1, []), (0, []), (0, []), (0, [])]
