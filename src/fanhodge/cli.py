@@ -7,7 +7,9 @@ exact-sequence defect), 2 input/usage errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
+import math
 import sys
 
 from . import __version__
@@ -36,8 +38,82 @@ def _load_json(path: str) -> dict:
         return json.load(fh)
 
 
+class _NotPlainJSON(Exception):
+    """A value that `_dump` leaves to the json module."""
+
+
+_quote = json.encoder.encode_basestring_ascii
+
+
+def _dump(obj, indent: str, parts: list) -> None:
+    """Append to `parts` the text ``json.dumps(obj, indent=2, sort_keys=True)``
+    gives for `obj` nested at `indent`.
+
+    Takes exact str, int, bool, None, finite float, list, tuple and dicts
+    with str keys; raises _NotPlainJSON on anything else.
+    """
+    kind = type(obj)
+    if kind is str:
+        parts.append(_quote(obj))
+    elif kind is int:
+        parts.append(int.__repr__(obj))
+    elif obj is None:
+        parts.append("null")
+    elif obj is True:
+        parts.append("true")
+    elif obj is False:
+        parts.append("false")
+    elif kind is dict:
+        if not obj:
+            parts.append("{}")
+            return
+        inner = indent + "  "
+        sep = "{\n" + inner
+        for key in sorted(obj):
+            if type(key) is not str:
+                raise _NotPlainJSON
+            parts += (sep, _quote(key), ": ")
+            _dump(obj[key], inner, parts)
+            sep = ",\n" + inner
+        parts.append("\n" + indent + "}")
+    elif kind is list or kind is tuple:
+        if not obj:
+            parts.append("[]")
+            return
+        inner = indent + "  "
+        sep = "[\n" + inner
+        for item in obj:
+            parts.append(sep)
+            _dump(item, inner, parts)
+            sep = ",\n" + inner
+        parts.append("\n" + indent + "]")
+    elif kind is float and math.isfinite(obj):
+        parts.append(float.__repr__(obj))
+    else:
+        raise _NotPlainJSON
+
+
+def _dumps(payload) -> str:
+    """The text of ``json.dumps(payload, indent=2, sort_keys=True)``.
+
+    With ``indent`` the json module takes its pure-Python encoder, whose
+    nested closures form reference cycles: each call would leave about 30
+    objects that only the cyclic garbage collector frees, so a process
+    calling `main` many times would run a collection every 20 or so calls
+    and, now and then, a full one that stalls a single call.  `_dump` writes
+    the same text and frees everything by reference counting; payloads
+    it does not take go to json.dumps.
+    """
+    parts: list = []
+    try:
+        _dump(payload, "", parts)
+    except _NotPlainJSON:
+        return json.dumps(payload, indent=2, sort_keys=True)
+    return "".join(parts)
+
+
 def _emit(payload, out: str | None, *, raw: bool = False) -> None:
-    text = payload if raw else json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    text = payload if raw else _dumps(payload) + "\n"
     if out:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -134,7 +210,14 @@ def cmd_fixtures(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process and shared by every call.
+
+    Each subcommand NAME is handled by the module function ``cmd_NAME``
+    (dashes become underscores); ``main`` looks it up when it dispatches,
+    so the parser holds no handler.  Callers must not modify the result.
+    """
     parser = argparse.ArgumentParser(
         prog="fanhodge",
         description="Fan subdivision, quotient homology, and weight bookkeeping.",
@@ -142,53 +225,58 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, fn, **kw):
+    def add(name, **kw):
         p = sub.add_parser(name, **kw)
-        p.set_defaults(fn=fn)
         p.add_argument("-o", "--output", help="write output to this file")
         return p
 
-    p = add("check-snc", cmd_check_snc, help="check the ray condition on a fan window")
+    p = add("check-snc", help="check the ray condition on a fan window")
     p.add_argument("input", help="fan system JSON")
 
-    p = add("subdivide", cmd_subdivide, help="two-division + smoothing subdivision")
+    p = add("subdivide", help="two-division + smoothing subdivision")
     p.add_argument("input", help="fan system JSON")
 
-    p = add("homology", cmd_homology, help="quotient-complex homology report")
+    p = add("homology", help="quotient-complex homology report")
     p.add_argument("input", help="fan system JSON")
     p.add_argument("--cusp", help="cusp name (defaults to the only cusp)")
 
-    p = add("spectral", cmd_spectral, help="weight-graded Hodge table of H^k")
+    p = add("spectral", help="weight-graded Hodge table of H^k")
     p.add_argument("input", help="strata complex JSON")
     p.add_argument("--k", type=int, required=True, help="cohomology degree")
 
-    p = add("fn-filtration", cmd_fn_filtration,
-            help="weight filtration on the top Hodge piece")
+    p = add("fn-filtration", help="weight filtration on the top Hodge piece")
     p.add_argument("input", help="strata complex JSON")
 
-    p = add("stairs", cmd_stairs, help="admissible (p,q) region")
+    p = add("stairs", help="admissible (p,q) region")
     p.add_argument("--preset", required=True,
                    help="sp:G | o2n:N | u:P,Q | custom:N;N1,..;C")
     p.add_argument("--k", type=int, required=True, help="cohomology degree")
     p.add_argument("--format", choices=("json", "ascii", "svg"), default="json")
 
-    p = add("report", cmd_report, help="corank dimension-identity report")
+    p = add("report", help="corank dimension-identity report")
     p.add_argument("--preset", required=True, help="corank data preset")
     p.add_argument("--inventory", required=True, help="cusp inventory JSON")
 
-    add("fixtures", cmd_fixtures, help="emit the built-in fixtures as JSON")
+    add("fixtures", help="emit the built-in fixtures as JSON")
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    """Run one subcommand on ``argv`` (default ``sys.argv[1:]``); return its exit code.
+
+    May be called any number of times in one process: every call parses
+    into a fresh namespace on the shared parser of ``build_parser``, and the
+    handler is read from the module when the call dispatches, so a
+    ``cmd_*`` rebound after an earlier call takes effect.
+    """
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         # argparse exits 2 on usage errors and 0 on --help/--version
         return int(exc.code or 0)
+    handler = globals()["cmd_" + args.command.replace("-", "_")]
     try:
-        return args.fn(args)
+        return handler(args)
     except KeyError as exc:
         print(f"error: missing key {exc}", file=sys.stderr)
         return 2

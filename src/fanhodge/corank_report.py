@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import InvalidParams, MissingInput, expect
+from .errors import InvalidParams, MissingInput, expect, member
 from .stairs import CorankData
 
 NONNEAT_NOTE = (
@@ -35,7 +35,7 @@ class CuspRecord:
 
     def __post_init__(self):
         if self.dim_S_cat < 0 or self.dim_U < 0:
-            raise InvalidParams("negative dimension count")
+            raise InvalidParams(f"cusp {self.label!r}: negative dimension count")
 
     def to_dict(self) -> dict:
         return {"label": self.label, "dim_S_cat": self.dim_S_cat, "dim_U": self.dim_U}
@@ -77,14 +77,14 @@ class CuspInventory:
     def from_dict(data: dict) -> "CuspInventory":
         """Read the JSON form.  Counts must be ints (not bool, float or
         string) and ``neat`` a bool; a value of the wrong JSON type raises a
-        ValueError that names its path, and a missing key raises KeyError."""
+        ValueError, and a missing key a KeyError, that names its path."""
         expect(data, dict)
         cusps = []
         for i, c in enumerate(expect(data.get("cusps", []), list, "cusps")):
             expect(c, dict, "cusps", i)
-            cusps.append(CuspRecord(expect(c["label"], str, "cusps", i, ".label"),
-                                    expect(c["dim_S_cat"], int, "cusps", i, ".dim_S_cat"),
-                                    expect(c["dim_U"], int, "cusps", i, ".dim_U")))
+            cusps.append(CuspRecord(member(c, "label", str, "cusps", i),
+                                    member(c, "dim_S_cat", int, "cusps", i),
+                                    member(c, "dim_U", int, "cusps", i)))
         counts = {}
         for key in _GLOBAL_COUNTS:
             value = data.get(key)

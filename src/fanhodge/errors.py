@@ -61,6 +61,23 @@ def expect(value, kind: type, *path):
     raise ValueError(f"{json_path(*path)}: expected {_JSON_KINDS[kind]}, got {shown}")
 
 
+_MISSING = object()
+
+
+def member(obj: dict, key: str, kind: type, *path):
+    """``obj[key]`` checked by ``expect``, where ``path`` is the JSON path of
+    the object ``obj`` (pass ``object`` as ``kind`` to skip the check).  A
+    missing key raises a KeyError that names the key's path."""
+    value = obj.get(key, _MISSING)
+    if value is not _MISSING and (type(value) is kind if kind is int
+                                  else isinstance(value, kind)):
+        return value
+    part = f".{key}" if path else key
+    if value is _MISSING:
+        raise KeyError(json_path(*path, part))
+    return expect(value, kind, *path, part)
+
+
 def expect_rows(rows, *path) -> int:
     """The column count of ``rows``, a list of lists of equal length, else
     a ValueError that names the path of the first bad row."""

@@ -42,7 +42,7 @@ from functools import cached_property
 from math import prod
 from typing import Sequence
 
-from .errors import DependentInput, NonFreeAction, UnsaturatedWindow, expect, expect_rows
+from .errors import DependentInput, NonFreeAction, UnsaturatedWindow, expect, expect_rows, member
 from .linalg import (
     Matrix,
     apply_matrix,
@@ -151,38 +151,42 @@ class FanSystem:
                     f"cusp {c.name!r}: lattice rank {c.lattice_rank!r} is not a nonnegative int"
                 )
             for parent, emb in c.parent_embeddings:
-                _require_int_matrix(emb, f"cusp {c.name!r}: embedding into {parent!r}")
+                where = f"cusp {c.name!r}: embedding into {parent!r}"
+                _require_int_matrix(emb, where)
                 if parent not in ranks:
-                    raise ValueError(f"unknown parent cusp {parent!r}")
+                    raise ValueError(f"{where}: unknown parent cusp")
                 if emb.shape != (ranks[parent], c.lattice_rank):
-                    raise ValueError("embedding shape mismatch")
+                    raise ValueError(f"{where}: shape mismatch")
                 # full column rank and a saturated image: lattice_rank unit factors
                 factors = invariant_factors(emb)
                 if len(factors) != c.lattice_rank:
-                    raise ValueError("embedding not of full column rank")
+                    raise ValueError(f"{where}: not of full column rank")
                 if any(f != 1 for f in factors):
-                    raise ValueError("embedding image is not saturated")
+                    raise ValueError(f"{where}: image is not saturated")
         canonical = []
         for i, cone in enumerate(self.cones):
             if cone.cusp not in ranks:
-                raise ValueError(f"cone on unknown cusp {cone.cusp!r}")
+                raise ValueError(f"cone {i}: unknown cusp {cone.cusp!r}")
             for ray in cone.rays:
                 if not all(type(x) is int for x in ray):
                     raise ValueError(
                         f"cone {i}: ray {list(ray)} has a non-integer entry"
                     )
             rays = tuple(sorted(tuple(ray) for ray in cone.rays))
-            _check_cone(rays, ranks[cone.cusp])
+            try:
+                _check_cone(rays, ranks[cone.cusp])
+            except ValueError as exc:
+                raise ValueError(f"cone {i}: {exc}") from None
             canonical.append((cone.cusp, rays))
         object.__setattr__(self, "cones", _numbered(canonical))
         for i, ident in enumerate(self.identifications):
             _require_int_matrix(ident.matrix, f"identification {i}")
             if ident.source not in ranks or ident.target not in ranks:
-                raise ValueError("identification on unknown cusp")
+                raise ValueError(f"identification {i}: unknown cusp")
             if ident.matrix.shape != (ranks[ident.target], ranks[ident.source]):
-                raise ValueError("identification matrix shape mismatch")
+                raise ValueError(f"identification {i}: matrix shape mismatch")
             if abs(det(ident.matrix)) != 1:
-                raise ValueError("identification is not a lattice automorphism")
+                raise ValueError(f"identification {i}: not a lattice automorphism")
 
     @classmethod
     def _trusted(cls, like: FanSystem, cones) -> FanSystem:
@@ -804,31 +808,32 @@ def _rays_from_json(rays, path: str) -> tuple[Ray, ...]:
 
 def fan_system_from_dict(data: dict) -> FanSystem:
     """Read the JSON form.  A value of the wrong JSON type raises a
-    ValueError that names its path; a missing key raises KeyError."""
+    ValueError, and a missing key a KeyError, that names its path."""
     expect(data, dict)
     cusps = []
-    for i, c in enumerate(expect(data["cusps"], list, "cusps")):
+    for i, c in enumerate(member(data, "cusps", list)):
         expect(c, dict, "cusps", i)
         embeddings = []
         for j, e in enumerate(expect(c.get("embeddings", []), list, "cusps", i, ".embeddings")):
             path = ("cusps", i, ".embeddings", j)
             expect(e, dict, *path)
-            matrix = e["matrix"]
-            embeddings.append((expect(e["parent"], str, *path, ".parent"),
+            matrix = member(e, "matrix", object, *path)
+            embeddings.append((member(e, "parent", str, *path),
                                Matrix(matrix, cols=expect_rows(matrix, *path, ".matrix"))))
-        cusps.append(CuspLabel(expect(c["name"], str, "cusps", i, ".name"),
-                               expect(c["rank"], int, "cusps", i, ".rank"), tuple(embeddings)))
+        cusps.append(CuspLabel(member(c, "name", str, "cusps", i),
+                               member(c, "rank", int, "cusps", i), tuple(embeddings)))
     cones = []
-    for i, c in enumerate(expect(data["cones"], list, "cones")):
+    for i, c in enumerate(member(data, "cones", list)):
         expect(c, dict, "cones", i)
-        cones.append(Cone(expect(c["cusp"], str, "cones", i, ".cusp"),
-                          _rays_from_json(c["rays"], f"cones[{i}].rays")))
+        cones.append(Cone(member(c, "cusp", str, "cones", i),
+                          _rays_from_json(member(c, "rays", object, "cones", i),
+                                          f"cones[{i}].rays")))
     idents = []
     for i, g in enumerate(expect(data.get("identifications", []), list, "identifications")):
         path = ("identifications", i)
         expect(g, dict, *path)
-        matrix = g["matrix"]
+        matrix = member(g, "matrix", object, *path)
         idents.append(Identification(Matrix(matrix, cols=expect_rows(matrix, *path, ".matrix")),
-                                     expect(g["source"], str, *path, ".source"),
-                                     expect(g["target"], str, *path, ".target")))
+                                     member(g, "source", str, *path),
+                                     member(g, "target", str, *path)))
     return FanSystem(cusps=tuple(cusps), cones=tuple(cones), identifications=tuple(idents))

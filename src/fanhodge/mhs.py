@@ -61,9 +61,14 @@ class PureHS:
     @staticmethod
     def from_dict(data: dict, path: str = "") -> "PureHS":
         """Read the JSON form; the weight and every Hodge number must be an
-        int (not bool or float), else ValueError names ``path`` and the key."""
+        int (not bool or float), else ValueError names ``path`` and the key;
+        a missing weight raises KeyError, and a table the constructor
+        rejects ValueError, naming ``path`` and the key."""
         expect(data, dict, path.rstrip("."))
-        weight = data["weight"]
+        try:
+            weight = data["weight"]
+        except KeyError:
+            raise KeyError(f"{path}weight") from None
         if type(weight) is not int:
             raise ValueError(f"{path}weight: expected int, got {weight!r}")
         table = {}
@@ -75,7 +80,10 @@ class PureHS:
             except (AttributeError, ValueError):
                 raise ValueError(f"{path}h[{key!r}]: expected a key 'p,q' of two ints") from None
             table[(p, q)] = d
-        return PureHS(weight, table)
+        try:
+            return PureHS(weight, table)
+        except ValueError as exc:
+            raise ValueError(f"{path}h: {exc}") from None
 
 
 def tate_twist(h: PureHS, m: int) -> PureHS:

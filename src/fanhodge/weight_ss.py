@@ -30,7 +30,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Mapping, Sequence
 
-from .errors import NotAComplex, SncConditionViolated, expect, expect_rows, json_path
+from .errors import NotAComplex, SncConditionViolated, expect, expect_rows, json_path, member
 from .fans import (
     FanSystem,
     check_snc_condition,
@@ -105,7 +105,8 @@ class StrataComplex:
             if list(s.index_set) != sorted(set(s.index_set)):
                 raise ValueError(f"index set of {s.id!r} not sorted/distinct")
             if not set(s.index_set) <= comp:
-                raise ValueError(f"unknown component in {s.id!r}")
+                unknown = min(set(s.index_set) - comp)
+                raise ValueError(f"unknown component {unknown!r} in {s.id!r}")
             m = s.codim
             for deg, hs in s.cohomology:
                 if not 0 <= deg <= 2 * (self.n - m):
@@ -117,22 +118,18 @@ class StrataComplex:
                         f"stratum {s.id!r} degree {deg} carries weight {hs.weight}"
                     )
         for (src, dst, deg, p, q), m in dict(self.gysin).items():
+            block = f"gysin {src!r}->{dst!r} deg {deg} ({p},{q})"
             if src not in ids or dst not in ids:
-                raise ValueError(f"gysin references unknown stratum {src!r}/{dst!r}")
+                raise ValueError(f"{block}: unknown stratum")
             s, t = ids[src], ids[dst]
             if p + q != deg:
-                raise ValueError("gysin bidegree does not match degree")
+                raise ValueError(f"{block}: bidegree does not match degree")
             omitted = set(s.index_set) - set(t.index_set)
             if len(t.index_set) != s.codim - 1 or len(omitted) != 1:
-                raise ValueError(
-                    f"gysin {src!r}->{dst!r} is not a codimension-1 inclusion"
-                )
+                raise ValueError(f"{block}: not a codimension-1 inclusion")
             want = (t.h(deg + 2, p + 1, q + 1), s.h(deg, p, q))
             if m.shape != want:
-                raise ValueError(
-                    f"gysin {src!r}->{dst!r} deg {deg} ({p},{q}): "
-                    f"shape {m.shape}, declared dims {want}"
-                )
+                raise ValueError(f"{block}: shape {m.shape}, declared dims {want}")
 
     # -- lookups, each built once on first use ---------------------------
 
@@ -608,16 +605,16 @@ def strata_complex_to_dict(sc: StrataComplex) -> dict:
 
 def strata_complex_from_dict(data: dict) -> StrataComplex:
     """Read the JSON form.  A value of the wrong JSON type raises a
-    ValueError that names its path; a missing key raises KeyError."""
+    ValueError, and a missing key a KeyError, that names its path."""
     expect(data, dict)
-    components = expect(data["components"], list, "components")
+    components = member(data, "components", list)
     for i, c in enumerate(components):
         expect(c, str, "components", i)
     strata = []
-    for i, s in enumerate(expect(data["strata"], list, "strata")):
+    for i, s in enumerate(member(data, "strata", list)):
         expect(s, dict, "strata", i)
-        sid = expect(s["id"], str, "strata", i, ".id")
-        index_set = expect(s["index_set"], list, "strata", i, ".index_set")
+        sid = member(s, "id", str, "strata", i)
+        index_set = member(s, "index_set", list, "strata", i)
         for j, c in enumerate(index_set):
             expect(c, str, "strata", i, ".index_set", j)
         cohomology = {}
@@ -632,13 +629,14 @@ def strata_complex_from_dict(data: dict) -> StrataComplex:
     gysin = {}
     for k, g in enumerate(expect(data.get("gysin", []), list, "gysin")):
         expect(g, dict, "gysin", k)
-        key = tuple(g[f] for f, _ in _GYSIN_FIELDS)
+        key = tuple(g.get(f) for f, _ in _GYSIN_FIELDS)
         if tuple(map(type, key)) != _GYSIN_TYPES:
-            for x, (f, kind) in zip(key, _GYSIN_FIELDS):
-                expect(x, kind, "gysin", k, "." + f)
-        gysin[key] = _gysin_matrix_from_json(g["matrix"], "gysin", k, ".matrix")
+            for f, kind in _GYSIN_FIELDS:
+                member(g, f, kind, "gysin", k)
+        gysin[key] = _gysin_matrix_from_json(member(g, "matrix", object, "gysin", k),
+                                             "gysin", k, ".matrix")
     return StrataComplex(
-        n=expect(data["n"], int, "n"),
+        n=member(data, "n", int),
         components=components,
         strata=strata,
         gysin=gysin,

@@ -1,11 +1,15 @@
 """End-to-end command-line behavior: exit codes, JSON output, determinism."""
 
+import gc
 import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fanhodge.cli import main
+from fanhodge import __version__, cli
+from fanhodge.cli import build_parser, main
 
 
 def run(capsys, *argv):
@@ -91,6 +95,8 @@ def test_stairs_command(capsys):
         capsys, "stairs", "--preset", "sp:2", "--k", "3", "--format", "svg"
     )
     assert code == 0 and svg.startswith("<svg")
+    # the shared parser forgets --format: the next call prints JSON again
+    assert run(capsys, "stairs", "--preset", "sp:2", "--k", "3") == (0, out, "")
 
 
 def test_report_command(tmp_path, capsys):
@@ -130,6 +136,48 @@ def test_round_trip_on_emitted_json(fixture_files, tmp_path, capsys):
     assert strata_complex_to_dict(strata_complex_from_dict(strata)) == strata
 
 
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: (st.lists(inner, max_size=4) | st.tuples(inner, inner)
+                   | st.dictionaries(st.text(max_size=4), inner, max_size=4)),
+    max_leaves=24,
+)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(JSON_VALUES)
+def test_emitted_text_is_json_dumps_text(value):
+    assert cli._dumps(value) == json.dumps(value, indent=2, sort_keys=True)
+
+
+def test_emitted_text_falls_back_to_json_dumps():
+    for value in ({1: "a", 2: [True]}, {"a": {None: 1.5}}, [float("nan"), -0.0, 2**70]):
+        assert cli._dumps(value) == json.dumps(value, indent=2, sort_keys=True)
+    with pytest.raises(TypeError):
+        cli._dumps({"a": [Fraction(1, 2)]})
+
+
+def test_calls_leave_no_cyclic_garbage(fixture_files, tmp_path):
+    """Everything a call allocates is freed by reference counting, so
+    repeated in-process calls do not drive the cyclic collector."""
+    out = str(tmp_path / "out.json")
+    calls = [["fixtures"], ["subdivide", fixture_files["hilbert"]],
+             ["spectral", fixture_files["p1xp1"], "--k", "2"],
+             ["stairs", "--preset", "sp:2", "--k", "3"]]
+    for argv in calls:
+        main(argv + ["-o", out])
+    gc.collect()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        for argv in calls:
+            assert main(argv + ["-o", out]) in (0, 1)
+        gc.collect()
+        assert gc.garbage == []
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+
+
 def test_input_and_usage_errors(tmp_path, capsys):
     code, _, err = run(capsys, "spectral", str(tmp_path / "nope.json"), "--k", "1")
     assert code == 2 and "error:" in err
@@ -143,7 +191,36 @@ def test_input_and_usage_errors(tmp_path, capsys):
 
 
 def test_version_flag(capsys):
-    assert main(["--version"]) == 0
+    assert run(capsys, "no-such-command")[0] == 2
+    assert run(capsys, "stairs", "--preset", "sp:2", "--k", "3")[0] == 0
+    assert run(capsys, "--version") == (0, __version__ + "\n", "")
+    assert run(capsys, "--version") == (0, __version__ + "\n", "")
+
+
+def test_one_parser_per_process_and_handlers_read_at_call_time(
+    fixture_files, monkeypatch, capsys
+):
+    assert build_parser() is build_parser()
+    stairs = ["stairs", "--preset", "sp:2", "--k", "3"]
+    check = ["check-snc", fixture_files["hilbert"]]
+    assert run(capsys, *stairs)[0] == 0 and run(capsys, *check)[0] == 1
+    seen = []
+    monkeypatch.setattr(cli, "cmd_stairs", lambda args: seen.append(args.preset) or 5)
+    monkeypatch.setattr(cli, "cmd_check_snc", lambda args: seen.append(args.input) or 6)
+    assert main(stairs) == 5 and main(check) == 6
+    assert seen == ["sp:2", fixture_files["hilbert"]]
+
+
+def test_cusp_option_does_not_carry_over(tmp_path, capsys):
+    p = tmp_path / "two_cusps.json"
+    p.write_text(json.dumps(
+        {"cusps": [{"name": "F", "rank": 2}, {"name": "G", "rank": 2}],
+         "cones": [{"cusp": c, "rays": [[1, 0], [0, 1]]} for c in "FG"]}
+    ))
+    assert run(capsys, "homology", "--cusp", "F", str(p))[0] == 0
+    code, out, err = run(capsys, "homology", str(p))
+    assert code == 2 and out == ""
+    assert err == "error: several cusps present; pass --cusp\n"
 
 
 @pytest.mark.parametrize("command", ["subdivide", "check-snc"])
@@ -248,7 +325,9 @@ def _gysin_strata(entry=1, matrix=None):
      (_gysin_strata(entry=True),
       "gysin[0].matrix[0][0]: expected an int or a 'p/q' string, got True"),
      (_gysin_strata(entry="1/0"),
-      "gysin[0].matrix[0][0]: expected an int or a 'p/q' string, got '1/0'")],
+      "gysin[0].matrix[0][0]: expected an int or a 'p/q' string, got '1/0'"),
+     ({"n": 1, "components": [], "strata": [{"index_set": []}]},
+      "missing key 'strata[0].id'")],
 )
 def test_malformed_strata_json_names_the_path(tmp_path, capsys, command, strata, message):
     p = tmp_path / "strata.json"
@@ -286,7 +365,11 @@ def test_rational_gysin_entries_are_read_exactly(tmp_path, capsys):
       "cusp 'F': lattice rank -1 is not a nonnegative int"),
      ({"cusps": [{"name": "F", "rank": 2,
                   "embeddings": [{"parent": "F", "matrix": [[1, 0], [0]]}]}], "cones": []},
-      "cusps[0].embeddings[0].matrix[1]: expected 2 entries, got 1")],
+      "cusps[0].embeddings[0].matrix[1]: expected 2 entries, got 1"),
+     ({"cusps": [{"name": "F", "rank": 2}], "cones": [{"cusp": "F"}]},
+      "missing key 'cones[0].rays'"),
+     ({"cusps": [{"name": "F", "rank": 2}], "cones": [{"cusp": "F", "rays": [[1]]}]},
+      "cone 0: ray length != cusp lattice rank")],
 )
 def test_malformed_fan_json_names_the_path(tmp_path, capsys, command, window, message):
     p = tmp_path / "window.json"
@@ -314,7 +397,10 @@ def test_malformed_fan_json_names_the_path(tmp_path, capsys, command, window, me
       "dim_Omega_n_minus_1: expected an int, got '1'"),
      ({"cusps": [], "dim_M_can": False}, "dim_M_can: expected an int, got False"),
      ({"cusps": [], "neat": "yes"}, "neat: expected a bool, got 'yes'"),
-     ({"cusps": [], "neat": 1}, "neat: expected a bool, got 1")],
+     ({"cusps": [], "neat": 1}, "neat: expected a bool, got 1"),
+     ({"cusps": [{"label": "a", "dim_S_cat": 2}]}, "missing key 'cusps[0].dim_U'"),
+     ({"cusps": [{"label": "a", "dim_S_cat": -1, "dim_U": 1}]},
+      "cusp 'a': negative dimension count")],
 )
 def test_malformed_inventory_json_names_the_path(tmp_path, capsys, inventory, message):
     p = tmp_path / "inventory.json"

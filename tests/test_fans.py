@@ -342,8 +342,8 @@ def test_non_integer_matrices_rejected():
 
 @pytest.mark.parametrize(
     "matrix, message",
-    [([[1, 2], [2, 4], [0, 0]], "embedding not of full column rank"),
-     ([[2], [0]], "embedding image is not saturated")],
+    [([[1, 2], [2, 4], [0, 0]], "embedding into 'P': not of full column rank"),
+     ([[2], [0]], "embedding into 'P': image is not saturated")],
 )
 def test_bad_embeddings_rejected(matrix, message):
     emb = Matrix(matrix)
