@@ -205,8 +205,15 @@ def cmd_report(args) -> int:
     return 0
 
 
+@functools.cache
+def _fixtures_text() -> str:
+    """The ``fixtures`` document as emitted, built once per process: it
+    never changes, and ``builtin_fixtures`` builds it afresh on each call."""
+    return _dumps(builtin_fixtures()) + "\n"
+
+
 def cmd_fixtures(args) -> int:
-    _emit(builtin_fixtures(), args.output)
+    _emit(_fixtures_text(), args.output, raw=True)
     return 0
 
 

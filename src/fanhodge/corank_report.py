@@ -48,6 +48,7 @@ class CuspInventory:
     The four n(1)=1 exact-sequence terms are, in order: dim Gr^W_{n+1}F^n,
     the total dim H^0(K) over corank-1 cusps, dim H^{n,1} (= dim Omega^{n-1}
     by the Lefschetz pairing on the cusp), and dim F^n W_{n+1} H^{n+1}.
+    A negative global count raises InvalidParams that names its key.
     """
 
     cusps: tuple[CuspRecord, ...] = ()
@@ -61,6 +62,10 @@ class CuspInventory:
 
     def __post_init__(self):
         object.__setattr__(self, "cusps", tuple(self.cusps))
+        for key in _GLOBAL_COUNTS:
+            value = getattr(self, key)
+            if value is not None and value < 0:
+                raise InvalidParams(f"{key}: negative dimension count")
 
     def cusps_of_corank(self, cd: CorankData, i: int) -> tuple[CuspRecord, ...]:
         return tuple(c for c in self.cusps if c.dim_U == cd.n_of(i))

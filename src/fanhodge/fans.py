@@ -26,11 +26,16 @@ loop a full-dimensional cone is validated by the one determinant that also
 answers whether it is smooth.  One ``FanSystem`` is built at the end from
 the input's cusps and identifications without checking them again.
 
-The lattice work reads the ray matrix B of a cone: a full-dimensional cone
-is smooth iff det B = +-1, a lower-dimensional one iff every invariant
-factor is 1.  The lattice points of the half-open parallelepiped are walked
-through the Smith group Z/d_1 x ... x Z/d_k, which has exactly mult = d_1
-... d_k elements, to find the stellar subdivision point.
+The lattice work reads the ray matrix B of a cone.  A full-dimensional
+cone is independent iff det B != 0 and smooth iff det B = +-1, read by the
+integer Bareiss determinant ``linalg._det`` straight from the ray tuples
+(the rows of B^T), with no ``Matrix`` built; identifications are checked
+unimodular the same way.  A lower-dimensional cone is independent iff B
+has full ``rank`` and smooth iff every invariant factor is 1.  Rays are
+mapped by integer matrix-vector products.  The lattice points of the
+half-open parallelepiped are walked through the Smith group Z/d_1 x ... x
+Z/d_k, which has exactly mult = d_1 ... d_k elements, to find the stellar
+subdivision point.
 """
 
 from __future__ import annotations
@@ -39,15 +44,15 @@ import heapq
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from math import prod
+from math import gcd, prod
+from operator import mul
 from typing import Sequence
 
 from .errors import DependentInput, NonFreeAction, UnsaturatedWindow, expect, expect_rows, member
 from .linalg import (
     Matrix,
-    apply_matrix,
+    _det,
     coordinate_forms,
-    det,
     inverse,
     invariant_factors,
     primitivize,
@@ -108,15 +113,17 @@ def _check_rays(rays: tuple[Ray, ...], lattice_rank: int) -> None:
     for ray in rays:
         if len(ray) != lattice_rank:
             raise ValueError("ray length != cusp lattice rank")
-        if primitivize(ray) != ray or all(x == 0 for x in ray):
+        if gcd(*ray) != 1:  # 0 for the zero ray
             raise ValueError(f"non-primitive ray {ray}")
 
 
 def _check_cone(rays: tuple[Ray, ...], lattice_rank: int) -> None:
-    """The per-cone checks: ``_check_rays`` and rays independent over Q
-    (one ``rank``)."""
+    """The per-cone checks: ``_check_rays`` and rays independent over Q:
+    a nonzero determinant of the ray tuples for a full-dimensional cone, full
+    ``rank`` for a lower-dimensional one."""
     _check_rays(rays, lattice_rank)
-    if rays and rank(Matrix.from_columns(rays)) != len(rays):
+    if rays and (_det(rays) == 0 if len(rays) == lattice_rank
+                 else rank(Matrix.from_columns(rays)) != len(rays)):
         raise ValueError(f"dependent rays in cone {rays} (simplicial only)")
 
 
@@ -185,7 +192,9 @@ class FanSystem:
                 raise ValueError(f"identification {i}: unknown cusp")
             if ident.matrix.shape != (ranks[ident.target], ranks[ident.source]):
                 raise ValueError(f"identification {i}: matrix shape mismatch")
-            if abs(det(ident.matrix)) != 1:
+            if ident.matrix.rows != ident.matrix.cols:
+                raise ValueError("not square")
+            if abs(_det(ident.matrix.to_lists())) != 1:
                 raise ValueError(f"identification {i}: not a lattice automorphism")
 
     @classmethod
@@ -214,6 +223,10 @@ class FanSystem:
 
 
 # -- orbit machinery -------------------------------------------------------
+
+
+def _mat_vec(rows: list[list[int]], v: Ray) -> Ray:
+    return tuple([sum(map(mul, row, v)) for row in rows])
 
 
 class _DSU:
@@ -288,10 +301,10 @@ class _FanIndex:
                 maps.append((cusp.name, parent, emb))
         out = []
         for src, dst, m in maps:
-            target = self.windows[dst]
+            target, rows = self.windows[dst], m.to_lists()
             images = {}
             for ray in self.windows[src]:
-                image = tuple(int(x) for x in apply_matrix(m, ray))
+                image = _mat_vec(rows, ray)
                 if image in target:
                     images[ray] = image
             out.append((src, dst, m, images))
@@ -375,8 +388,7 @@ def _check_free_action(fs: FanSystem) -> None:
     for src, dst, m in fs._index.pairings:
         if src == dst:
             for ray in src[1]:
-                image = tuple(int(x) for x in apply_matrix(m, ray))
-                if image != ray:
+                if _mat_vec(m.to_lists(), ray) != ray:
                     raise NonFreeAction(
                         f"identification fixes face {src} with a nontrivial "
                         "ray permutation"
@@ -390,8 +402,8 @@ def is_smooth(fs: FanSystem, c: Cone) -> bool:
     """True iff the rays extend to a basis of the cusp lattice.
 
     A cone with as many rays as the lattice rank is smooth iff the
-    determinant of its ray matrix is +-1, read off the elimination core;
-    a lower-dimensional one iff every invariant factor is 1.  Raises
+    determinant of its ray tuples is +-1; a lower-dimensional one iff every
+    invariant factor of its ray matrix is 1.  Raises
     DependentInput when the rays are linearly dependent over Q, and
     ValueError when a ray's length is not the cusp's lattice rank.
     """
@@ -400,13 +412,12 @@ def is_smooth(fs: FanSystem, c: Cone) -> bool:
         raise ValueError("ray length != cusp lattice rank")
     if not c.rays:
         return True
-    rays = Matrix.from_columns(c.rays)
     if len(c.rays) == ambient:
-        d = det(rays)
+        d = _det(c.rays)
         if d == 0:
             raise DependentInput("cone rays are linearly dependent over Q")
         return abs(d) == 1
-    factors = invariant_factors(rays)
+    factors = invariant_factors(Matrix.from_columns(c.rays))
     if len(factors) < len(c.rays):
         raise DependentInput("cone rays are linearly dependent over Q")
     return all(f == 1 for f in factors)
@@ -414,14 +425,14 @@ def is_smooth(fs: FanSystem, c: Cone) -> bool:
 
 def _checked_is_smooth(fs: FanSystem, key: FaceKey, lattice_rank: int) -> bool:
     """``_check_cone`` and then ``is_smooth`` on a cone that a subdivision
-    made.  A full-dimensional cone takes one elimination: its determinant
-    is nonzero iff the rays are independent, and +-1 iff it is smooth."""
+    made.  A full-dimensional cone takes one determinant of its ray tuples:
+    it is nonzero iff the rays are independent, and +-1 iff it is smooth."""
     cusp, rays = key
     if len(rays) != lattice_rank:
         _check_cone(rays, lattice_rank)
         return is_smooth(fs, Cone(cusp, rays))
     _check_rays(rays, lattice_rank)
-    d = det(Matrix.from_columns(rays))
+    d = _det(rays)
     if d == 0:
         raise ValueError(f"dependent rays in cone {rays} (simplicial only)")
     return abs(d) == 1
@@ -445,10 +456,6 @@ def check_snc_condition(fs: FanSystem) -> SncReport:
 
 
 # -- subdivision ------------------------------------------------------------
-
-
-def _mat_vec(rows: list[list[int]], v: Ray) -> Ray:
-    return tuple(sum(a * b for a, b in zip(row, v)) for row in rows)
 
 
 class _LocalFan:
@@ -750,11 +757,12 @@ def hilbert_cusp_window(m: Sequence[Sequence[int]], length: int) -> FanSystem:
     truncated to `length` top-dimensional cones.
     """
     matrix = Matrix(m)
-    if matrix.shape != (2, 2) or abs(det(matrix)) != 1:
+    rows = matrix.to_lists()
+    if matrix.shape != (2, 2) or abs(_det(rows)) != 1:
         raise ValueError("need a 2x2 unimodular matrix")
     rays = [(1, 0)]
     for _ in range(length):
-        rays.append(tuple(int(x) for x in apply_matrix(matrix, rays[-1])))
+        rays.append(_mat_vec(rows, rays[-1]))
     cones = [Cone("F", (rays[k], rays[k + 1])) for k in range(length)]
     return FanSystem(
         cusps=(CuspLabel("F", 2),),

@@ -4,16 +4,22 @@ Everything here works with Python ints and ``fractions.Fraction``, so there
 is no overflow and no rounding anywhere.  Matrices are immutable and dense;
 all operations return new values and are safe to call concurrently.
 
-``rank``, ``rational_kernel_basis``, ``inverse``, ``det`` and
-``coordinate_forms`` share one elimination core: sparse integer
-Gauss-Jordan on ``{column: int}`` rows, with a column -> rows index so that
-a pivot touches only the rows holding its column, and every combined row
-divided by the gcd of its entries.  The sparse +-1 boundary and Gysin maps
-therefore cost in proportion to their nonzeros and keep small entries.
-Its forward pass, ``_row_echelon``, is all that ``rank`` and ``det`` need;
-``_echelon`` adds the backward pass for the others.  Pivot columns are
-taken left to right, so each reader gets the unique reduced row echelon
-form, whatever the pivot rows.
+``rank``, ``rational_kernel_basis``, ``inverse`` and ``coordinate_forms``
+share one elimination core: sparse integer Gauss-Jordan on
+``{column: int}`` rows, with a column -> rows index so that a pivot touches
+only the rows holding its column, and every combined row divided by the
+gcd of its entries.  The sparse +-1 boundary and Gysin maps therefore cost
+in proportion to their nonzeros and keep small entries.  Its forward pass,
+``_row_echelon``, is all that ``rank`` needs; ``_echelon`` adds the
+backward pass for the others.  Pivot columns are taken left to right, so
+each reader gets the unique reduced row echelon form, whatever the pivot
+rows.  The core keeps no determinant factor.
+
+Determinants come from ``_det``, fraction-free (Bareiss) elimination on
+dense integer rows, whose intermediate entries are minors of the input.
+``det`` scales rational rows to integers first and divides by the scales;
+``invariant_factors`` and ``fanhodge.fans`` call ``_det`` on integer rows,
+such as the ray tuples of a cone, directly.
 
 ``invariant_factors`` runs on the same sparse rows and keeps no
 transforms.  A unit phase eliminates +-1 pivots, sparsest first, exactly
@@ -157,13 +163,6 @@ class Matrix:
         return f"Matrix({self.to_lists()!r})"
 
 
-def apply_matrix(m: Matrix, v: Sequence[Entry]) -> tuple[Entry, ...]:
-    """m applied to a column vector, returned as a tuple."""
-    if m.cols != len(v):
-        raise ValueError("shape mismatch")
-    return tuple(sum(a * b for a, b in zip(row, v)) for row in m._d)
-
-
 def primitivize(v: Sequence[int]) -> tuple[int, ...]:
     """Divide an integer vector by the gcd of its entries (sign preserved)."""
     g = 0
@@ -183,15 +182,13 @@ def _clear(
     c: int,
     prow: dict[int, int],
     others: list[int],
-) -> tuple[int, int]:
+) -> None:
     """Clear column c of the rows ``others`` with the pivot row ``prow``.
 
     A row with an entry ``a != 0`` in column c becomes
     ``p * row - a * prow`` (both factors divided by their gcd), divided by
     the gcd of its entries, so sparse +-1 maps stay sparse and small.
-    Returns the factor ``(num, den)`` by which the determinant changed.
     """
-    num = den = 1
     p = prow[c]
     for i in others:
         row = sparse[i]
@@ -203,14 +200,11 @@ def _clear(
             if s != 1:
                 for j in row:
                     row[j] *= s
-                num *= s
         _subtract(row, i, where, b, prow)
         g = gcd(*row.values())
         if g > 1:
             for j in row:
                 row[j] //= g
-            den *= g
-    return num, den
 
 
 def _subtract(
@@ -231,27 +225,31 @@ def _subtract(
                 where[j].discard(i)
 
 
+def _integer_row(row: Sequence[Entry]) -> tuple[Sequence[int], int]:
+    """``row`` scaled to integers by the lcm of its denominators, and that lcm."""
+    # a sum of ints is an int; any Fraction entry makes it a Fraction
+    if type(sum(row)) is int:
+        return row, 1
+    fracs = [Fraction(x) for x in row]
+    scale = lcm(*(x.denominator for x in fracs))
+    return [x.numerator * (scale // x.denominator) for x in fracs], scale
+
+
 def _sparse_rows(rows: Iterable[Sequence[Entry]]) -> tuple[
-    list[dict[int, int]], dict[int, set[int]], int
+    list[dict[int, int]], dict[int, set[int]]
 ]:
     """The set-up of the elimination core.
 
-    Each row becomes a ``{column: int}`` dict of its nonzero entries, scaled
-    to integers by the lcm of its denominators, and a column -> rows index
-    finds the rows that hold a column.  Returns the rows, the index and the
-    product of the scales.
+    Each row becomes a ``{column: int}`` dict of the nonzero entries of its
+    ``_integer_row``, and a column -> rows index finds the rows that hold a
+    column.  Returns the rows and the index.
     """
-    num = 1
     sparse: list[dict[int, int]] = []
     where: dict[int, set[int]] = {}  # column -> rows with a nonzero there
     for i, row in enumerate(rows):
         entries = dict(filter(_second, enumerate(row)))
-        # a sum of ints is an int; any Fraction entry makes it a Fraction
         if type(sum(entries.values())) is not int:
-            fracs = {j: Fraction(x) for j, x in entries.items()}
-            scale = lcm(*(x.denominator for x in fracs.values()))
-            entries = {j: x.numerator * (scale // x.denominator) for j, x in fracs.items()}
-            num *= scale
+            entries = dict(filter(_second, enumerate(_integer_row(row)[0])))
         sparse.append(entries)
         for j in entries:
             holders = where.get(j)
@@ -259,11 +257,11 @@ def _sparse_rows(rows: Iterable[Sequence[Entry]]) -> tuple[
                 where[j] = {i}
             else:
                 holders.add(i)
-    return sparse, where, num
+    return sparse, where
 
 
 def _row_echelon(rows: Iterable[Sequence[Entry]]) -> tuple[
-    list[dict[int, int]], dict[int, set[int]], list[int], list[int], tuple[int, int]
+    list[dict[int, int]], dict[int, set[int]], list[int], list[int]
 ]:
     """Forward pass of the elimination core: a row echelon form of ``rows``.
 
@@ -272,14 +270,10 @@ def _row_echelon(rows: Iterable[Sequence[Entry]]) -> tuple[
     a unit entry there, then with the fewest nonzeros, then with the lowest
     index, and the column is cleared from the other unused rows.
 
-    Returns the rows, the column index, the pivot row of each pivot column,
-    the pivot columns and the factor ``(num, den)`` by which the
-    determinant changed.  For rows of full rank that factor includes the
-    sign of the pivot row order; otherwise the determinant is 0 and the
-    sign does not matter.  Rows that are not pivot rows end up empty.
+    Returns the rows, the column index, the pivot row of each pivot column
+    and the pivot columns.  Rows that are not pivot rows end up empty.
     """
-    sparse, where, num = _sparse_rows(rows)
-    den = 1
+    sparse, where = _sparse_rows(rows)
     nrows = len(sparse)
     used = [False] * nrows
     order: list[int] = []  # pivot row of each pivot column
@@ -306,24 +300,12 @@ def _row_echelon(rows: Iterable[Sequence[Entry]]) -> tuple[
         used[pi] = True
         others = [i for i in holders if not used[i]]
         if others:
-            s, g = _clear(sparse, where, c, sparse[pi], others)
-            num *= s
-            den *= g
+            _clear(sparse, where, c, sparse[pi], others)
         order.append(pi)
         pivots.append(c)
         if len(order) == nrows:
             break
-    if len(order) == nrows:
-        seen = [False] * nrows
-        for i in range(nrows):
-            if not seen[i]:
-                seen[i] = True
-                j = order[i]
-                while j != i:
-                    seen[j] = True
-                    j = order[j]
-                    num = -num
-    return sparse, where, order, pivots, (num, den)
+    return sparse, where, order, pivots
 
 
 def _echelon(rows: Iterable[Sequence[Entry]]) -> tuple[list[dict[int, int]], list[int]]:
@@ -339,7 +321,7 @@ def _echelon(rows: Iterable[Sequence[Entry]]) -> tuple[list[dict[int, int]], lis
     columns are taken left to right, so row ``r`` of the unique reduced row
     echelon form has entries ``Fraction(rows[r].get(j, 0), rows[r][pivots[r]])``.
     """
-    sparse, where, order, pivots, _ = _row_echelon(rows)
+    sparse, where, order, pivots = _row_echelon(rows)
     for pi, c in zip(reversed(order), reversed(pivots)):
         if len(where[c]) > 1:
             _clear(sparse, where, c, sparse[pi], [i for i in where[c] if i != pi])
@@ -394,18 +376,41 @@ def inverse(m: Matrix) -> Matrix:
 
 
 def det(m: Matrix) -> Fraction:
-    """Exact determinant of a square matrix."""
+    """Exact determinant of a square matrix, by ``_det`` on its rows scaled
+    to integers by ``_integer_row``."""
     if m.rows != m.cols:
         raise ValueError("not square")
-    return _det(m._d)
+    rows = [_integer_row(row) for row in m._d]
+    return Fraction(_det([ints for ints, _ in rows]), prod(scale for _, scale in rows))
 
 
-def _det(rows: Sequence[Sequence[Entry]]) -> Fraction:
-    """Determinant of square ``rows``, from one forward pass."""
-    sparse, _, order, pivots, (num, den) = _row_echelon(rows)
-    if len(pivots) < len(sparse):
-        return Fraction(0)
-    return Fraction(prod(sparse[i][c] for i, c in zip(order, pivots)) * den, num)
+def _det(rows: Sequence[Sequence[int]]) -> int:
+    """Determinant of square integer ``rows`` by fraction-free elimination.
+
+    Bareiss's method: each step takes the first row with a nonzero leading
+    entry p as the pivot row (a row swap flips the sign), drops it and the
+    leading column, and replaces each entry a_ij of the rest by
+    (p * a_ij - a_i0 * a_0j) / (the previous pivot).  The division is exact,
+    because the result is a minor of the input, so no entry ever exceeds
+    Hadamard's bound.  The cost is cubic in the size, whatever the sparsity.
+    """
+    sign, prev = 1, 1
+    while len(rows) > 1:
+        if not rows[0][0]:
+            i = next((i for i, row in enumerate(rows) if row[0]), 0)
+            if not i:
+                return 0
+            rows = [rows[i], *rows[1:i], rows[0], *rows[i + 1:]]
+            sign = -sign
+        p, *top = rows[0]
+        rows = [
+            [(p * y - row[0] * t) // prev for y, t in zip(row[1:], top)] if row[0]
+            # a row with no entry in the pivot column is only scaled by p / prev
+            else row[1:] if p == prev else [p * y // prev for y in row[1:]]
+            for row in rows[1:]
+        ]
+        prev = p
+    return sign * rows[0][0] if rows else 1
 
 
 def coordinate_forms(
@@ -552,24 +557,24 @@ def invariant_factors(m: Matrix) -> list[int]:
     that contributes a factor 1.  The unit-free residual R, if any, has
     rank r, pivot rows and pivot columns from one ``_row_echelon`` pass.
     Let delta be |det| of the r x r submatrix of R on those rows and
-    columns.  It is a nonzero r x r minor, so d_1 ... d_r, the gcd of all
-    of them, divides delta, and so does every d_i.  Over Z/delta, R is
-    equivalent to diag(d_1, ..., d_r) mod delta, whose entries have
-    gcd(d_i, delta) = d_i, except that d_i = delta reads 0.  So
-    ``_factors_mod`` on R mod delta gives the d_i below delta, and the
+    columns, by ``_det``.  It is a nonzero r x r minor, so d_1 ... d_r, the
+    gcd of all of them, divides delta, and so does every d_i.  Over
+    Z/delta, R is equivalent to diag(d_1, ..., d_r) mod delta, whose
+    entries have gcd(d_i, delta) = d_i, except that d_i = delta reads 0.
+    So ``_factors_mod`` on R mod delta gives the d_i below delta, and the
     rest of the r factors are delta.
     """
     if not m.is_integer():
         raise ValueError("invariant_factors needs an integer matrix")
-    sparse, where, _ = _sparse_rows(m._d)
+    sparse, where = _sparse_rows(m._d)
     units = _unit_pivots(sparse, where)
     residual = [row for row in sparse if row]
     if not residual:
         return [1] * units
     cols = sorted(c for c, holders in where.items() if holders)
     dense = [[row.get(c, 0) for c in cols] for row in residual]
-    _, _, order, pivots, _ = _row_echelon(dense)
-    delta = abs(_det([[dense[i][c] for c in pivots] for i in order]).numerator)
+    _, _, order, pivots = _row_echelon(dense)
+    delta = abs(_det([[dense[i][c] for c in pivots] for i in order]))
     factors = _factors_mod(dense, delta) if delta > 1 else []
     return [1] * units + factors + [delta] * (len(pivots) - len(factors))
 

@@ -5,7 +5,10 @@ entry in the column, and every combined row is divided by the gcd of its
 entries.  This was ``fanhodge.linalg``'s elimination before its core became
 sparse; pivot columns are taken left to right in both, so both must give the
 same reduced row echelon form.  ``solve`` lives only here: the tests use it
-as the cone-membership oracle for ``coordinate_forms``.
+as the cone-membership oracle for ``coordinate_forms``.  ``apply_matrix``,
+a matrix-vector product that also takes ``Fraction`` entries, lives only
+here too: the subdivision oracles map rays with it, where the library uses
+integer rows.
 """
 
 from __future__ import annotations
@@ -15,6 +18,13 @@ from math import gcd, lcm, prod
 from typing import Sequence
 
 from fanhodge.linalg import Matrix
+
+
+def apply_matrix(m: Matrix, v: Sequence) -> tuple:
+    """m applied to a column vector, returned as a tuple."""
+    if m.cols != len(v):
+        raise ValueError("shape mismatch")
+    return tuple(sum(a * b for a, b in zip(m.row(i), v)) for i in range(m.rows))
 
 
 def dense_echelon(rows: list) -> tuple[list[int], Fraction]:

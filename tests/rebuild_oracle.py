@@ -18,7 +18,8 @@ from fanhodge.fans import (
     cone_orbit_classes,
     is_smooth,
 )
-from fanhodge.linalg import apply_matrix, primitivize
+from fanhodge.linalg import primitivize
+from dense_oracle import apply_matrix
 
 
 def _propagate_new_ray(fs, members, rep, w):

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from fanhodge import __version__, cli
 from fanhodge.cli import build_parser, main
+from fanhodge.fixtures import builtin_fixtures
 
 
 def run(capsys, *argv):
@@ -117,13 +118,21 @@ def test_report_command(tmp_path, capsys):
     assert json.loads(out)["n1_exact_sequence"]["defect"] == 1
 
 
-def test_determinism(fixture_files, capsys):
+def test_determinism(fixture_files, tmp_path, capsys):
     _, a, _ = run(capsys, "spectral", fixture_files["p1xp1"], "--k", "2")
     _, b, _ = run(capsys, "spectral", fixture_files["p1xp1"], "--k", "2")
     assert a == b
     _, a, _ = run(capsys, "fixtures")
     _, b, _ = run(capsys, "fixtures")
-    assert a == b
+    assert a == b == json.dumps(builtin_fixtures(), indent=2, sort_keys=True) + "\n"
+    files = [tmp_path / "one.json", tmp_path / "two.json"]
+    for f in files:
+        assert main(["fixtures", "-o", str(f)]) == 0
+    assert files[0].read_bytes() == files[1].read_bytes() == a.encode()
+    # the text is built once per process, but the library returns fresh dicts
+    doc = builtin_fixtures()
+    doc["hilbert"]["cones"].clear()
+    assert builtin_fixtures() != doc and run(capsys, "fixtures")[1] == a
 
 
 def test_round_trip_on_emitted_json(fixture_files, tmp_path, capsys):
@@ -369,7 +378,23 @@ def test_rational_gysin_entries_are_read_exactly(tmp_path, capsys):
      ({"cusps": [{"name": "F", "rank": 2}], "cones": [{"cusp": "F"}]},
       "missing key 'cones[0].rays'"),
      ({"cusps": [{"name": "F", "rank": 2}], "cones": [{"cusp": "F", "rays": [[1]]}]},
-      "cone 0: ray length != cusp lattice rank")],
+      "cone 0: ray length != cusp lattice rank"),
+     ({"cusps": [{"name": "F", "rank": 2}], "cones": [{"cusp": "F", "rays": [[1, 0], [-1, 0]]}]},
+      "cone 0: dependent rays in cone ((-1, 0), (1, 0)) (simplicial only)"),
+     ({"cusps": [{"name": "F", "rank": 3}],
+       "cones": [{"cusp": "F", "rays": [[1, 0, 0], [-1, 0, 0]]}]},
+      "cone 0: dependent rays in cone ((-1, 0, 0), (1, 0, 0)) (simplicial only)"),
+     ({"cusps": [{"name": "F", "rank": 2}], "cones": [{"cusp": "F", "rays": [[2, 0], [0, 1]]}]},
+      "cone 0: non-primitive ray (2, 0)"),
+     ({"cusps": [{"name": "F", "rank": 2}], "cones": [{"cusp": "F", "rays": [[0, 0], [0, 1]]}]},
+      "cone 0: non-primitive ray (0, 0)"),
+     ({"cusps": [{"name": "F", "rank": 2}], "cones": [{"cusp": "F", "rays": [[1, 0], [0, 1]]}],
+       "identifications": [{"matrix": [[2, 1], [1, 1]], "source": "F", "target": "F"},
+                           {"matrix": [[2, 0], [0, 1]], "source": "F", "target": "F"}]},
+      "identification 1: not a lattice automorphism"),
+     ({"cusps": [{"name": "F", "rank": 2}, {"name": "G", "rank": 3}], "cones": [],
+       "identifications": [{"matrix": [[1, 0], [0, 1], [0, 0]], "source": "F", "target": "G"}]},
+      "not square")],
 )
 def test_malformed_fan_json_names_the_path(tmp_path, capsys, command, window, message):
     p = tmp_path / "window.json"
@@ -400,7 +425,9 @@ def test_malformed_fan_json_names_the_path(tmp_path, capsys, command, window, me
      ({"cusps": [], "neat": 1}, "neat: expected a bool, got 1"),
      ({"cusps": [{"label": "a", "dim_S_cat": 2}]}, "missing key 'cusps[0].dim_U'"),
      ({"cusps": [{"label": "a", "dim_S_cat": -1, "dim_U": 1}]},
-      "cusp 'a': negative dimension count")],
+      "cusp 'a': negative dimension count"),
+     ({"cusps": [], "dim_Omega_n_minus_1": -2}, "dim_Omega_n_minus_1: negative dimension count"),
+     ({"cusps": [], "dim_M_can": -5}, "dim_M_can: negative dimension count")],
 )
 def test_malformed_inventory_json_names_the_path(tmp_path, capsys, inventory, message):
     p = tmp_path / "inventory.json"

@@ -427,6 +427,17 @@ def gcd_of_maximal_minors(rays):
     return g
 
 
+def _unimodular_rays(rng, n):
+    """The columns of a product of 2n random elementary matrices: the rays of
+    a smooth full-dimensional cone."""
+    rows = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(2 * n):
+        i, j = rng.sample(range(n), 2)
+        c = rng.choice((-1, 1))
+        rows[i] = [x + c * y for x, y in zip(rows[i], rows[j])]
+    return tuple(zip(*rows))
+
+
 def test_is_smooth_matches_the_gcd_of_maximal_minors():
     rng = random.Random(7)
     answers = set()
@@ -438,6 +449,15 @@ def test_is_smooth_matches_the_gcd_of_maximal_minors():
             assert is_smooth(fs, Cone("F", rays)) == expected
             answers.add(expected)
     assert answers == {True, False}
+    # full-dimensional cones, read by the determinant, against invariant factors
+    for n in range(2, 7):
+        answers = set()
+        for _ in range(30):
+            rays = _unimodular_rays(rng, n) if rng.random() < 0.5 else _random_cone(rng, n, n)
+            expected = all(f == 1 for f in invariant_factors(Matrix.from_columns(rays)))
+            assert is_smooth(one_cusp(n, rays), Cone("F", rays)) == expected
+            answers.add(expected)
+        assert answers == {True, False}
     fs = one_cusp(2, ((1, 0),))
     assert is_smooth(fs, Cone("F", ()))
     with pytest.raises(DependentInput):

@@ -23,7 +23,8 @@ from fanhodge.fans import (
     smooth_subdivide,
     two_division_subdivide,
 )
-from fanhodge.linalg import Matrix, apply_matrix, inverse, primitivize
+from fanhodge.linalg import Matrix, inverse, primitivize
+from dense_oracle import apply_matrix
 from test_fans import M, one_cusp, rank3_window
 
 

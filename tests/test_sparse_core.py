@@ -2,9 +2,10 @@
 
 ``dense_oracle`` keeps the dense integer Gauss-Jordan that the library used
 before its core became sparse.  Both compute the unique reduced row echelon
-form, so ranks, kernel bases, determinants and inverses must be identical,
-not just equivalent.  The examples are seeded (``derandomize``) and carry no
-wall-clock bound.
+form, so ranks, kernel bases and inverses must be identical, not just
+equivalent.  Determinants come from Bareiss elimination instead of the core
+and must equal the oracle's too.  The examples are seeded (``derandomize``
+or a fixed seed) and carry no wall-clock bound.
 """
 
 import random
@@ -151,8 +152,37 @@ def test_coordinate_forms_membership_matches_solve(n, data):
 
 
 def test_determinant_sign_follows_the_row_order():
-    # the sparse core picks unit pivots first, so it reorders these rows
     m = Matrix([[2, 1, 0], [1, 0, 0], [0, 3, 1]])
     assert det(m) == dense_det(m) == -1
     swapped = Matrix([m.row(1), m.row(0), m.row(2)])
     assert det(swapped) == 1
+    # a zero leading entry makes Bareiss swap rows, and each swap flips the sign
+    for rows, sign in (([[0, 1, 0], [0, 0, 1], [1, 0, 0]], 1),
+                       ([[0, 1, 0], [1, 0, 0], [0, 0, 1]], -1),
+                       ([[0, 0, 1], [0, 1, 0], [1, 0, 0]], -1)):
+        assert det(Matrix(rows)) == sign
+
+
+@pytest.mark.parametrize("n", range(9))
+def test_det_matches_dense_det(n):
+    """Integer matrices with entries in [-9, 9], the same with a repeated row
+    or a zero column, and with half the entries divided by 1..9."""
+    rng = random.Random(n)
+    for kind in ("int", "repeated row", "zero column", "fraction") * 10:
+        rows = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
+        singular = (kind == "repeated row" and n > 1) or (kind == "zero column" and n > 0)
+        if singular and kind == "repeated row":
+            i, j = rng.sample(range(n), 2)
+            rows[i] = list(rows[j])
+        elif singular:
+            j = rng.randrange(n)
+            for row in rows:
+                row[j] = 0
+        elif kind == "fraction":
+            rows = [[Fraction(x, rng.randint(1, 9)) if rng.random() < 0.5 else x for x in row]
+                    for row in rows]
+        m = Matrix(rows, cols=n)
+        d = det(m)
+        assert type(d) is Fraction and d == dense_det(m)
+        if singular:
+            assert d == 0
