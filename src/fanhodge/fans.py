@@ -193,7 +193,7 @@ class FanSystem:
             if ident.matrix.shape != (ranks[ident.target], ranks[ident.source]):
                 raise ValueError(f"identification {i}: matrix shape mismatch")
             if ident.matrix.rows != ident.matrix.cols:
-                raise ValueError("not square")
+                raise ValueError(f"identification {i}: not square")
             if abs(_det(ident.matrix.to_lists())) != 1:
                 raise ValueError(f"identification {i}: not a lattice automorphism")
 

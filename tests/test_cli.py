@@ -394,7 +394,7 @@ def test_rational_gysin_entries_are_read_exactly(tmp_path, capsys):
       "identification 1: not a lattice automorphism"),
      ({"cusps": [{"name": "F", "rank": 2}, {"name": "G", "rank": 3}], "cones": [],
        "identifications": [{"matrix": [[1, 0], [0, 1], [0, 0]], "source": "F", "target": "G"}]},
-      "not square")],
+      "identification 0: not square")],
 )
 def test_malformed_fan_json_names_the_path(tmp_path, capsys, command, window, message):
     p = tmp_path / "window.json"

@@ -391,14 +391,36 @@ def grid_subdivision_point(rays):
     return primitivize(x), tuple(ray for k, ray in zip(ks, rays) if k > 0)
 
 
+def _dense_cone(rng, n, k):
+    """k of the rows of T W, all primitive, for W unimodular and T lower
+    triangular, with entries in [-2, 2] below the diagonal and ones on it
+    but for one entry in 1..4: dense rays of multiplicity at most 4."""
+    while True:
+        w = _unimodular_rays(rng, n)
+        diag = [1] * n
+        diag[rng.randrange(n)] = rng.randint(1, 4)
+        t = [[diag[i] if i == j else rng.randint(-2, 2) * (j < i) for j in range(n)]
+             for i in range(n)]
+        rows = [tuple(sum(a * b for a, b in zip(ti, col)) for col in zip(*w)) for ti in t]
+        rays = tuple(rng.sample(rows, k))
+        if all(primitivize(r) == r for r in rays):
+            return rays
+
+
+# entries in [-9, 9] and |det| = 4; a remainder-and-swap Smith loop stalls on it
+DENSE_CONE = ((7, 1, -4, 6, -4, 5), (-1, -3, 4, -5, -1, 8), (8, 5, 1, -4, -7, -9),
+              (-8, -4, -9, -5, 0, -9), (6, 4, 9, -7, 0, -6), (-8, -4, -3, 0, -3, 7))
+
+
 def test_subdivision_point_matches_grid_oracle():
     rng = random.Random(20241018)
-    seen = {(n, kind): 0 for n in (2, 3, 4) for kind in ("smooth", "full", "lower")}
-    for n in (2, 3, 4):
+    sizes = (2, 3, 4, 5, 6)
+    seen = {(n, kind): 0 for n in sizes for kind in ("smooth", "full", "lower")}
+    for n in sizes:
         done = 0
         while done < 150:
             k = rng.randint(1, n)
-            rays = _random_cone(rng, n, k)
+            rays = (_random_cone if n < 5 else _dense_cone)(rng, n, k)
             mult = _multiplicity(rays)
             # mostly singular cones, and a grid small enough for the oracle
             if mult ** k > 20_000 or (mult == 1 and rng.random() < 0.8):
@@ -415,6 +437,8 @@ def test_subdivision_point_matches_grid_oracle():
             assert _multiplicity(tuple(r for r in rays if r not in support) + (w,)) < mult
     assert seen.pop((2, "lower")) == 0  # a primitive ray spans a saturated line
     assert min(seen.values()) >= 20, seen
+    assert _multiplicity(DENSE_CONE) == 4
+    assert _subdivision_point(DENSE_CONE) == grid_subdivision_point(DENSE_CONE)
 
 
 def gcd_of_maximal_minors(rays):

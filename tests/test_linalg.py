@@ -63,27 +63,24 @@ def random_matrix(rng, max_dim=5, lo=-9, hi=9):
     )
 
 
+# invariant factors [1, 1, 1, 1, 1, 582597]; a remainder-and-swap Smith loop
+# stalls on it
+STALLING_6X6 = [[-9, 3, 4, -6, -9, -7], [-4, 5, 3, 7, 0, -5], [-5, 7, -6, -1, -9, 5],
+                [3, -2, 8, 3, -9, 8], [-2, 4, -4, -4, 1, -2], [-7, 8, 8, -4, -4, 3]]
+
+
 def test_snf_and_rank_agree_with_oracle_on_200_random_matrices():
     rng = random.Random(20240817)
     for _ in range(200):
         m = random_matrix(rng)
         expected = oracle_rank(m.to_lists())
         assert rank(m) == expected
-        u, d, v = smith_normal_form(m)
-        assert u * m * v == d
-        assert abs(det(u)) == 1 and abs(det(v)) == 1
-        diag = [d[i, i] for i in range(min(d.rows, d.cols))]
+        diag = assert_smith_form(m)
         assert sum(1 for x in diag if x != 0) == expected
-        for a, b in zip(diag, diag[1:]):
-            if b != 0:
-                assert a != 0 and b % a == 0
-        off = [
-            d[i, j]
-            for i in range(d.rows)
-            for j in range(d.cols)
-            if i != j
-        ]
-        assert all(x == 0 for x in off)
+    assert assert_smith_form(Matrix(STALLING_6X6)) == [1, 1, 1, 1, 1, 582597]
+    dense = random.Random(6)
+    for _ in range(400):
+        assert_smith_form(Matrix([[dense.randint(-9, 9) for _ in range(6)] for _ in range(6)]))
 
 
 def test_kernel_basis_is_annihilated_and_spans():
@@ -254,15 +251,23 @@ def sparse_unit_matrix(rng, rows, cols, per_column):
     return Matrix.from_columns(columns)
 
 
+# U and V of dense 6 x 6 matrices with entries in [-9, 9] reach about 70 bits
+# with extended-gcd steps; division with remainder reached 1,607 bits at 5 x 5
+SNF_MAX_BITS = 96
+
+
 def assert_smith_form(m):
     u, d, v = smith_normal_form(m)
     assert u * m * v == d
     assert abs(det(u)) == 1 and abs(det(v)) == 1
+    bits = max(abs(x).bit_length() for t in (u, v) for row in t.to_lists() for x in row)
+    assert bits <= SNF_MAX_BITS
     diag = [d[i, i] for i in range(min(m.rows, m.cols))]
     assert all(d[i, j] == 0 for i in range(d.rows) for j in range(d.cols) if i != j)
     assert all(x >= 0 for x in diag)
     for a, b in zip(diag, diag[1:]):
         assert (b == 0) if a == 0 else (b % a == 0)
+    assert [x for x in diag if x] == invariant_factors(m)
     return diag
 
 
