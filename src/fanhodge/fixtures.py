@@ -88,15 +88,15 @@ def hilbert_window(length: int = 3) -> FanSystem:
 def hilbert_window_cubed(length: int = 3) -> FanSystem:
     """Same chain of cones, but identified only by M^length (index-3 subgroup
     for the default length), so the quotient circle keeps `length` vertices."""
-    m = Matrix(list(HILBERT_M))
     base = hilbert_cusp_window(HILBERT_M, length)
-    power = Matrix.identity(2)
-    for _ in range(length):
-        power = power * m
+    power = [[1, 0], [0, 1]]
+    for _ in range(length):  # power = power * M on 2 x 2 integer rows
+        power = [[sum(x * y for x, y in zip(row, col)) for col in zip(*HILBERT_M)]
+                 for row in power]
     return FanSystem(
         cusps=base.cusps,
         cones=base.cones,
-        identifications=(Identification(power, "F", "F"),),
+        identifications=(Identification(Matrix(power), "F", "F"),),
     )
 
 

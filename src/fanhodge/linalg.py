@@ -1,19 +1,24 @@
 """Exact linear algebra over the integers and rationals.
 
 Everything here works with Python ints and ``fractions.Fraction``, so there
-is no overflow and no rounding anywhere.  Matrices are immutable and dense;
-all operations return new values and are safe to call concurrently.
+is no overflow and no rounding anywhere.  Matrices are immutable and all
+operations return new values, so they are safe to call concurrently.
+``Matrix`` is dense; ``SparseMatrix`` keeps a ``{column: entry}`` dict of
+the nonzero entries of each row, the form in which ``fanhodge.delta_complex``
+and ``fanhodge.weight_ss`` build their chain maps.
 
 ``rank``, ``rational_kernel_basis``, ``inverse`` and ``coordinate_forms``
 share one elimination core: sparse integer Gauss-Jordan on
 ``{column: int}`` rows, with a column -> rows index so that a pivot touches
 only the rows holding its column, and every combined row divided by the
-gcd of its entries.  The sparse +-1 boundary and Gysin maps therefore cost
-in proportion to their nonzeros and keep small entries.  Its forward pass,
-``_row_echelon``, is all that ``rank`` needs; ``_echelon`` adds the
-backward pass for the others.  Pivot columns are taken left to right, so
-each reader gets the unique reduced row echelon form, whatever the pivot
-rows.  The core keeps no determinant factor.
+gcd of its entries.  ``_sparse_rows`` sets it up by copying the rows of a
+``SparseMatrix`` or scanning those of a ``Matrix``.  The sparse +-1
+boundary and Gysin maps therefore cost in proportion to their nonzeros and
+keep small entries.  Its forward pass, ``_row_echelon``, is all that
+``rank`` needs; ``_echelon`` adds the backward pass for the others.  Pivot
+columns are taken left to right, so each reader gets the unique reduced row
+echelon form, whatever the pivot rows.  The core keeps no determinant
+factor.
 
 Determinants come from ``_det``, fraction-free (Bareiss) elimination on
 dense integer rows, whose intermediate entries are minors of the input.
@@ -49,6 +54,7 @@ from typing import Callable, Iterable, Sequence
 from .errors import DependentInput
 
 Entry = int | Fraction
+Row = Sequence[Entry] | dict[int, Entry]  # dense, or the nonzeros by column
 _second = itemgetter(1)
 
 
@@ -74,7 +80,7 @@ class Matrix:
         object.__setattr__(self, "_d", data)
 
     def __setattr__(self, name, value):
-        raise AttributeError("Matrix is immutable")
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
     # -- constructors ------------------------------------------------------
 
@@ -104,35 +110,8 @@ class Matrix:
     def row(self, i: int) -> tuple[Entry, ...]:
         return self._d[i]
 
-    def column(self, j: int) -> tuple[Entry, ...]:
-        return tuple(row[j] for row in self._d)
-
-    def columns(self) -> list[tuple[Entry, ...]]:
-        return [self.column(j) for j in range(self.cols)]
-
     def to_lists(self) -> list[list[Entry]]:
         return [list(row) for row in self._d]
-
-    # -- algebra -----------------------------------------------------------
-
-    def __mul__(self, other):
-        if isinstance(other, Matrix):
-            if self.cols != other.rows:
-                raise ValueError(f"shape mismatch {self.shape} * {other.shape}")
-            cols = list(zip(*other._d)) if other._d else []
-            return Matrix(
-                [
-                    [sum(a * b for a, b in zip(row, col)) for col in cols]
-                    for row in self._d
-                ],
-                cols=other.cols,
-            )
-        return Matrix([[x * other for x in row] for row in self._d], cols=self.cols)
-
-    __rmul__ = __mul__
-
-    def transpose(self) -> "Matrix":
-        return Matrix(list(zip(*self._d)) if self._d else [], cols=self.rows)
 
     def submatrix(self, row_idx: Sequence[int], col_idx: Sequence[int]) -> "Matrix":
         return Matrix(
@@ -165,6 +144,53 @@ class Matrix:
 
     def __repr__(self) -> str:
         return f"Matrix({self.to_lists()!r})"
+
+
+class SparseMatrix:
+    """Immutable sparse matrix: row i is a ``{column: entry}`` dict of its
+    nonzero entries.  Chain maps are built and eliminated in this form.  The
+    given rows are copied without their zero entries, so a caller may build
+    them by adding up terms that cancel."""
+
+    __slots__ = ("rows", "cols", "_d")
+
+    def __init__(self, rows: Iterable[dict[int, Entry]], cols: int):
+        data = tuple({j: x for j, x in row.items() if x} for row in rows)
+        object.__setattr__(self, "rows", len(data))
+        object.__setattr__(self, "cols", cols)
+        object.__setattr__(self, "_d", data)
+
+    __setattr__ = Matrix.__setattr__
+    shape = Matrix.shape
+
+    def to_matrix(self) -> Matrix:
+        dense = [[0] * self.cols for _ in self._d]
+        for out, row in zip(dense, self._d):
+            for j, x in row.items():
+                out[j] = x
+        return Matrix(dense, cols=self.cols)
+
+    def product_is_zero(self, other: "SparseMatrix") -> bool:
+        """Whether self * other = 0, row by row on the nonzeros of both."""
+        for row in self._d:
+            image: dict[int, Entry] = {}
+            for k, x in row.items():
+                for j, y in other._d[k].items():
+                    image[j] = image.get(j, 0) + x * y
+            if any(image.values()):
+                return False
+        return True
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, SparseMatrix):
+            return NotImplemented
+        return self.shape == other.shape and self._d == other._d
+
+    def __hash__(self) -> int:
+        return hash((self.shape, tuple(frozenset(row.items()) for row in self._d)))
+
+    def __repr__(self) -> str:
+        return f"SparseMatrix({list(self._d)!r}, cols={self.cols})"
 
 
 def primitivize(v: Sequence[int]) -> tuple[int, ...]:
@@ -239,21 +265,26 @@ def _integer_row(row: Sequence[Entry]) -> tuple[Sequence[int], int]:
     return [x.numerator * (scale // x.denominator) for x in fracs], scale
 
 
-def _sparse_rows(rows: Iterable[Sequence[Entry]]) -> tuple[
+def _sparse_rows(rows: Iterable[Row], integer: bool = False) -> tuple[
     list[dict[int, int]], dict[int, set[int]]
 ]:
     """The set-up of the elimination core.
 
-    Each row becomes a ``{column: int}`` dict of the nonzero entries of its
-    ``_integer_row``, and a column -> rows index finds the rows that hold a
-    column.  Returns the rows and the index.
+    Each row becomes a ``{column: int}`` dict of its nonzero entries, scaled
+    to integers by ``_integer_row``: a dense row is scanned, a row of a
+    ``SparseMatrix`` is copied.  A column -> rows index finds the rows that
+    hold a column.  Returns the rows and the index; with ``integer``, a row
+    that needs scaling raises ValueError instead.
     """
     sparse: list[dict[int, int]] = []
     where: dict[int, set[int]] = {}  # column -> rows with a nonzero there
     for i, row in enumerate(rows):
-        entries = dict(filter(_second, enumerate(row)))
+        entries = row.copy() if type(row) is dict else dict(filter(_second, enumerate(row)))
         if type(sum(entries.values())) is not int:
-            entries = dict(filter(_second, enumerate(_integer_row(row)[0])))
+            ints, scale = _integer_row(list(entries.values()))
+            if integer and scale != 1:
+                raise ValueError("invariant_factors needs an integer matrix")
+            entries = dict(zip(entries, ints))
         sparse.append(entries)
         for j in entries:
             holders = where.get(j)
@@ -264,7 +295,7 @@ def _sparse_rows(rows: Iterable[Sequence[Entry]]) -> tuple[
     return sparse, where
 
 
-def _row_echelon(rows: Iterable[Sequence[Entry]]) -> tuple[
+def _row_echelon(rows: Iterable[Row]) -> tuple[
     list[dict[int, int]], dict[int, set[int]], list[int], list[int]
 ]:
     """Forward pass of the elimination core: a row echelon form of ``rows``.
@@ -312,7 +343,7 @@ def _row_echelon(rows: Iterable[Sequence[Entry]]) -> tuple[
     return sparse, where, order, pivots
 
 
-def _echelon(rows: Iterable[Sequence[Entry]]) -> tuple[list[dict[int, int]], list[int]]:
+def _echelon(rows: Iterable[Row]) -> tuple[list[dict[int, int]], list[int]]:
     """Sparse integer Gauss-Jordan elimination of ``rows``.
 
     The forward pass ``_row_echelon`` clears each pivot column below its
@@ -332,12 +363,12 @@ def _echelon(rows: Iterable[Sequence[Entry]]) -> tuple[list[dict[int, int]], lis
     return [sparse[i] for i in order], pivots
 
 
-def rank(m: Matrix) -> int:
+def rank(m: Matrix | SparseMatrix) -> int:
     """Rank over the rationals."""
     return len(_row_echelon(m._d)[3])
 
 
-def rational_kernel_basis(m: Matrix) -> Matrix:
+def rational_kernel_basis(m: Matrix | SparseMatrix) -> Matrix:
     """Basis of ker(m) as matrix columns; exact, full column rank.
 
     Returns a matrix with ``cols - rank`` columns (possibly zero columns).
@@ -508,7 +539,7 @@ def smith_normal_form(m: Matrix) -> tuple[Matrix, Matrix, Matrix]:
     return Matrix(x), Matrix(d), Matrix(list(zip(*y)))
 
 
-def invariant_factors(m: Matrix) -> list[int]:
+def invariant_factors(m: Matrix | SparseMatrix) -> list[int]:
     """Nonzero diagonal entries of the Smith normal form, in order.
 
     No transforms are kept.  First ``_unit_pivots`` eliminates +-1 pivots
@@ -523,9 +554,7 @@ def invariant_factors(m: Matrix) -> list[int]:
     So ``_factors_mod`` on R mod delta gives the d_i below delta, and the
     rest of the r factors are delta.
     """
-    if not m.is_integer():
-        raise ValueError("invariant_factors needs an integer matrix")
-    sparse, where = _sparse_rows(m._d)
+    sparse, where = _sparse_rows(m._d, integer=True)
     units = _unit_pivots(sparse, where)
     residual = [row for row in sparse if row]
     if not residual:

@@ -15,11 +15,12 @@ by codimension, the Gysin blocks by key, and each stratum's codimension-1
 facets, found by index-set lookup, with the sign of the omitted component.
 Like ``FanSystem``'s cache, these lookups are not dataclass fields, so they
 never change equality, hashing or the JSON form.  A bidegree complex is
-assembled from the nonzero Gysin entries only, and d1 o d1 = 0 is checked
-on the sparse columns, so E1/d1/E2 and the F^n filtration cost in
-proportion to the nonzeros; the elimination that follows is the sparse core
-of ``linalg``.  Integral Gysin entries stay ints; only "p/q" strings in the
-JSON form become Fractions.
+assembled from the nonzero Gysin entries only, into ``SparseMatrix`` rows
+on which d1 o d1 = 0 is checked and which go as they are to the sparse
+elimination core of ``linalg``, so E1/d1/E2 and the F^n filtration cost in
+proportion to the nonzeros.  Gysin blocks and kernel bases stay dense
+``Matrix`` values.  Integral Gysin entries stay ints; only "p/q" strings in
+the JSON form become Fractions.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from .fans import (
     cone_orbit_classes,
     ray_class_index,
 )
-from .linalg import Entry, Matrix, rank, rational_kernel_basis
+from .linalg import Entry, Matrix, SparseMatrix, rank, rational_kernel_basis
 from .mhs import MixedHSTable, PureHS, tate_twist
 
 GysinKey = tuple[str, str, int, int, int]  # (src id, dst id, degree, p, q)
@@ -189,25 +190,25 @@ class BidegreeComplex:
     P: int
     Q: int
     basis: tuple[tuple[tuple[str, int], ...], ...]  # per m: (stratum id, index)
-    maps: tuple[Matrix, ...]  # maps[m]: column m -> column m-1; maps[0] unused
+    maps: tuple[SparseMatrix, ...]  # maps[m]: column m -> column m-1; maps[0] unused
 
     def dim(self, m: int) -> int:
         if 0 <= m < len(self.basis):
             return len(self.basis[m])
         return 0
 
-    def map_out(self, m: int) -> Matrix:
+    def map_out(self, m: int) -> SparseMatrix:
         if 1 <= m < len(self.maps):
             return self.maps[m]
-        return Matrix.zeros(self.dim(m - 1), self.dim(m))
+        return SparseMatrix([{}] * self.dim(m - 1), self.dim(m))
 
 
 def bidegree_complex(sc: StrataComplex, P: int, Q: int) -> BidegreeComplex:
     """Assemble the signed Gysin complex in one normalized bidegree.
 
-    Each map is assembled from the nonzero Gysin entries into sparse
-    columns, and d1 o d1 = 0 is checked on those columns, so the work is
-    proportional to the nonzeros; only the returned matrices are dense.
+    Each map is written from the nonzero Gysin entries straight into the
+    rows of a ``SparseMatrix``, and d1 o d1 = 0 is checked on those rows, so
+    the work is proportional to the nonzeros.
     """
     top = min(P, Q, sc.n)
     basis: list[tuple[tuple[str, int], ...]] = []
@@ -223,12 +224,11 @@ def bidegree_complex(sc: StrataComplex, P: int, Q: int) -> BidegreeComplex:
                 col.extend((s.id, i) for i in range(d))
         basis.append(tuple(col))
         offsets.append(off)
-    maps: list[Matrix] = [Matrix.zeros(0, 0)]
-    sparse: list[list[dict[int, Entry]]] = [[]]  # maps[m] by columns: {row: entry}
+    maps = [SparseMatrix((), len(basis[0]))]
     facets = sc._facets
     for m in range(1, top + 1):
         deg, p, q = P + Q - 2 * m, P - m, Q - m
-        columns: list[dict[int, Entry]] = [{} for _ in basis[m]]
+        rows: list[dict[int, Entry]] = [{} for _ in basis[m - 1]]
         for src in sc.strata_of_codim(m):
             if src.id not in offsets[m]:
                 continue
@@ -246,31 +246,15 @@ def bidegree_complex(sc: StrataComplex, P: int, Q: int) -> BidegreeComplex:
                     continue
                 roff = offsets[m - 1][dst.id]
                 for i in range(block.rows):
-                    for j, x in enumerate(block.row(i)):
-                        if x:
-                            column = columns[coff + j]
-                            x = column.get(roff + i, 0) + sign * x
-                            if x:
-                                column[roff + i] = x
-                            else:
-                                del column[roff + i]
-        rows = [[0] * len(columns) for _ in basis[m - 1]]
-        for j, column in enumerate(columns):
-            for i, x in column.items():
-                rows[i][j] = x
-        maps.append(Matrix(rows, cols=len(columns)))
-        sparse.append(columns)
-    for m in range(2, top + 1):
-        into = sparse[m - 1]
-        for column in sparse[m]:
-            image: dict[int, Entry] = {}
-            for i, x in column.items():
-                for r, y in into[i].items():
-                    image[r] = image.get(r, 0) + y * x
-            if any(image.values()):
-                raise NotAComplex(
-                    f"signed Gysin maps do not compose to zero at bidegree ({P},{Q})"
-                )
+                    row = rows[roff + i]
+                    for j, x in enumerate(block.row(i), coff):
+                        if x:  # a sum that cancels is dropped by SparseMatrix
+                            row[j] = row.get(j, 0) + sign * x
+        maps.append(SparseMatrix(rows, len(basis[m])))
+        if m > 1 and not maps[m - 1].product_is_zero(maps[m]):
+            raise NotAComplex(
+                f"signed Gysin maps do not compose to zero at bidegree ({P},{Q})"
+            )
     return BidegreeComplex(P, Q, tuple(basis), tuple(maps))
 
 
@@ -306,17 +290,22 @@ class SpectralPage:
     entries: tuple[tuple[tuple[int, int], PureHS], ...]
     complexes: tuple[tuple[tuple[int, int], BidegreeComplex], ...] | None = None
 
+    @cached_property
+    def _entries(self) -> dict[tuple[int, int], PureHS]:
+        return dict(self.entries)
+
+    @cached_property
+    def _complexes(self) -> dict[tuple[int, int], BidegreeComplex]:
+        return dict(self.complexes or ())
+
     def entry(self, p: int, q: int) -> PureHS:
-        for pq, hs in self.entries:
-            if pq == (p, q):
-                return hs
-        return PureHS(q - p)
+        """The entry at (p, q); zero of weight q off the page, as
+        E1^{-m,k+m} has weight k + m = q."""
+        hs = self._entries.get((p, q))
+        return PureHS(q) if hs is None else hs
 
     def complex_at(self, P: int, Q: int) -> BidegreeComplex | None:
-        for pq, bc in self.complexes or ():
-            if pq == (P, Q):
-                return bc
-        return None
+        return self._complexes.get((P, Q))
 
 
 def e1_page(sc: StrataComplex, k: int) -> SpectralPage:
@@ -356,9 +345,10 @@ def e2_page(page: SpectralPage) -> MixedHSTable:
         for (P, Q), bc in page.complexes:
             if P + Q != w:
                 continue
-            out = bc.map_out(m)
-            into = bc.map_out(m + 1)
-            dim = (bc.dim(m) - rank(out)) - rank(into)
+            # dim ker maps[m] - rank maps[m+1]; the zero maps past either end
+            # are not ranked, and no other entry reads this complex
+            ranks = (rank(bc.maps[i]) for i in (m, m + 1) if 0 < i < len(bc.maps))
+            dim = bc.dim(m) - sum(ranks)
             if dim:
                 table[(P, Q)] = dim
         graded.append(PureHS(w, table))
@@ -529,12 +519,12 @@ def annotate_from_fans(fs: FanSystem, ann: CuspStrataAnnotation) -> StrataComple
     return StrataComplex(n=n, components=components, strata=strata, gysin=gysin)
 
 
-def signed_gysin_matrix(sc: StrataComplex) -> Matrix:
+def signed_gysin_matrix(sc: StrataComplex) -> SparseMatrix:
     """The assembled signed Gysin map out of the top canonical-form layer
     (column m = deepest populated codimension at bidegree (n, m))."""
     populated = [s.codim for s in sc.strata if s.cohomology]
     if not populated:
-        return Matrix.zeros(0, 0)
+        return SparseMatrix((), 0)
     t = max(populated)
     bc = bidegree_complex(sc, sc.n, t)
     return bc.map_out(t)

@@ -8,7 +8,9 @@ same reduced row echelon form.  ``solve`` lives only here: the tests use it
 as the cone-membership oracle for ``coordinate_forms``.  ``apply_matrix``,
 a matrix-vector product that also takes ``Fraction`` entries, lives only
 here too: the subdivision oracles map rays with it, where the library uses
-integer rows.
+integer rows.  So do ``matmul`` and ``transpose``: the library's chain maps
+are ``SparseMatrix`` values, and the tests multiply them densely through
+``to_matrix()``; ``sparse`` goes the other way.
 """
 
 from __future__ import annotations
@@ -17,7 +19,29 @@ from fractions import Fraction
 from math import gcd, lcm, prod
 from typing import Sequence
 
-from fanhodge.linalg import Matrix
+from fanhodge.linalg import Entry, Matrix, SparseMatrix
+
+
+def matmul(a: Matrix, b: Matrix | Entry) -> Matrix:
+    """The product a * b of two matrices, or of a matrix and a scalar."""
+    if not isinstance(b, Matrix):
+        return Matrix([[x * b for x in row] for row in a.to_lists()], cols=a.cols)
+    if a.cols != b.rows:
+        raise ValueError(f"shape mismatch {a.shape} * {b.shape}")
+    cols = list(zip(*b.to_lists())) if b.rows else [()] * b.cols
+    return Matrix(
+        [[sum(x * y for x, y in zip(row, col)) for col in cols] for row in a.to_lists()],
+        cols=b.cols,
+    )
+
+
+def transpose(m: Matrix) -> Matrix:
+    return Matrix(list(zip(*m.to_lists())), cols=m.rows)
+
+
+def sparse(m: Matrix) -> SparseMatrix:
+    """m as a ``SparseMatrix``."""
+    return SparseMatrix((dict(enumerate(m.row(i))) for i in range(m.rows)), m.cols)
 
 
 def apply_matrix(m: Matrix, v: Sequence) -> tuple:
@@ -126,3 +150,40 @@ def dense_det(m: Matrix) -> Fraction:
     if len(pivots) < m.rows:
         return Fraction(0)
     return prod(rows[r][r] for r in range(m.rows)) / factor
+
+
+def dense_invariant_factors(m: Matrix) -> list[int]:
+    """Nonzero Smith diagonal of an integer matrix by dense steps over Z.
+
+    The pivot is an entry of least absolute value, moved to (0, 0); division
+    with remainder clears its row and column, and a row with an entry that
+    the pivot does not divide is added to the pivot row, until the pivot
+    divides the whole remaining block.  Meant for the small, sparse +-1
+    maps of the tests: remainders can grow on dense input.
+    """
+    a = [[int(x) for x in row] for row in m.to_lists()]
+    out = []
+    while a and a[0]:
+        nonzero = [(abs(x), i, j) for i, row in enumerate(a) for j, x in enumerate(row) if x]
+        if not nonzero:
+            break
+        _, i, j = min(nonzero)
+        a[0], a[i] = a[i], a[0]
+        for row in a:
+            row[0], row[j] = row[j], row[0]
+        p = a[0][0]
+        for i in range(1, len(a)):
+            q = a[i][0] // p
+            a[i] = [x - q * y for x, y in zip(a[i], a[0])]
+        qs = [x // p for x in a[0][1:]]
+        for row in a:
+            row[1:] = [x - q * row[0] for q, x in zip(qs, row[1:])]
+        if any(row[0] for row in a[1:]) or any(a[0][1:]):
+            continue
+        offender = next((row for row in a[1:] if any(x % p for x in row[1:])), None)
+        if offender is not None:
+            a[0] = [x + y for x, y in zip(a[0], offender)]
+            continue
+        out.append(abs(p))
+        a = [row[1:] for row in a[1:]]
+    return out

@@ -35,7 +35,7 @@ from fanhodge.linalg import (
     primitivize,
     rank,
 )
-from dense_oracle import dense_det, solve
+from dense_oracle import apply_matrix, dense_det, matmul, solve
 
 M = ((2, 1), (1, 1))
 
@@ -44,7 +44,7 @@ def random_unimodular_2x2(rng):
     a, b = rng.randint(1, 3), rng.randint(1, 3)
     shear_u = Matrix([[1, a], [0, 1]])
     shear_l = Matrix([[1, 0], [b, 1]])
-    return shear_u * shear_l
+    return matmul(shear_u, shear_l)
 
 
 def random_gl3(rng):
@@ -53,7 +53,7 @@ def random_gl3(rng):
         i, j = rng.sample(range(3), 2)
         rows = Matrix.identity(3).to_lists()
         rows[i][j] = rng.choice((-1, 1))
-        m = m * Matrix(rows)
+        m = matmul(m, Matrix(rows))
     return m
 
 
@@ -70,10 +70,7 @@ def rank3_window(rng):
         base.append(((0, -1, 0), (0, 0, -1), (-1, -1, -2)))
     cones = []
     for rays in base:
-        image = tuple(
-            tuple(int(x) for x in (g * Matrix([list(r)]).transpose()).column(0))
-            for r in rays
-        )
+        image = tuple(tuple(int(x) for x in apply_matrix(g, r)) for r in rays)
         cones.append(Cone("F", image))
     return FanSystem(
         cusps=(CuspLabel("F", 3),), cones=tuple(cones), identifications=()
@@ -300,7 +297,7 @@ def test_large_hilbert_windows_against_oracles(a, b, length):
     chain = hilbert_cusp_window(m, length)
     power = Matrix.identity(2)
     for _ in range(length):
-        power = power * Matrix(list(m))
+        power = matmul(power, Matrix(list(m)))
     fs = FanSystem(chain.cusps, chain.cones, (Identification(power, "F", "F"),))
     sub = smooth_subdivide(two_division_subdivide(fs))
     assert check_snc_condition(sub).ok

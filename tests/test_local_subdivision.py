@@ -24,7 +24,7 @@ from fanhodge.fans import (
     two_division_subdivide,
 )
 from fanhodge.linalg import Matrix, inverse, primitivize
-from dense_oracle import apply_matrix
+from dense_oracle import apply_matrix, matmul
 from test_fans import M, one_cusp, rank3_window
 
 
@@ -38,7 +38,7 @@ def random_unimodular(rng, n, moves):
         if rng.random() < 0.2:
             rows[i][i] = -1
             rows[i][j] = 0
-        m = m * Matrix(rows)
+        m = matmul(m, Matrix(rows))
     return m
 
 
@@ -49,14 +49,14 @@ def conjugated_hilbert_window(rng, a, b, length):
     chain = hilbert_cusp_window(m.to_lists(), length)
     power = Matrix.identity(2)
     for _ in range(length):
-        power = power * m
+        power = matmul(power, m)
     g = random_unimodular(rng, 2, rng.randint(1, 4))
     g_inv = Matrix([[int(x) for x in row] for row in inverse(g).to_lists()])
     cones = tuple(
         Cone("F", tuple(tuple(int(x) for x in apply_matrix(g, r)) for r in c.rays))
         for c in chain.cones
     )
-    return FanSystem(chain.cusps, cones, (Identification(g * power * g_inv, "F", "F"),))
+    return FanSystem(chain.cusps, cones, (Identification(matmul(matmul(g, power), g_inv), "F", "F"),))
 
 
 def rank4_cone(rng):

@@ -4,8 +4,10 @@
 before its core became sparse.  Both compute the unique reduced row echelon
 form, so ranks, kernel bases and inverses must be identical, not just
 equivalent.  Determinants come from Bareiss elimination instead of the core
-and must equal the oracle's too.  The examples are seeded (``derandomize``
-or a fixed seed) and carry no wall-clock bound.
+and must equal the oracle's too.  The chain maps of ``delta_complex`` and
+``weight_ss`` are ``SparseMatrix`` values; their ranks, kernel bases and
+invariant factors must equal the oracle's on ``to_matrix()``.  The examples
+are seeded (``derandomize`` or a fixed seed) and carry no wall-clock bound.
 """
 
 import random
@@ -15,17 +17,38 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dense_oracle import dense_det, dense_inverse, dense_kernel_basis, dense_rank, solve
-from fanhodge.delta_complex import boundary_matrices, from_top_simplices
-from fanhodge.errors import DependentInput
+from dense_oracle import (
+    dense_det,
+    dense_inverse,
+    dense_invariant_factors,
+    dense_kernel_basis,
+    dense_rank,
+    matmul,
+    solve,
+    sparse,
+    transpose,
+)
+from fanhodge.delta_complex import ChainComplexQ, boundary_matrices, from_top_simplices
+from fanhodge.errors import DependentInput, NotAComplex
+from fanhodge.fixtures import p1xp1_strata
 from fanhodge.linalg import (
     Matrix,
+    SparseMatrix,
     coordinate_forms,
     det,
+    invariant_factors,
     inverse,
     rank,
     rational_kernel_basis,
 )
+from fanhodge.weight_ss import (
+    StrataComplex,
+    bidegree_complex,
+    signed_gysin_matrix,
+    strata_complex_from_dict,
+    strata_complex_to_dict,
+)
+from test_weight_ss import annotated_hilbert_window
 
 SEEDED = settings(max_examples=150, deadline=None, derandomize=True)
 
@@ -41,6 +64,19 @@ def assert_same_as_dense(m: Matrix) -> None:
             inverse(m)
     else:
         assert inverse(m) == dense_inverse(m)
+
+
+def assert_sparse_same_as_dense(m: SparseMatrix) -> None:
+    """A chain map against the oracle on its dense copy; invariant factors
+    only for integer maps, and a rational one must be refused."""
+    dense = m.to_matrix()
+    assert rank(m) == dense_rank(dense)
+    assert rational_kernel_basis(m) == dense_kernel_basis(dense)
+    if dense.is_integer():
+        assert invariant_factors(m) == dense_invariant_factors(dense)
+    else:
+        with pytest.raises(ValueError, match="integer matrix"):
+            invariant_factors(m)
 
 
 @st.composite
@@ -70,7 +106,7 @@ def rational_matrices(draw, max_dim=12):
 @given(rational_matrices())
 def test_rational_matrices_match_dense_core(m):
     assert_same_as_dense(m)
-    assert_same_as_dense(m.transpose())
+    assert_same_as_dense(transpose(m))
 
 
 def circle_boundary(rng, n):
@@ -108,16 +144,68 @@ def test_random_2_complex_boundaries_match_dense_core(vertices, triangles, seed)
     # at most 3 * 66 = 198 edges, so both maps are at most 200 x 200
     boundary = random_2_complex_boundaries(random.Random(seed), vertices, triangles)
     for d in (1, 2):
-        assert_same_as_dense(boundary[d])
-    assert (boundary[1] * boundary[2]).is_zero()
+        assert_sparse_same_as_dense(boundary[d])
+    assert matmul(boundary[1].to_matrix(), boundary[2].to_matrix()).is_zero()
 
 
 def test_largest_2_complex_boundary_matches_dense_core():
     rng = random.Random(20261018)
     m = random_2_complex_boundaries(rng, 40, 66)[2]
     assert m.rows > 150 and m.cols > 60
-    assert_same_as_dense(m)
-    assert_same_as_dense(m.transpose())
+    assert_sparse_same_as_dense(m)
+    assert_same_as_dense(m.to_matrix())
+    assert_same_as_dense(transpose(m.to_matrix()))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_annotated_hilbert_maps_match_dense_core(d):
+    sc = annotated_hilbert_window(10, d)
+    maps = [bidegree_complex(sc, P, Q).maps[1:] for P in range(5) for Q in range(5)]
+    assert sum(map(len, maps)) > 0
+    for m in (signed_gysin_matrix(sc), *(m for ms in maps for m in ms)):
+        assert_sparse_same_as_dense(m)
+
+
+def test_rational_gysin_maps_match_dense_core():
+    # a point's two Gysin entries scaled alike keep d1 o d1 = 0
+    data = strata_complex_to_dict(p1xp1_strata())
+    for g in data["gysin"]:
+        g["matrix"] = {"P01": [["1/2"]], "P12": [["-3/2"]]}.get(g["src"], g["matrix"])
+    sc = strata_complex_from_dict(data)
+    assert any(type(x) is Fraction for m in bidegree_complex(sc, 2, 2).maps
+               for row in m.to_matrix().to_lists() for x in row)
+    for P, Q in ((1, 1), (2, 2)):
+        for m in bidegree_complex(sc, P, Q).maps[1:]:
+            assert_sparse_same_as_dense(m)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_one_flipped_boundary_sign_is_not_a_complex(seed):
+    # every edge lies in a triangle, so one flipped sign in either map
+    # leaves a nonzero in boundary 1 o boundary 2
+    rng = random.Random(seed)
+    cc = boundary_matrices(from_top_simplices(sorted(
+        {tuple(sorted(rng.sample(range(9), 3))) for _ in range(12)})))
+    for d in (1, 2):
+        rows = cc.boundary[d].to_matrix().to_lists()
+        i, j = rng.choice([(i, j) for i, row in enumerate(rows) for j, x in enumerate(row) if x])
+        rows[i][j] = -rows[i][j]
+        maps = list(cc.boundary)
+        maps[d] = sparse(Matrix(rows, cols=cc.dims[d]))
+        with pytest.raises(NotAComplex):
+            ChainComplexQ(cc.dims, tuple(maps))
+
+
+def test_one_flipped_gysin_sign_is_not_a_complex():
+    sc = p1xp1_strata()
+    flips = [key for key, _ in sc.gysin if key[0].startswith("P")]
+    assert len(flips) == 8
+    for key in flips:
+        gysin = dict(sc.gysin)
+        gysin[key] = Matrix([[-1]])
+        broken = StrataComplex(sc.n, sc.components, sc.strata, gysin)
+        with pytest.raises(NotAComplex):
+            bidegree_complex(broken, 2, 2)
 
 
 def in_cone_by_solve(rays, v):
