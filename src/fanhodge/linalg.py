@@ -91,10 +91,6 @@ class Matrix:
         )
 
     @staticmethod
-    def zeros(rows: int, cols: int) -> "Matrix":
-        return Matrix([[0] * cols for _ in range(rows)], cols=cols)
-
-    @staticmethod
     def from_columns(columns: Sequence[Sequence[Entry]]) -> "Matrix":
         if not columns:
             raise ValueError("need at least one column")
@@ -121,9 +117,6 @@ class Matrix:
     @property
     def shape(self) -> tuple[int, int]:
         return (self.rows, self.cols)
-
-    def is_zero(self) -> bool:
-        return all(x == 0 for row in self._d for x in row)
 
     def is_integer(self) -> bool:
         return all(

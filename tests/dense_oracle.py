@@ -8,9 +8,9 @@ same reduced row echelon form.  ``solve`` lives only here: the tests use it
 as the cone-membership oracle for ``coordinate_forms``.  ``apply_matrix``,
 a matrix-vector product that also takes ``Fraction`` entries, lives only
 here too: the subdivision oracles map rays with it, where the library uses
-integer rows.  So do ``matmul`` and ``transpose``: the library's chain maps
-are ``SparseMatrix`` values, and the tests multiply them densely through
-``to_matrix()``; ``sparse`` goes the other way.
+integer rows.  So do ``matmul``, ``transpose``, ``zeros`` and ``is_zero``:
+the library's chain maps are ``SparseMatrix`` values, and the tests multiply
+them densely through ``to_matrix()``; ``sparse`` goes the other way.
 """
 
 from __future__ import annotations
@@ -37,6 +37,14 @@ def matmul(a: Matrix, b: Matrix | Entry) -> Matrix:
 
 def transpose(m: Matrix) -> Matrix:
     return Matrix(list(zip(*m.to_lists())), cols=m.rows)
+
+
+def zeros(rows: int, cols: int) -> Matrix:
+    return Matrix([[0] * cols for _ in range(rows)], cols=cols)
+
+
+def is_zero(m: Matrix) -> bool:
+    return all(x == 0 for row in m.to_lists() for x in row)
 
 
 def sparse(m: Matrix) -> SparseMatrix:
@@ -111,7 +119,7 @@ def dense_kernel_basis(m: Matrix) -> Matrix:
             v[p] = -Fraction(rows[r][f], rows[r][p])
         basis_cols.append(v)
     if not basis_cols:
-        return Matrix.zeros(m.cols, 0)
+        return zeros(m.cols, 0)
     return Matrix.from_columns(basis_cols)
 
 

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from fanhodge.delta_complex import boundary_matrices, integral_homology, quotient_delta_complex
 from fanhodge.fans import fan_system_from_dict, smooth_subdivide, two_division_subdivide
 from fanhodge.linalg import Matrix, det, invariant_factors, rank, smith_normal_form
-from dense_oracle import matmul
+from dense_oracle import matmul, zeros
 
 
 def snf_factors(m):
@@ -157,9 +157,9 @@ def test_extended_gcd_must_keep_a_dividing_pivot():
 
 
 def test_known_shapes():
-    assert invariant_factors(Matrix.zeros(0, 3)) == []
-    assert invariant_factors(Matrix.zeros(3, 0)) == []
-    assert invariant_factors(Matrix.zeros(2, 2)) == []
+    assert invariant_factors(zeros(0, 3)) == []
+    assert invariant_factors(zeros(3, 0)) == []
+    assert invariant_factors(zeros(2, 2)) == []
     assert invariant_factors(Matrix([[6, 4], [4, 6]])) == [2, 10]
     assert invariant_factors(Matrix([[Fraction(4), 2.0], [True, 0]])) == [1, 2]
 

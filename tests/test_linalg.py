@@ -17,7 +17,7 @@ from fanhodge.linalg import (
     rational_kernel_basis,
     smith_normal_form,
 )
-from dense_oracle import matmul, solve
+from dense_oracle import is_zero, matmul, solve, zeros
 
 
 def oracle_rref(rows):
@@ -90,7 +90,7 @@ def test_kernel_basis_is_annihilated_and_spans():
         k = rational_kernel_basis(m)
         assert k.cols == m.cols - rank(m)
         if k.cols:
-            assert matmul(m, k).is_zero()
+            assert is_zero(matmul(m, k))
             assert rank(k) == k.cols
 
 
@@ -137,9 +137,9 @@ def test_solve_and_inverse_round_trip():
 
 
 def test_empty_matrices():
-    assert rank(Matrix.zeros(0, 0)) == 0
+    assert rank(zeros(0, 0)) == 0
     assert det(Matrix.identity(0)) == 1
-    assert rational_kernel_basis(Matrix.zeros(0, 3)) == Matrix.identity(3)
+    assert rational_kernel_basis(zeros(0, 3)) == Matrix.identity(3)
 
 
 def assert_exact(got, expected):
@@ -173,7 +173,7 @@ def check_against_oracle(rows, b):
                 v[p] = -rref[r][f]
             kernel.append(v)
     expected_kernel = (
-        Matrix.from_columns(kernel) if kernel else Matrix.zeros(ncols, 0)
+        Matrix.from_columns(kernel) if kernel else zeros(ncols, 0)
     )
     assert_exact(rational_kernel_basis(m), expected_kernel)
 
