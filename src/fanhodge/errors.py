@@ -1,6 +1,8 @@
 """Exception types shared across the package, and the JSON type checks
 whose ValueError names the path of a malformed value."""
 
+from operator import countOf
+
 
 class FanhodgeError(Exception):
     """Base class for all package-specific errors."""
@@ -81,10 +83,13 @@ def member(obj: dict, key: str, kind: type, *path):
 def expect_rows(rows, *path) -> int:
     """The column count of ``rows``, a list of lists of equal length, else
     a ValueError that names the path of the first bad row."""
-    for i, row in enumerate(expect(rows, list, *path)):
-        if type(row) is not list or len(row) != len(rows[0]):
-            expect(row, list, *path, i)
-            raise ValueError(
-                f"{json_path(*path, i)}: expected {len(rows[0])} entries, got {len(row)}"
-            )
+    if (type(rows) is not list or countOf(map(type, rows), list) != len(rows)
+            or len(set(map(len, rows))) > 1):
+        # some check failed: find the first bad row, for the message
+        for i, row in enumerate(expect(rows, list, *path)):
+            if type(row) is not list or len(row) != len(rows[0]):
+                expect(row, list, *path, i)
+                raise ValueError(
+                    f"{json_path(*path, i)}: expected {len(rows[0])} entries, got {len(row)}"
+                )
     return len(rows[0]) if rows else 0

@@ -64,10 +64,10 @@ class Matrix:
     __slots__ = ("rows", "cols", "_d")
 
     def __init__(self, entries: Sequence[Sequence[Entry]], cols: int | None = None):
-        data = tuple(tuple(row) for row in entries)
+        data = tuple(map(tuple, entries))
         if data:
             ncols = len(data[0])
-            if any(len(row) != ncols for row in data):
+            if len(set(map(len, data))) > 1:
                 raise ValueError("ragged rows")
         else:
             if cols is None:

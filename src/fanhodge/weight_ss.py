@@ -10,17 +10,23 @@ A stratum with index set I of size m lives in codimension m; the ambient
 space itself is the unique stratum with empty index set.  Several strata
 may share one index set (disconnected intersections).
 
-Each ``StrataComplex`` indexes itself once, on first use: strata by id and
-by codimension, the Gysin blocks by key, and each stratum's codimension-1
-facets, found by index-set lookup, with the sign of the omitted component.
-Like ``FanSystem``'s cache, these lookups are not dataclass fields, so they
-never change equality, hashing or the JSON form.  A bidegree complex is
-assembled from the nonzero Gysin entries only, into ``SparseMatrix`` rows
-on which d1 o d1 = 0 is checked and which go as they are to the sparse
-elimination core of ``linalg``, so E1/d1/E2 and the F^n filtration cost in
-proportion to the nonzeros.  Gysin blocks and kernel bases stay dense
-``Matrix`` values.  Integral Gysin entries stay ints; only "p/q" strings in
-the JSON form become Fractions.
+Each ``StrataComplex`` indexes itself once: strata by id and the Gysin
+blocks by key as it validates itself, and on first use strata by
+codimension and each stratum's codimension-1 facets, found by index-set
+lookup, with the sign of the omitted component.  Like ``FanSystem``'s
+cache, these lookups are not dataclass fields, so they never change
+equality, hashing or the JSON form.  A bidegree complex is assembled from
+the nonzero Gysin entries only, into ``SparseMatrix`` rows on which
+d1 o d1 = 0 is checked and which go as they are to the sparse elimination
+core of ``linalg``, so E1/d1/E2 and the F^n filtration cost in proportion
+to the nonzeros.  Gysin blocks and kernel bases stay dense ``Matrix`` values.
+
+The JSON loader reads a document in one validating pass and formats a
+message only for a check that fails.  Within one document, equal Hodge
+tables and equal integer Gysin blocks are built once and shared (both are
+immutable): a repeat is type-checked and looked up, not built again.  A
+degree or a Gysin block given twice is an error.  Integral Gysin entries
+stay ints; only "p/q" strings become Fractions.
 """
 
 from __future__ import annotations
@@ -29,6 +35,8 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import chain
+from operator import countOf
 from typing import Mapping, Sequence
 
 from .errors import NotAComplex, SncConditionViolated, expect, expect_rows, json_path, member
@@ -91,22 +99,26 @@ class StrataComplex:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "components", tuple(components))
         object.__setattr__(self, "strata", tuple(strata))
-        object.__setattr__(self, "gysin", tuple(sorted(dict(gysin).items())))
+        object.__setattr__(self, "_gysin", dict(gysin))
+        object.__setattr__(self, "gysin", tuple(sorted(self._gysin.items())))
         self._validate()
 
     def _validate(self):
+        """Check the strata, then the Gysin blocks in key order; stores the
+        id lookup it builds.  A message is formatted only for a failure."""
         comp = set(self.components)
         if len(comp) != len(self.components):
             raise ValueError("duplicate component labels")
-        ids = {}
+        by_id, members = {}, {}  # members: the index set of each id, as a set
         for s in self.strata:
-            if s.id in ids:
+            if s.id in by_id:
                 raise ValueError(f"duplicate stratum id {s.id!r}")
-            ids[s.id] = s
-            if list(s.index_set) != sorted(set(s.index_set)):
+            by_id[s.id] = s
+            ix = members[s.id] = set(s.index_set)
+            if list(s.index_set) != sorted(ix):
                 raise ValueError(f"index set of {s.id!r} not sorted/distinct")
-            if not set(s.index_set) <= comp:
-                unknown = min(set(s.index_set) - comp)
+            if not ix <= comp:
+                unknown = min(ix - comp)
                 raise ValueError(f"unknown component {unknown!r} in {s.id!r}")
             m = s.codim
             for deg, hs in s.cohomology:
@@ -118,25 +130,22 @@ class StrataComplex:
                     raise ValueError(
                         f"stratum {s.id!r} degree {deg} carries weight {hs.weight}"
                     )
-        for (src, dst, deg, p, q), m in dict(self.gysin).items():
-            block = f"gysin {src!r}->{dst!r} deg {deg} ({p},{q})"
-            if src not in ids or dst not in ids:
-                raise ValueError(f"{block}: unknown stratum")
-            s, t = ids[src], ids[dst]
-            if p + q != deg:
-                raise ValueError(f"{block}: bidegree does not match degree")
-            omitted = set(s.index_set) - set(t.index_set)
-            if len(t.index_set) != s.codim - 1 or len(omitted) != 1:
-                raise ValueError(f"{block}: not a codimension-1 inclusion")
-            want = (t.h(deg + 2, p + 1, q + 1), s.h(deg, p, q))
-            if m.shape != want:
-                raise ValueError(f"{block}: shape {m.shape}, declared dims {want}")
+        object.__setattr__(self, "_by_id", by_id)
+        for (src, dst, deg, p, q), m in self.gysin:
+            s, t = by_id.get(src), by_id.get(dst)
+            if s is None or t is None:
+                problem = "unknown stratum"
+            elif p + q != deg:
+                problem = "bidegree does not match degree"
+            elif len(t.index_set) != s.codim - 1 or not members[dst] < members[src]:
+                problem = "not a codimension-1 inclusion"
+            elif m.shape != (want := (t.h(deg + 2, p + 1, q + 1), s.h(deg, p, q))):
+                problem = f"shape {m.shape}, declared dims {want}"
+            else:
+                continue
+            raise ValueError(f"gysin {src!r}->{dst!r} deg {deg} ({p},{q}): {problem}")
 
-    # -- lookups, each built once on first use ---------------------------
-
-    @cached_property
-    def _by_id(self) -> dict[str, Stratum]:
-        return {s.id: s for s in self.strata}
+    # -- lookups: by id and by key built on construction, the rest on first use
 
     @cached_property
     def _by_codim(self) -> dict[int, tuple[Stratum, ...]]:
@@ -144,10 +153,6 @@ class StrataComplex:
         for s in self.strata:
             groups.setdefault(s.codim, []).append(s)
         return {m: tuple(group) for m, group in groups.items()}
-
-    @cached_property
-    def _gysin(self) -> dict[GysinKey, Matrix]:
-        return dict(self.gysin)
 
     @cached_property
     def _facets(self) -> dict[str, tuple[tuple[Stratum, int], ...]]:
@@ -543,16 +548,21 @@ _GYSIN_FIELDS = (("src", str), ("dst", str), ("degree", int), ("p", int), ("q", 
 _GYSIN_TYPES = tuple(kind for _, kind in _GYSIN_FIELDS)
 
 
-def _gysin_matrix_from_json(rows, *path) -> Matrix:
+def _gysin_matrix_from_json(rows, shared: dict, *path) -> Matrix:
     """A rectangular list of rows whose entries are ints, which stay ints,
     or "p/q" strings, which become Fractions; else ValueError naming the
-    path of the first bad value."""
+    path of the first bad value.  An integer block equal to one kept in
+    ``shared`` (hash -> (rows, Matrix)) is that Matrix; keyed by the hash,
+    a new block hashes its rows once."""
     ncols = expect_rows(rows, *path)
+    if countOf(map(type, chain.from_iterable(rows)), int) == len(rows) * ncols:
+        key = tuple(map(tuple, rows))
+        kept = shared.get(h := hash(key))
+        if kept is None or kept[0] != key:
+            kept = shared[h] = key, Matrix(key, cols=ncols)
+        return kept[1]
     out = []
     for i, row in enumerate(rows):
-        if all(type(x) is int for x in row):
-            out.append(row)
-            continue
         entries = []
         for j, x in enumerate(row):
             match = _RATIONAL.fullmatch(x) if type(x) is str else None
@@ -593,28 +603,45 @@ def strata_complex_to_dict(sc: StrataComplex) -> dict:
     }
 
 
+def _hodge_key(hs):
+    """(weight, items of h) of a Hodge table that passes the type checks of
+    ``PureHS.from_dict``, so that equal keys mean equal tables; else None."""
+    if isinstance(hs, dict) and isinstance(h := hs.get("h", {}), dict):
+        if type(w := hs.get("weight")) is int and countOf(map(type, h.values()), int) == len(h):
+            return w, tuple(h.items())
+    return None
+
+
 def strata_complex_from_dict(data: dict) -> StrataComplex:
-    """Read the JSON form.  A value of the wrong JSON type raises a
-    ValueError, and a missing key a KeyError, that names its path."""
+    """Read the JSON form in one validating pass.  A value of the wrong JSON
+    type raises a ValueError, and a missing key a KeyError, that names its
+    path; so does a degree or a Gysin block given twice.  Equal Hodge tables
+    and equal integer Gysin blocks are built once per call and shared."""
     expect(data, dict)
     components = member(data, "components", list)
     for i, c in enumerate(components):
         expect(c, str, "components", i)
+    tables, blocks = {}, {}  # _hodge_key -> PureHS; see _gysin_matrix_from_json
     strata = []
     for i, s in enumerate(member(data, "strata", list)):
         expect(s, dict, "strata", i)
         sid = member(s, "id", str, "strata", i)
         index_set = member(s, "index_set", list, "strata", i)
-        for j, c in enumerate(index_set):
-            expect(c, str, "strata", i, ".index_set", j)
+        if not all(type(c) is str for c in index_set):
+            for j, c in enumerate(index_set):
+                expect(c, str, "strata", i, ".index_set", j)
         cohomology = {}
         for deg, hs in expect(s.get("cohomology", {}), dict, "strata", i, ".cohomology").items():
-            path = f"strata[{i}] (id {sid!r}).cohomology[{deg!r}]"
             try:
                 degree = int(deg)
             except ValueError:
-                raise ValueError(f"{path}: expected an int degree as key") from None
-            cohomology[degree] = PureHS.from_dict(hs, path + ".")
+                raise ValueError(f"{_where(i, sid, deg)}: expected an int degree as key") from None
+            if degree in cohomology:
+                raise ValueError(f"{_where(i, sid, deg)}: degree {degree} given twice")
+            table = tables.get(key := _hodge_key(hs))
+            if table is None:  # from_dict raises on a key of None, so None is never kept
+                table = tables[key] = PureHS.from_dict(hs, _where(i, sid, deg) + ".")
+            cohomology[degree] = table
         strata.append(Stratum(sid, index_set, cohomology))
     gysin = {}
     for k, g in enumerate(expect(data.get("gysin", []), list, "gysin")):
@@ -623,7 +650,9 @@ def strata_complex_from_dict(data: dict) -> StrataComplex:
         if tuple(map(type, key)) != _GYSIN_TYPES:
             for f, kind in _GYSIN_FIELDS:
                 member(g, f, kind, "gysin", k)
-        gysin[key] = _gysin_matrix_from_json(member(g, "matrix", object, "gysin", k),
+        if key in gysin:
+            raise ValueError("gysin[{}]: duplicate block {!r}->{!r} deg {} ({},{})".format(k, *key))
+        gysin[key] = _gysin_matrix_from_json(member(g, "matrix", object, "gysin", k), blocks,
                                              "gysin", k, ".matrix")
     return StrataComplex(
         n=member(data, "n", int),
@@ -631,3 +660,8 @@ def strata_complex_from_dict(data: dict) -> StrataComplex:
         strata=strata,
         gysin=gysin,
     )
+
+
+def _where(i: int, sid: str, deg) -> str:
+    """The path of the table of degree key ``deg`` of stratum ``i``."""
+    return f"strata[{i}] (id {sid!r}).cohomology[{deg!r}]"

@@ -307,9 +307,10 @@ def test_spectral_on_a_zero_table_prints_an_empty_table(tmp_path, capsys):
     assert json.loads(out) == {"degree": 1, "graded": []}
 
 
-def _gysin_strata(entry=1, matrix=None):
-    """Codim-1 point X on the curve Y, with one Gysin block X -> Y."""
-    return {
+def _gysin_strata(entry=1, matrix=None, degree_00=None):
+    """Codim-1 point X on the curve Y, with one Gysin block X -> Y; with
+    ``degree_00``, X also has a table h^{0,0} = degree_00 under key "00"."""
+    strata = {
         "n": 1, "components": ["A"],
         "strata": [
             {"id": "Y", "index_set": [], "cohomology": {"2": {"weight": 2, "h": {"1,1": 1}}}},
@@ -318,6 +319,9 @@ def _gysin_strata(entry=1, matrix=None):
         "gysin": [{"src": "X", "dst": "Y", "degree": 0, "p": 0, "q": 0,
                    "matrix": [[entry]] if matrix is None else matrix}],
     }
+    if degree_00 is not None:
+        strata["strata"][1]["cohomology"]["00"] = {"weight": 0, "h": {"0,0": degree_00}}
+    return strata
 
 
 @pytest.mark.parametrize("command", [["fn-filtration"], ["spectral", "--k", "1"]])
@@ -336,7 +340,11 @@ def _gysin_strata(entry=1, matrix=None):
      (_gysin_strata(entry="1/0"),
       "gysin[0].matrix[0][0]: expected an int or a 'p/q' string, got '1/0'"),
      ({"n": 1, "components": [], "strata": [{"index_set": []}]},
-      "missing key 'strata[0].id'")],
+      "missing key 'strata[0].id'"),
+     # a later block or table used to replace the earlier one
+     ({**_gysin_strata(), "gysin": _gysin_strata()["gysin"] + _gysin_strata(entry=0)["gysin"]},
+      "gysin[1]: duplicate block 'X'->'Y' deg 0 (0,0)"),
+     (_gysin_strata(degree_00=5), "strata[1] (id 'X').cohomology['00']: degree 0 given twice")],
 )
 def test_malformed_strata_json_names_the_path(tmp_path, capsys, command, strata, message):
     p = tmp_path / "strata.json"

@@ -1,5 +1,10 @@
 """Fuzz the three JSON loaders with mutated valid documents.
 
+The strata documents include an annotated window, whose repeated Hodge
+tables and Gysin blocks the loader shares; on every strata case the loader
+must also agree with the reference loader of ``loader_oracle``: an equal
+complex, or the same exception type and message.
+
 Each case starts from a valid document, then replaces one or two values by
 values of another JSON type (an object inside a list by a non-object, say),
 or deletes one or two keys; no value is mutated twice.  Keys of the ``cohomology`` and ``h`` tables
@@ -21,7 +26,9 @@ from fanhodge.corank_report import CuspInventory
 from fanhodge.errors import FanhodgeError, json_path
 from fanhodge.fans import fan_system_from_dict
 from fanhodge.fixtures import builtin_fixtures
-from fanhodge.weight_ss import strata_complex_from_dict
+from fanhodge.weight_ss import strata_complex_from_dict, strata_complex_to_dict
+from test_strata_loader import assert_same_as_reference
+from test_weight_ss import annotated_hilbert_window
 
 FIXTURES = builtin_fixtures()
 TWO_CUSPS = {
@@ -48,6 +55,9 @@ LOADERS = {
     "fan": (fan_system_from_dict, [FIXTURES["hilbert"], FIXTURES["hilbert_cubed"], TWO_CUSPS]),
     "strata": (strata_complex_from_dict, [FIXTURES["cstar"], FIXTURES["p1xp1"], GYSIN]),
     "inventory": (CuspInventory.from_dict, [INVENTORY]),
+    # repeated Hodge tables and Gysin blocks, which the loader shares
+    "annotated": (strata_complex_from_dict,
+                  [strata_complex_to_dict(annotated_hilbert_window(5, 2))]),
 }
 # seeded, so that every run draws the same cases
 FUZZ = settings(max_examples=150, deadline=None, derandomize=True)
@@ -161,3 +171,16 @@ def test_strata_loader_on_mutated_documents(case):
 @given(mutated("inventory"))
 def test_inventory_loader_on_mutated_documents(case):
     _check(case)
+
+
+@FUZZ
+@given(mutated("strata"))
+def test_strata_loader_matches_the_reference_loader(case):
+    assert_same_as_reference(case[1])
+
+
+@FUZZ
+@given(mutated("annotated"))
+def test_annotated_strata_load_as_in_the_reference_loader(case):
+    _check(case)
+    assert_same_as_reference(case[1])
