@@ -5,6 +5,14 @@ distinct vertices and order-preserving face maps; two simplices may share
 the same vertex set.  Built from a fan window, the d-simplices are the
 orbit classes of (d+1)-dimensional cones and the vertices are ray classes.
 
+The quotient is read from the window's face index (``fans._FanIndex``):
+the orbit classes of each dimension come in the order of their least
+members from one sort of that dimension's faces, a simplex orders its
+rep's rays by vertex once, and each face is one dict lookup of that key
+with one ray deleted.  ``DeltaComplex`` checks a level of dimension >= 1
+at once, against the ordered subsets of each vertex tuple, and a level
+that fails one simplex at a time, which names the fault.
+
 Boundary maps are ``SparseMatrix`` rows written straight from the simplex
 faces.  Rational Betti numbers come from exact ranks of the boundary maps,
 each ranked once; integral homology takes the invariant factors of each
@@ -20,8 +28,8 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import NotAComplex, NotEquidimensional, SncConditionViolated
-from .fans import FanSystem, check_snc_condition, cone_orbit_classes, ray_class_index
-from .linalg import Matrix, SparseMatrix, invariant_factors, rank
+from .fans import Face, FanSystem, check_snc_condition
+from .linalg import SparseMatrix, invariant_factors, rank
 
 
 @dataclass(frozen=True)
@@ -39,6 +47,8 @@ class DeltaComplex:
 
     def __post_init__(self):
         for d, level in enumerate(self.simplices):
+            if d and self._level_ok(d):
+                continue
             for i, s in enumerate(level):
                 if s.id != i:
                     raise ValueError("simplex ids must be positional")
@@ -59,6 +69,23 @@ class DeltaComplex:
                         raise ValueError(
                             f"face {fid} of simplex {s.id} (dim {d}) has wrong vertices"
                         )
+
+    def _level_ok(self, d: int) -> bool:
+        """Level d >= 1 at once: positional ids, d + 1 vertices, and face t
+        of each simplex is its vertex tuple without vertex t.  The vertices
+        of a level-(d-1) simplex are checked ascending, so from d = 2 on so
+        are these.  A level that fails is checked one simplex at a time,
+        which names the first fault."""
+        below = tuple(s.vertices for s in self.simplices[d - 1])
+        try:
+            return all(
+                s.id == i and len(s.vertices) == d + 1 and (d > 1 or s.vertices[0] < s.vertices[1])
+                and tuple(map(below.__getitem__, reversed(s.faces)))
+                == tuple(itertools.combinations(s.vertices, d))
+                for i, s in enumerate(self.simplices[d])
+            )
+        except (IndexError, TypeError):
+            return False
 
     @property
     def dim(self) -> int:
@@ -123,64 +150,51 @@ def quotient_delta_complex(fs: FanSystem, cusp: str) -> DeltaComplex:
     """Quotient complex of the fan at one cusp: simplices = cone orbit classes.
 
     d-simplices are orbit classes of (d+1)-dimensional cones reachable from
-    the given cusp; vertices are ray classes in their global order.
+    the given cusp, in the order of their least members; vertices are ray
+    classes in their global order.  Read from the window's face index: a
+    simplex's rays are ordered by vertex once, and the face omitting vertex
+    t is found by deleting ray t from that class-ordered key.
     """
     report = check_snc_condition(fs)
     if not report.ok:
         raise SncConditionViolated(f"{len(report.violations)} violating cone(s)")
-    rci = ray_class_index(fs)
     max_dim = max((c.dim() for c in fs.cones if c.cusp == cusp), default=0)
     if max_dim == 0:
         raise ValueError(f"no cones on cusp {cusp!r}")
+    index = fs._index
+    on_cusp = index.ids[cusp].values()  # the contiguous ray ids of the cusp
+    lo, hi = min(on_cusp), max(on_cusp)
 
-    # orbit classes per cone dimension, restricted to classes touching cusp
-    classes: dict[int, list[list]] = {}
-    class_of_key: dict[int, dict] = {}
-    for d in range(1, max_dim + 1):
-        kept = [
-            cls
-            for cls in cone_orbit_classes(fs, d)
-            if any(key[0] == cusp for key in cls)
-        ]
-        classes[d] = kept
-        class_of_key[d] = {key: i for i, cls in enumerate(kept) for key in cls}
+    def kept(d: int):
+        """The orbit classes of d-cones that touch the cusp."""
+        if hi - lo + 1 == len(index.rays):  # the cusp holds every ray
+            return index.orbits(d)
+        return [cls for cls in index.orbits(d) if any(lo <= f[0] <= hi for f in cls)]
 
     # vertex order: ascending global ray class index
-    vertex_class = []
-    for cls in classes[1]:
-        key = cls[0]
-        vertex_class.append(rci[(key[0], key[1][0])])
-    order = sorted(range(len(vertex_class)), key=lambda i: vertex_class[i])
-    vid_of_rayclass = {
-        vertex_class[i]: rank_ for rank_, i in enumerate(order)
-    }
+    ray_class = index.ray_class
+    vertex_classes = sorted(ray_class[cls[0][0]] for cls in kept(1))
+    vid_of_class = {c: v for v, c in enumerate(vertex_classes)}
+    vid = [vid_of_class.get(c) for c in ray_class]
+    by_vertex = vid.__getitem__
+    plain = vid == list(range(len(vid)))  # every ray is its own vertex, in ray order
 
-    levels: list[list[Simplex]] = [[] for _ in range(max_dim)]
-    simplex_id: dict[tuple[int, int], int] = {}  # (cone dim, class idx) -> id
+    levels: list[tuple[Simplex, ...]] = []
+    face_id: dict[Face, int] = {}  # class-ordered key of a (d-1)-face -> simplex id
     for d in range(1, max_dim + 1):
-        for ci, cls in enumerate(classes[d]):
-            key = cls[0]
-            kcusp, rays = key
-            ray_cls = [rci[(kcusp, r)] for r in rays]
-            if len(set(ray_cls)) != len(ray_cls):
-                raise SncConditionViolated(f"cone {key} has repeated ray classes")
-            ordered = sorted(zip(ray_cls, rays))
-            vertices = tuple(vid_of_rayclass[rc] for rc, _ in ordered)
+        level, ids = [], {}
+        for sid, cls in enumerate(kept(d)):
+            key = cls[0] if plain else tuple(sorted(cls[0], key=by_vertex))
             faces = ()
-            if d > 1:
-                face_ids = []
-                for t in range(d):
-                    sub = tuple(
-                        sorted(r for s, (_, r) in enumerate(ordered) if s != t)
-                    )
-                    face_ids.append(
-                        simplex_id[(d - 1, class_of_key[d - 1][(kcusp, sub)])]
-                    )
-                faces = tuple(face_ids)
-            sid = len(levels[d - 1])
-            simplex_id[(d, ci)] = sid
-            levels[d - 1].append(Simplex(sid, vertices, faces))
-    return DeltaComplex(tuple(tuple(level) for level in levels))
+            if d > 1:  # the (d-1)-subsets of key come omitting its last ray first
+                faces = tuple(map(face_id.__getitem__, itertools.combinations(key, d - 1)))[::-1]
+            level.append(Simplex(sid, key if plain else tuple(map(by_vertex, key)), faces))
+            ids[key] = sid
+            for other in cls[1:]:
+                ids[tuple(sorted(other, key=by_vertex))] = sid
+        levels.append(tuple(level))
+        face_id = ids
+    return DeltaComplex(tuple(levels))
 
 
 @dataclass(frozen=True)
@@ -320,29 +334,6 @@ def pseudomanifold_report(dc: DeltaComplex) -> PseudomanifoldReport:
     return PseudomanifoldReport(True, True, fclass)
 
 
-def fundamental_class_vector(dc: DeltaComplex) -> Matrix:
-    """Fundamental class as a column vector; raises if the complex lacks one."""
-    rep = pseudomanifold_report(dc)
-    if rep.fundamental_class is None:
-        raise ValueError("complex is not a closed oriented pseudomanifold")
-    return Matrix([[s] for _, s in rep.fundamental_class], cols=1)
-
-
-def collapse_map(dc: DeltaComplex) -> dict[int, dict[int, int]]:
-    """Map to the simplicial collapse: simplices with equal vertex sets merge.
-
-    Returns per dimension a map from simplex id to collapsed index (indices
-    are positions in the sorted list of distinct vertex tuples).  Bijective
-    on vertices by construction.
-    """
-    out: dict[int, dict[int, int]] = {}
-    for d in range(dc.dim + 1):
-        keys = sorted({s.vertices for s in dc.simplices[d]})
-        index = {k: i for i, k in enumerate(keys)}
-        out[d] = {s.id: index[s.vertices] for s in dc.simplices[d]}
-    return out
-
-
 # -- JSON ---------------------------------------------------------------------
 
 
@@ -372,7 +363,5 @@ __all__ = [
     "integral_homology",
     "PseudomanifoldReport",
     "pseudomanifold_report",
-    "fundamental_class_vector",
-    "collapse_map",
     "homology_report",
 ]

@@ -8,23 +8,30 @@ the window; an undersized window can under-merge classes (documented
 limitation, window length is user input).
 
 Each ``FanSystem`` computes its combinatorial structure at most once, on
-first use: the face registry, the window rays of each cusp, the directed
-ray maps (each inverse computed once) with the images of the window rays,
-the face pairings, the ray classes and the cone orbit classes of each
-dimension.  Every query reads from it.  The cache is not a dataclass field,
-so it never changes equality, hashing or the JSON form, and public queries
-return fresh containers so callers cannot alter it.
+first use, in one face index (``_FanIndex``): window rays numbered in
+(cusp, ray) order, the faces of each dimension as sorted ray-id tuples,
+built when that dimension is first asked for, a ray -> cones incidence,
+the directed ray maps with the images of the window rays (an inverse's
+read backwards from the forward ones; its integer rows are computed once,
+for a subdivision only), the face pairings, the ray classes and the cone
+orbit classes of each dimension.  A map's pairings visit only the faces of
+cones holding a ray of its domain, and the DSUs hold only the rays and
+faces that a map or pairing touches.  Every query reads from it.  The
+cache is not a dataclass field, so it never changes equality, hashing or
+the JSON form, and public queries return fresh containers so callers
+cannot alter it.
 
 The two subdivisions do not rebuild a ``FanSystem`` per step.  Each works
 on one mutable local state, ``_LocalFan``: the cone set, a (cusp, ray) ->
 cones incidence and the directed integer ray maps taken from the input's
-index.  A face exists iff the incidence sets of its rays intersect, a face
-orbit is walked through the maps, and a step touches only the cones that
-contain a face of the orbit.  Each cone a step leaves in the fan is
-validated once (ray length, primitivity, independence); in the stellar
-loop a full-dimensional cone is validated by the one determinant that also
-answers whether it is smooth.  One ``FanSystem`` is built at the end from
-the input's cusps and identifications without checking them again.
+index, with the ray images it computed.  A face exists iff the incidence
+sets of its rays intersect, a face orbit is walked through the maps, and a
+step touches only the cones that contain a face of the orbit.  Each cone a
+step leaves in the fan is validated once (ray length, primitivity,
+independence); in the stellar loop a full-dimensional cone is validated by
+the one determinant that also answers whether it is smooth.  One
+``FanSystem`` is built at the end from the input's cusps and
+identifications without checking them again.
 
 The lattice work reads the ray matrix B of a cone.  A full-dimensional
 cone is independent iff det B != 0 and smooth iff det B = +-1, read by the
@@ -229,30 +236,37 @@ def _mat_vec(rows: list[list[int]], v: Ray) -> Ray:
     return tuple([sum(map(mul, row, v)) for row in rows])
 
 
-class _DSU:
-    def __init__(self, items):
-        self.parent = {x: x for x in items}
+class _DSU(dict):
+    """Union-find over the items some union touched, which are its keys;
+    every other item is its own class.  A class's root is its least member."""
 
     def find(self, x):
-        while self.parent[x] != x:
-            self.parent[x] = self.parent[self.parent[x]]
-            x = self.parent[x]
+        while (up := self.get(x, x)) != x:
+            self[x] = x = self.get(up, up)  # halve the path
         return x
 
     def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[max(ra, rb)] = min(ra, rb)
+        lo, hi = sorted((self.find(a), self.find(b)))
+        self[hi] = lo
+        self.setdefault(lo, lo)
 
-    def classes(self) -> list[list]:
-        groups: dict = {}
-        for x in self.parent:
-            groups.setdefault(self.find(x), []).append(x)
-        return [sorted(g) for g in sorted(groups.values(), key=min)]
+
+Face = tuple[int, ...]  # ascending ray ids
 
 
 class _FanIndex:
-    """Combinatorial structure of one FanSystem, each part built on first use.
+    """The face index of one FanSystem, each part built on first use.
+
+    Window rays are numbered in (cusp, ray) order, so a face is the tuple of
+    its ascending ray ids, and tuples of one length sort as their (cusp,
+    sorted rays) keys do.  The faces of one dimension are built when first
+    asked for, from the cones' ray-id tuples, and sorted once.  ``holders``
+    maps each ray to the cones holding it: the pairings of a ray map visit
+    only the faces of cones that hold a ray of the map's domain (the rays
+    whose image is in the target window), and an image is a face iff the
+    holders of its rays intersect.  The ray-class and orbit DSUs hold only
+    the rays and faces that some map or pairing touches; every other one is
+    its own class, placed by the one sort of its dimension.
 
     Holds the window's fields rather than the FanSystem itself, so no
     reference cycle keeps intermediate subdivisions alive.
@@ -262,106 +276,136 @@ class _FanIndex:
         self._cusps = fs.cusps
         self._cones = fs.cones
         self._identifications = fs.identifications
-        self._orbits: dict[int, tuple[tuple[FaceKey, ...], ...]] = {}
+        windows: dict[str, set[Ray]] = {c.name: set() for c in fs.cusps}
+        for cone in fs.cones:
+            windows[cone.cusp].update(cone.rays)
+        self.rays = [(name, ray) for name in sorted(windows) for ray in sorted(windows[name])]
+        self.ids: dict[str, dict[Ray, int]] = {name: {} for name in windows}
+        for i, (name, ray) in enumerate(self.rays):
+            self.ids[name][ray] = i
+        self._faces: dict[int, list[Face]] = {}
+        self._orbits: dict[int, list[Sequence[Face]]] = {}
+
+    def key(self, face: Face) -> FaceKey:
+        return (self.rays[face[0]][0], tuple(self.rays[r][1] for r in face))
 
     @cached_property
-    def windows(self) -> dict[str, frozenset[Ray]]:
-        rays: dict[str, set[Ray]] = {c.name: set() for c in self._cusps}
-        for cone in self._cones:
-            rays[cone.cusp].update(cone.rays)
-        return {name: frozenset(r) for name, r in rays.items()}
+    def cones(self) -> tuple[Face, ...]:
+        """The ray ids of each window cone, in cone order."""
+        return tuple(tuple(map(self.ids[c.cusp].__getitem__, c.rays)) for c in self._cones)
 
     @cached_property
-    def faces(self) -> dict[int, tuple[FaceKey, ...]]:
-        """All faces of window cones, per dimension, sorted; dim 0 omitted."""
-        by_dim: dict[int, set[FaceKey]] = {}
-        for cone in self._cones:
-            for d in range(1, cone.dim() + 1):
-                for subset in itertools.combinations(cone.rays, d):
-                    by_dim.setdefault(d, set()).add((cone.cusp, subset))
-        return {d: tuple(sorted(keys)) for d, keys in by_dim.items()}
+    def holders(self) -> list[set[int]]:
+        """The positions of the cones holding each ray."""
+        out: list[set[int]] = [set() for _ in self.rays]
+        for i, cone in enumerate(self.cones):
+            for r in cone:
+                out[r].add(i)
+        return out
+
+    def faces(self, dim: int) -> list[Face]:
+        """The dim-faces of window cones, sorted."""
+        if dim not in self._faces:
+            found: set[Face] = set()
+            for cone in self.cones:
+                if len(cone) >= dim > 0:
+                    found.update(itertools.combinations(cone, dim))
+            self._faces[dim] = sorted(found)
+        return self._faces[dim]
 
     @cached_property
-    def ray_maps(self) -> tuple[tuple[str, str, Matrix, dict[Ray, Ray]], ...]:
-        """Directed ray maps: identifications (both ways) and embeddings.
+    def ray_maps(self) -> tuple[tuple[str, str, dict[int, int], dict[Ray, Ray]], ...]:
+        """Directed ray maps: each identification both ways, then the
+        embeddings, as (source, target, images, vectors).
 
-        Each comes with the images of those source window rays whose image
-        lies in the target window.
+        ``images`` maps the id of each source window ray whose image lies in
+        the target window to the image's id; ``vectors`` holds the image
+        vectors computed here, of every source window ray.  An inverse reads
+        the forward images backwards, so no inverse matrix is needed here,
+        and its vectors are those of its ``images``.
         """
-        maps = []
-        for ident in self._identifications:
-            maps.append((ident.source, ident.target, ident.matrix))
-            inv = inverse(ident.matrix)
-            maps.append(
-                (ident.target, ident.source,
-                 Matrix([[int(x) for x in row] for row in inv.to_lists()]))
-            )
-        for cusp in self._cusps:
-            for parent, emb in cusp.parent_embeddings:
-                maps.append((cusp.name, parent, emb))
         out = []
-        for src, dst, m in maps:
-            target, rows = self.windows[dst], m.to_lists()
-            images = {}
-            for ray in self.windows[src]:
-                image = _mat_vec(rows, ray)
-                if image in target:
-                    images[ray] = image
-            out.append((src, dst, m, images))
+        for g in self._identifications:
+            images, vectors = self._images(g.source, g.target, g.matrix)
+            out += [(g.source, g.target, images, vectors),
+                    (g.target, g.source, {b: a for a, b in images.items()},
+                     {self.rays[b][1]: self.rays[a][1] for a, b in images.items()})]
+        out += [(c.name, parent, *self._images(c.name, parent, emb))
+                for c in self._cusps for parent, emb in c.parent_embeddings]
         return tuple(out)
 
     @cached_property
-    def ray_classes(self) -> tuple[RayClass, ...]:
-        dsu = _DSU(sorted(
-            (name, ray) for name, rays in self.windows.items() for ray in rays
-        ))
-        for src, dst, _m, images in self.ray_maps:
-            for ray, image in images.items():
-                dsu.union((src, ray), (dst, image))
-        return tuple(
-            RayClass(representative=members[0], members=tuple(members))
-            for members in dsu.classes()
-        )
+    def matrices(self) -> tuple[list[list[int]], ...]:
+        """The integer rows of each ray map, in ``ray_maps`` order; only a
+        subdivision needs them, and each inverse is computed here, once."""
+        out = []
+        for g in self._identifications:
+            out += [g.matrix.to_lists(),
+                    [[int(x) for x in row] for row in inverse(g.matrix).to_lists()]]
+        out += [emb.to_lists() for c in self._cusps for _, emb in c.parent_embeddings]
+        return tuple(out)
+
+    def _images(self, src: str, dst: str, m: Matrix) -> tuple[dict[int, int], dict[Ray, Ray]]:
+        rows, source, target = m.to_lists(), self.ids[src], self.ids[dst]
+        vectors = {ray: _mat_vec(rows, ray) for ray in source}
+        return {source[r]: target[v] for r, v in vectors.items() if v in target}, vectors
 
     @cached_property
-    def ray_class_index(self) -> dict[tuple[str, Ray], int]:
-        return {
-            member: i
-            for i, cls in enumerate(self.ray_classes)
-            for member in cls.members
-        }
+    def ray_class(self) -> list[int]:
+        """The class of each ray id; classes are numbered by least member,
+        which is the first ray of its class in id order."""
+        dsu = _DSU()
+        for _, _, images, _ in self.ray_maps:
+            for a, b in images.items():
+                dsu.union(a, b)
+        number: dict[int, int] = {}
+        return [number.setdefault(dsu.find(r), len(number)) for r in range(len(self.rays))]
 
     @cached_property
-    def pairings(self) -> tuple[tuple[FaceKey, FaceKey, Matrix], ...]:
-        """Directed face-level pairings induced by the ray maps.
+    def pairings(self) -> tuple[tuple[int, Face, Face], ...]:
+        """Directed face pairings (map position, face, image face), by map,
+        then dimension, then face.
 
         A map is *defined* on a face only when every image ray lies in the
         target window; all image rays in the window but no matching face is
         an inconsistent (unsaturated) window.
         """
-        all_keys = {k for keys in self.faces.values() for k in keys}
-        edges = []
-        for src, dst, m, images in self.ray_maps:
-            for keys in self.faces.values():
-                for key in keys:
-                    if key[0] != src or not all(r in images for r in key[1]):
-                        continue
-                    image_key: FaceKey = (dst, tuple(sorted(images[r] for r in key[1])))
-                    if image_key not in all_keys:
+        holders, edges = self.holders, []
+        for i, (_, _, images, _) in enumerate(self.ray_maps):
+            by_dim: dict[int, set[Face]] = {}
+            for c in set().union(*map(holders.__getitem__, images)):
+                support = tuple(filter(images.__contains__, self.cones[c]))
+                for d in range(1, len(support) + 1):
+                    by_dim.setdefault(d, set()).update(itertools.combinations(support, d))
+            for d in sorted(by_dim):
+                for face in sorted(by_dim[d]):
+                    image = tuple(sorted(map(images.__getitem__, face)))
+                    if d > 1 and not set.intersection(*map(holders.__getitem__, image)):
                         raise UnsaturatedWindow(
-                            f"identification maps face {key} to {image_key}, "
-                            "which is not a face of any window cone"
+                            f"identification maps face {self.key(face)} to "
+                            f"{self.key(image)}, which is not a face of any window cone"
                         )
-                    edges.append((key, image_key, m))
+                    edges.append((i, face, image))
         return tuple(edges)
 
-    def orbit_classes(self, dim: int) -> tuple[tuple[FaceKey, ...], ...]:
+    def orbits(self, dim: int) -> list[Sequence[Face]]:
+        """The orbit classes of dim-faces, each sorted, ordered by least
+        member."""
         if dim not in self._orbits:
-            dsu = _DSU(self.faces.get(dim, ()))
-            for src, dst, _m in self.pairings:
-                if len(src[1]) == dim:
-                    dsu.union(src, dst)
-            self._orbits[dim] = tuple(tuple(cls) for cls in dsu.classes())
+            dsu = _DSU()
+            for _, face, image in self.pairings:
+                if len(face) == dim:
+                    dsu.union(face, image)
+            classes: list[Sequence[Face]] = []
+            groups: dict[Face, list[Face]] = {}
+            for f in self.faces(dim):
+                if f not in dsu:
+                    classes.append((f,))
+                elif (root := dsu.find(f)) in groups:
+                    groups[root].append(f)
+                else:
+                    classes.append(groups.setdefault(root, [f]))
+            self._orbits[dim] = classes
         return self._orbits[dim]
 
 
@@ -371,28 +415,34 @@ def ray_classes(fs: FanSystem) -> list[RayClass]:
     Classes are numbered by their smallest member, lexicographic on
     (cusp, coordinates).
     """
-    return list(fs._index.ray_classes)
+    index = fs._index
+    members: dict[int, list[tuple[str, Ray]]] = {}
+    for ray, c in zip(index.rays, index.ray_class):
+        members.setdefault(c, []).append(ray)
+    return [RayClass(m[0], tuple(m)) for m in members.values()]
 
 
 def ray_class_index(fs: FanSystem) -> dict[tuple[str, Ray], int]:
-    return dict(fs._index.ray_class_index)
+    index = fs._index
+    return dict(zip(index.rays, index.ray_class))
 
 
 def cone_orbit_classes(fs: FanSystem, dim: int) -> list[list[FaceKey]]:
     """Orbit classes of dim-dimensional faces of window cones."""
-    return [list(cls) for cls in fs._index.orbit_classes(dim)]
+    index = fs._index
+    return [list(map(index.key, cls)) for cls in index.orbits(dim)]
 
 
 def _check_free_action(fs: FanSystem) -> None:
     """Reject identifications that fix a face while permuting its rays."""
-    for src, dst, m in fs._index.pairings:
-        if src == dst:
-            for ray in src[1]:
-                if _mat_vec(m.to_lists(), ray) != ray:
-                    raise NonFreeAction(
-                        f"identification fixes face {src} with a nontrivial "
-                        "ray permutation"
-                    )
+    index = fs._index
+    for i, face, image in index.pairings:
+        images = index.ray_maps[i][2]
+        if face == image and any(images[r] != r for r in face):
+            raise NonFreeAction(
+                f"identification fixes face {index.key(face)} with a nontrivial "
+                "ray permutation"
+            )
 
 
 # -- smoothness and the SNC condition --------------------------------------
@@ -445,13 +495,17 @@ class SncReport:
 
 
 def check_snc_condition(fs: FanSystem) -> SncReport:
-    """No window cone may have two distinct rays in the same ray class."""
-    index = fs._index.ray_class_index
-    violations = []
-    for cone in fs.cones:
-        for a, b in itertools.combinations(cone.rays, 2):
-            if index[(cone.cusp, a)] == index[(cone.cusp, b)]:
-                violations.append((cone.id, (a, b)))
+    """No window cone may have two distinct rays in the same ray class.
+
+    Read off the ray-id tuples of the cones; the ray pairs are listed only
+    for a cone whose rays do not have distinct classes."""
+    index = fs._index
+    cls = index.ray_class
+    violations = [
+        (cone.id, (a, b)) for cone, ids in zip(fs.cones, index.cones)
+        if len(set(map(cls.__getitem__, ids))) < len(ids)
+        for (a, i), (b, j) in itertools.combinations(zip(cone.rays, ids), 2) if cls[i] == cls[j]
+    ]
     return SncReport(ok=not violations, violations=tuple(violations))
 
 
@@ -465,7 +519,8 @@ class _LocalFan:
     to the cones holding that ray, so the cones holding a face are the
     intersection of its rays' sets, and a ray is in the window while its set
     is nonempty.  The directed ray maps are the input's, as integer rows;
-    each image of a ray is computed once.  An embedding is one-way, so for
+    each image of a ray is computed once, and those the input's index
+    computed are not computed again.  An embedding is one-way, so for
     each one its source rays are also kept by image, to find the faces that
     embed into an orbit.
     """
@@ -474,7 +529,9 @@ class _LocalFan:
         self.ranks = {c.name: c.lattice_rank for c in fs.cusps}
         self.cones: set[FaceKey] = set()
         self.incidence: dict[tuple[str, Ray], set[FaceKey]] = {}
-        self.maps = [(src, dst, m.to_lists(), {}) for src, dst, m, _ in fs._index.ray_maps]
+        index = fs._index
+        self.maps = [(src, dst, rows, dict(vectors))
+                     for (src, dst, _, vectors), rows in zip(index.ray_maps, index.matrices)]
         # ray_maps lists each identification both ways first, then the embeddings
         one_way = range(2 * len(fs.identifications), len(self.maps))
         self.preimages: dict[int, dict[Ray, Ray]] = {i: {} for i in one_way}
@@ -606,7 +663,7 @@ def two_division_subdivide(fs: FanSystem) -> FanSystem:
     state = _LocalFan(fs)
     divisions: list[tuple[FaceKey, Ray]] = []
     divided: set[FaceKey] = set()
-    for face in fs._index.faces.get(2, ()):
+    for face in map(fs._index.key, fs._index.faces(2)):
         if face not in divided:
             a, b = face[1]
             assignment = state.orbit(face, primitivize(tuple(x + y for x, y in zip(a, b))))

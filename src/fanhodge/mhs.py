@@ -63,7 +63,8 @@ class PureHS:
         """Read the JSON form; the weight and every Hodge number must be an
         int (not bool or float), else ValueError names ``path`` and the key;
         a missing weight raises KeyError, and a table the constructor
-        rejects ValueError, naming ``path`` and the key."""
+        rejects ValueError, naming ``path`` and the key.  Two keys that name
+        one (p,q), such as "0,0" and "00,0", raise ValueError naming both."""
         expect(data, dict, path.rstrip("."))
         try:
             weight = data["weight"]
@@ -71,7 +72,7 @@ class PureHS:
             raise KeyError(f"{path}weight") from None
         if type(weight) is not int:
             raise ValueError(f"{path}weight: expected int, got {weight!r}")
-        table = {}
+        table, keys = {}, {}
         for key, d in expect(data.get("h", {}), dict, path, "h").items():
             if type(d) is not int:
                 raise ValueError(f"{path}h[{key!r}]: expected int, got {d!r}")
@@ -79,7 +80,10 @@ class PureHS:
                 p, q = (int(x) for x in key.split(","))
             except (AttributeError, ValueError):
                 raise ValueError(f"{path}h[{key!r}]: expected a key 'p,q' of two ints") from None
+            if (p, q) in keys:
+                raise ValueError(f"{path}h: keys {keys[(p, q)]!r} and {key!r} both name ({p},{q})")
             table[(p, q)] = d
+            keys[(p, q)] = key
         try:
             return PureHS(weight, table)
         except ValueError as exc:

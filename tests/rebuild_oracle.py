@@ -3,29 +3,24 @@
 This was ``fans.two_division_subdivide`` and ``fans.smooth_subdivide`` before
 they kept one local cone state across steps.  Every step here builds a whole
 new ``FanSystem`` (so every cone is validated again) and reads the face
-pairings and orbit classes of that window from its index.  Both versions must
-give equal windows and raise the same error types.
+pairings and orbit classes of that window from the whole-window registry of
+``face_index_oracle``, so neither loop here depends on the library's index.
+Both versions must give equal windows and raise the same error types.
 """
 
 from __future__ import annotations
 
 from fanhodge.errors import NonFreeAction, UnsaturatedWindow
-from fanhodge.fans import (
-    Cone,
-    FanSystem,
-    _check_free_action,
-    _subdivision_point,
-    cone_orbit_classes,
-    is_smooth,
-)
+from fanhodge.fans import Cone, FanSystem, _subdivision_point, is_smooth
 from fanhodge.linalg import primitivize
 from dense_oracle import apply_matrix
+from face_index_oracle import check_free_action, cone_orbit_classes, pairings
 
 
 def _propagate_new_ray(fs, members, rep, w):
     """BFS the new ray through the pairing graph of one orbit class."""
     adjacency = {}
-    for src, dst, m in fs._index.pairings:
+    for src, dst, m in pairings(fs):
         adjacency.setdefault(src, []).append((dst, m))
     assignment = {rep: w}
     queue = [rep]
@@ -58,7 +53,7 @@ def _split_cones_at_wall(cones, face, w):
 
 
 def two_division_subdivide(fs: FanSystem) -> FanSystem:
-    _check_free_action(fs)
+    check_free_action(fs)
     divisions = []
     for members in cone_orbit_classes(fs, 2):
         rep = members[0]
@@ -88,7 +83,7 @@ def _stellar_subdivide(cones, face, w):
 
 
 def smooth_subdivide(fs: FanSystem) -> FanSystem:
-    _check_free_action(fs)
+    check_free_action(fs)
     current = fs
     smooth = {}
     while True:

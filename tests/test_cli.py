@@ -295,6 +295,17 @@ def test_non_integer_hodge_data_exits_2(
     assert err == f"error: strata[0] (id 'Y').cohomology['0'].{message}\n"
 
 
+def test_spectral_rejects_two_keys_for_one_hodge_number(fixture_files, tmp_path, capsys):
+    strata = json.loads(open(fixture_files["p1xp1"]).read())
+    strata["strata"][0]["cohomology"]["0"]["h"] = {"0,0": 1, "00,0": 2}
+    p, out_path = tmp_path / "strata.json", tmp_path / "e2.json"
+    p.write_text(json.dumps(strata))
+    code, out, err = run(capsys, "spectral", str(p), "--k", "2", "-o", str(out_path))
+    assert code == 2 and out == "" and not out_path.exists()
+    assert err == ("error: strata[0] (id 'Y').cohomology['0'].h: "
+                   "keys '0,0' and '00,0' both name (0,0)\n")
+
+
 def test_spectral_on_a_zero_table_prints_an_empty_table(tmp_path, capsys):
     p = tmp_path / "zero.json"
     p.write_text(json.dumps(

@@ -9,9 +9,7 @@ from fanhodge.delta_complex import (
     DeltaComplex,
     Simplex,
     boundary_matrices,
-    collapse_map,
     from_top_simplices,
-    fundamental_class_vector,
     homology_dims,
     integral_homology,
     pseudomanifold_report,
@@ -22,6 +20,7 @@ from fanhodge.fans import hilbert_cusp_window, smooth_subdivide, two_division_su
 from fanhodge.fixtures import hilbert_window, hilbert_window_cubed
 from fanhodge.linalg import Matrix
 from dense_oracle import is_zero, matmul, sparse, zeros
+from face_index_oracle import collapse_map, fundamental_class_vector
 
 
 def two_vertex_circle() -> DeltaComplex:

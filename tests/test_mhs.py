@@ -83,7 +83,11 @@ def test_from_dict_requires_int_hodge_data(data, message):
     [([0], "strata[3]: expected an object, got [0]"),
      ({"weight": 0, "h": [1]}, "strata[3].h: expected an object, got [1]"),
      ({"weight": 0, "h": {"0": 1}}, "strata[3].h['0']: expected a key 'p,q' of two ints"),
-     ({"weight": 0, "h": {"a,b": 1}}, "strata[3].h['a,b']: expected a key 'p,q' of two ints")],
+     ({"weight": 0, "h": {"a,b": 1}}, "strata[3].h['a,b']: expected a key 'p,q' of two ints"),
+     ({"weight": 0, "h": {"0,0": 1, "00,0": 2}},
+      "strata[3].h: keys '0,0' and '00,0' both name (0,0)"),
+     ({"weight": 2, "h": {"1,1": 1, " 1,1": 1}},
+      "strata[3].h: keys '1,1' and ' 1,1' both name (1,1)")],
 )
 def test_from_dict_names_the_path_of_malformed_tables(data, message):
     with pytest.raises(ValueError) as exc:
