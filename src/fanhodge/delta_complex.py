@@ -9,9 +9,8 @@ The quotient is read from the window's face index (``fans._FanIndex``):
 the orbit classes of each dimension come in the order of their least
 members from one sort of that dimension's faces, a simplex orders its
 rep's rays by vertex once, and each face is one dict lookup of that key
-with one ray deleted.  ``DeltaComplex`` checks a level of dimension >= 1
-at once, against the ordered subsets of each vertex tuple, and a level
-that fails one simplex at a time, which names the fault.
+with one ray deleted.  ``DeltaComplex`` checks each simplex's faces
+against the ordered subsets of its vertex tuple.
 
 Boundary maps are ``SparseMatrix`` rows written straight from the simplex
 faces.  Rational Betti numbers come from exact ranks of the boundary maps,
@@ -25,6 +24,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from operator import lt
 from typing import Sequence
 
 from .errors import NotAComplex, NotEquidimensional, SncConditionViolated
@@ -46,15 +46,15 @@ class DeltaComplex:
     simplices: tuple[tuple[Simplex, ...], ...]
 
     def __post_init__(self):
+        below: tuple[tuple[int, ...], ...] = ()  # the vertex tuples of level d - 1
         for d, level in enumerate(self.simplices):
-            if d and self._level_ok(d):
-                continue
             for i, s in enumerate(level):
+                vertices = s.vertices
                 if s.id != i:
                     raise ValueError("simplex ids must be positional")
-                if len(s.vertices) != d + 1:
+                if len(vertices) != d + 1:
                     raise ValueError("vertex count != dimension + 1")
-                if list(s.vertices) != sorted(set(s.vertices)):
+                if not all(map(lt, vertices, vertices[1:])):
                     raise ValueError("vertices must be distinct and ascending")
                 if d == 0:
                     if s.faces != ():
@@ -62,30 +62,15 @@ class DeltaComplex:
                     continue
                 if len(s.faces) != d + 1:
                     raise ValueError("need one face per omitted vertex")
-                for t, fid in enumerate(s.faces):
-                    face = self.simplices[d - 1][fid]
-                    expected = s.vertices[:t] + s.vertices[t + 1:]
-                    if face.vertices != expected:
+                # face t omits vertex t; combinations omit the last vertex first
+                expected = list(itertools.combinations(vertices, d))
+                expected.reverse()
+                for fid, want in zip(s.faces, expected):
+                    if below[fid] != want:
                         raise ValueError(
                             f"face {fid} of simplex {s.id} (dim {d}) has wrong vertices"
                         )
-
-    def _level_ok(self, d: int) -> bool:
-        """Level d >= 1 at once: positional ids, d + 1 vertices, and face t
-        of each simplex is its vertex tuple without vertex t.  The vertices
-        of a level-(d-1) simplex are checked ascending, so from d = 2 on so
-        are these.  A level that fails is checked one simplex at a time,
-        which names the first fault."""
-        below = tuple(s.vertices for s in self.simplices[d - 1])
-        try:
-            return all(
-                s.id == i and len(s.vertices) == d + 1 and (d > 1 or s.vertices[0] < s.vertices[1])
-                and tuple(map(below.__getitem__, reversed(s.faces)))
-                == tuple(itertools.combinations(s.vertices, d))
-                for i, s in enumerate(self.simplices[d])
-            )
-        except (IndexError, TypeError):
-            return False
+            below = tuple(s.vertices for s in level)
 
     @property
     def dim(self) -> int:
@@ -167,8 +152,6 @@ def quotient_delta_complex(fs: FanSystem, cusp: str) -> DeltaComplex:
 
     def kept(d: int):
         """The orbit classes of d-cones that touch the cusp."""
-        if hi - lo + 1 == len(index.rays):  # the cusp holds every ray
-            return index.orbits(d)
         return [cls for cls in index.orbits(d) if any(lo <= f[0] <= hi for f in cls)]
 
     # vertex order: ascending global ray class index
@@ -177,18 +160,17 @@ def quotient_delta_complex(fs: FanSystem, cusp: str) -> DeltaComplex:
     vid_of_class = {c: v for v, c in enumerate(vertex_classes)}
     vid = [vid_of_class.get(c) for c in ray_class]
     by_vertex = vid.__getitem__
-    plain = vid == list(range(len(vid)))  # every ray is its own vertex, in ray order
 
     levels: list[tuple[Simplex, ...]] = []
     face_id: dict[Face, int] = {}  # class-ordered key of a (d-1)-face -> simplex id
     for d in range(1, max_dim + 1):
         level, ids = [], {}
         for sid, cls in enumerate(kept(d)):
-            key = cls[0] if plain else tuple(sorted(cls[0], key=by_vertex))
+            key = tuple(sorted(cls[0], key=by_vertex))
             faces = ()
             if d > 1:  # the (d-1)-subsets of key come omitting its last ray first
                 faces = tuple(map(face_id.__getitem__, itertools.combinations(key, d - 1)))[::-1]
-            level.append(Simplex(sid, key if plain else tuple(map(by_vertex, key)), faces))
+            level.append(Simplex(sid, tuple(map(by_vertex, key)), faces))
             ids[key] = sid
             for other in cls[1:]:
                 ids[tuple(sorted(other, key=by_vertex))] = sid

@@ -24,14 +24,13 @@ cannot alter it.
 The two subdivisions do not rebuild a ``FanSystem`` per step.  Each works
 on one mutable local state, ``_LocalFan``: the cone set, a (cusp, ray) ->
 cones incidence and the directed integer ray maps taken from the input's
-index, with the ray images it computed.  A face exists iff the incidence
-sets of its rays intersect, a face orbit is walked through the maps, and a
-step touches only the cones that contain a face of the orbit.  Each cone a
-step leaves in the fan is validated once (ray length, primitivity,
-independence); in the stellar loop a full-dimensional cone is validated by
-the one determinant that also answers whether it is smooth.  One
-``FanSystem`` is built at the end from the input's cusps and
-identifications without checking them again.
+index.  A face exists iff the incidence sets of its rays intersect, a face
+orbit is walked through the maps, and a step touches only the cones that
+contain a face of the orbit.  Each cone a step leaves in the fan is
+validated once (ray length, primitivity, independence); in the stellar
+loop a full-dimensional cone is validated by the one determinant that also
+answers whether it is smooth.  One ``FanSystem`` is built at the end from
+the input's cusps and identifications without checking them again.
 
 The lattice work reads the ray matrix B of a cone.  A full-dimensional
 cone is independent iff det B != 0 and smooth iff det B = +-1, read by the
@@ -314,23 +313,20 @@ class _FanIndex:
         return self._faces[dim]
 
     @cached_property
-    def ray_maps(self) -> tuple[tuple[str, str, dict[int, int], dict[Ray, Ray]], ...]:
+    def ray_maps(self) -> tuple[tuple[str, str, dict[int, int]], ...]:
         """Directed ray maps: each identification both ways, then the
-        embeddings, as (source, target, images, vectors).
+        embeddings, as (source, target, images).
 
         ``images`` maps the id of each source window ray whose image lies in
-        the target window to the image's id; ``vectors`` holds the image
-        vectors computed here, of every source window ray.  An inverse reads
-        the forward images backwards, so no inverse matrix is needed here,
-        and its vectors are those of its ``images``.
+        the target window to the image's id.  An inverse reads the forward
+        images backwards, so no inverse matrix is needed here.
         """
         out = []
         for g in self._identifications:
-            images, vectors = self._images(g.source, g.target, g.matrix)
-            out += [(g.source, g.target, images, vectors),
-                    (g.target, g.source, {b: a for a, b in images.items()},
-                     {self.rays[b][1]: self.rays[a][1] for a, b in images.items()})]
-        out += [(c.name, parent, *self._images(c.name, parent, emb))
+            images = self._images(g.source, g.target, g.matrix)
+            out += [(g.source, g.target, images),
+                    (g.target, g.source, {b: a for a, b in images.items()})]
+        out += [(c.name, parent, self._images(c.name, parent, emb))
                 for c in self._cusps for parent, emb in c.parent_embeddings]
         return tuple(out)
 
@@ -345,17 +341,16 @@ class _FanIndex:
         out += [emb.to_lists() for c in self._cusps for _, emb in c.parent_embeddings]
         return tuple(out)
 
-    def _images(self, src: str, dst: str, m: Matrix) -> tuple[dict[int, int], dict[Ray, Ray]]:
+    def _images(self, src: str, dst: str, m: Matrix) -> dict[int, int]:
         rows, source, target = m.to_lists(), self.ids[src], self.ids[dst]
-        vectors = {ray: _mat_vec(rows, ray) for ray in source}
-        return {source[r]: target[v] for r, v in vectors.items() if v in target}, vectors
+        return {r: target[v] for ray, r in source.items() if (v := _mat_vec(rows, ray)) in target}
 
     @cached_property
     def ray_class(self) -> list[int]:
         """The class of each ray id; classes are numbered by least member,
         which is the first ray of its class in id order."""
         dsu = _DSU()
-        for _, _, images, _ in self.ray_maps:
+        for _, _, images in self.ray_maps:
             for a, b in images.items():
                 dsu.union(a, b)
         number: dict[int, int] = {}
@@ -371,7 +366,7 @@ class _FanIndex:
         an inconsistent (unsaturated) window.
         """
         holders, edges = self.holders, []
-        for i, (_, _, images, _) in enumerate(self.ray_maps):
+        for i, (_, _, images) in enumerate(self.ray_maps):
             by_dim: dict[int, set[Face]] = {}
             for c in set().union(*map(holders.__getitem__, images)):
                 support = tuple(filter(images.__contains__, self.cones[c]))
@@ -519,8 +514,7 @@ class _LocalFan:
     to the cones holding that ray, so the cones holding a face are the
     intersection of its rays' sets, and a ray is in the window while its set
     is nonempty.  The directed ray maps are the input's, as integer rows;
-    each image of a ray is computed once, and those the input's index
-    computed are not computed again.  An embedding is one-way, so for
+    each image of a ray is computed once.  An embedding is one-way, so for
     each one its source rays are also kept by image, to find the faces that
     embed into an orbit.
     """
@@ -530,8 +524,8 @@ class _LocalFan:
         self.cones: set[FaceKey] = set()
         self.incidence: dict[tuple[str, Ray], set[FaceKey]] = {}
         index = fs._index
-        self.maps = [(src, dst, rows, dict(vectors))
-                     for (src, dst, _, vectors), rows in zip(index.ray_maps, index.matrices)]
+        self.maps = [(src, dst, rows, {})
+                     for (src, dst, _), rows in zip(index.ray_maps, index.matrices)]
         # ray_maps lists each identification both ways first, then the embeddings
         one_way = range(2 * len(fs.identifications), len(self.maps))
         self.preimages: dict[int, dict[Ray, Ray]] = {i: {} for i in one_way}

@@ -151,8 +151,9 @@ def test_identification_fixing_a_face_names_it_in_both():
 
 
 def test_delta_complex_checks_match_the_per_simplex_checks():
-    """Seeded faults in the boundary of a 4-simplex: the level-at-once check
-    must raise what the per-simplex checks raise, with the same message."""
+    """Seeded faults in the boundary of a 4-simplex: ``DeltaComplex`` must
+    raise what the previous per-simplex checks raise, with the same
+    message."""
     base = from_top_simplices(list(itertools.combinations(range(5), 4))).simplices
     rng = random.Random(4)
     faults = [
