@@ -143,6 +143,12 @@ def quotient_delta_complex(fs: FanSystem, cusp: str) -> DeltaComplex:
     report = check_snc_condition(fs)
     if not report.ok:
         raise SncConditionViolated(f"{len(report.violations)} violating cone(s)")
+    return _quotient(fs, cusp)[0]
+
+
+def _quotient(fs: FanSystem, cusp: str) -> tuple[DeltaComplex, list[int]]:
+    """The quotient complex of a window that satisfies the SNC condition,
+    with the global ray class of each vertex."""
     max_dim = max((c.dim() for c in fs.cones if c.cusp == cusp), default=0)
     if max_dim == 0:
         raise ValueError(f"no cones on cusp {cusp!r}")
@@ -176,7 +182,7 @@ def quotient_delta_complex(fs: FanSystem, cusp: str) -> DeltaComplex:
                 ids[tuple(sorted(other, key=by_vertex))] = sid
         levels.append(tuple(level))
         face_id = ids
-    return DeltaComplex(tuple(levels))
+    return DeltaComplex(tuple(levels)), vertex_classes
 
 
 @dataclass(frozen=True)

@@ -100,12 +100,6 @@ class Identification:
     target: str
 
 
-@dataclass(frozen=True)
-class RayClass:
-    representative: tuple[str, Ray]
-    members: tuple[tuple[str, Ray], ...]
-
-
 def _require_int_matrix(m: Matrix, where: str) -> None:
     for row in m.to_lists():
         for x in row:
@@ -402,30 +396,6 @@ class _FanIndex:
                     classes.append(groups.setdefault(root, [f]))
             self._orbits[dim] = classes
         return self._orbits[dim]
-
-
-def ray_classes(fs: FanSystem) -> list[RayClass]:
-    """Equivalence classes of window rays under the identification closure.
-
-    Classes are numbered by their smallest member, lexicographic on
-    (cusp, coordinates).
-    """
-    index = fs._index
-    members: dict[int, list[tuple[str, Ray]]] = {}
-    for ray, c in zip(index.rays, index.ray_class):
-        members.setdefault(c, []).append(ray)
-    return [RayClass(m[0], tuple(m)) for m in members.values()]
-
-
-def ray_class_index(fs: FanSystem) -> dict[tuple[str, Ray], int]:
-    index = fs._index
-    return dict(zip(index.rays, index.ray_class))
-
-
-def cone_orbit_classes(fs: FanSystem, dim: int) -> list[list[FaceKey]]:
-    """Orbit classes of dim-dimensional faces of window cones."""
-    index = fs._index
-    return [list(map(index.key, cls)) for cls in index.orbits(dim)]
 
 
 def _check_free_action(fs: FanSystem) -> None:
@@ -766,17 +736,13 @@ def is_refinement(fine: FanSystem, coarse: FanSystem) -> bool:
     the integer forms of ``coordinate_forms``; a ray lies in the cone iff
     the equations vanish on it and the coordinate forms are nonnegative.
     A fine cone's host is looked for first among the coarse cones that
-    share a ray with it, then among the other coarse cones of its cusp.
+    share a ray with it, read from the coarse face index, then among the
+    other coarse cones of its cusp.
     """
     ranks = {c.name: c.lattice_rank for c in coarse.cusps}
     if any(ranks.get(c.name, c.lattice_rank) != c.lattice_rank for c in fine.cusps):
         raise ValueError("fine and coarse cusps have different lattice ranks")
-    by_cusp: dict[str, list[int]] = {}
-    by_ray: dict[tuple[str, Ray], list[int]] = {}
-    for i, c in enumerate(coarse.cones):
-        by_cusp.setdefault(c.cusp, []).append(i)
-        for ray in c.rays:
-            by_ray.setdefault((c.cusp, ray), []).append(i)
+    index = coarse._index
     forms: dict[int, tuple] = {}
 
     def hosts(i: int, rays: tuple[Ray, ...]) -> bool:
@@ -787,13 +753,12 @@ def is_refinement(fine: FanSystem, coarse: FanSystem) -> bool:
         return all(_in_cone(f, r) for r in rays)
 
     for cone in fine.cones:
-        candidates = sorted({i for r in cone.rays for i in by_ray.get((cone.cusp, r), ())})
-        if any(hosts(i, cone.rays) for i in candidates):
+        ids = index.ids.get(cone.cusp, {})
+        near = set().union(*(index.holders[ids[r]] for r in cone.rays if r in ids))
+        if any(hosts(i, cone.rays) for i in sorted(near)):
             continue
-        tried = set(candidates)
-        if not any(
-            hosts(i, cone.rays) for i in by_cusp.get(cone.cusp, ()) if i not in tried
-        ):
+        if not any(hosts(i, cone.rays) for i, c in enumerate(coarse.cones)
+                   if c.cusp == cone.cusp and i not in near):
             return False
     return True
 

@@ -40,12 +40,8 @@ from operator import countOf
 from typing import Mapping, Sequence
 
 from .errors import NotAComplex, SncConditionViolated, expect, expect_rows, json_path, member
-from .fans import (
-    FanSystem,
-    check_snc_condition,
-    cone_orbit_classes,
-    ray_class_index,
-)
+from .delta_complex import _quotient
+from .fans import FanSystem, check_snc_condition
 from .linalg import Entry, Matrix, SparseMatrix, rank, rational_kernel_basis
 from .mhs import MixedHSTable, PureHS, tate_twist
 
@@ -444,15 +440,17 @@ def annotate_from_fans(fs: FanSystem, ann: CuspStrataAnnotation) -> StrataComple
     """Synthetic strata complex whose signed Gysin complex is the boundary map
     of the quotient complex tensored with the annotated dimension.
 
-    Strata are orbit classes of top-dimensional and codimension-1 cones; the
-    top layer carries the canonical-form dimension d per stratum, the
-    codimension-1 layer the matching (n-t+1,1) layer, and every incidence is
-    an identity block (the chain-complex signs are supplied by assembly).
+    The strata of each annotated cusp are simplices of its quotient complex
+    (``delta_complex``): the (t-1)-simplices carry the canonical-form
+    dimension d in the top layer, the (t-2)-simplices the matching
+    (n-t+1,1) layer, each face of a simplex is one identity Gysin block (the
+    chain-complex signs are supplied by assembly), and a stratum's index set
+    is the global ray classes of its vertices.  The model is synthetic: it
+    checks bookkeeping, not geometry.
     """
     report = check_snc_condition(fs)
     if not report.ok:
         raise SncConditionViolated(f"{len(report.violations)} violating cone(s)")
-    rci = ray_class_index(fs)
     dims = dict(ann.dims)
     tops = {
         cusp: max((c.dim() for c in fs.cones if c.cusp == cusp), default=0)
@@ -468,59 +466,28 @@ def annotate_from_fans(fs: FanSystem, ann: CuspStrataAnnotation) -> StrataComple
     if n < t:
         raise ValueError("ambient dimension below top cone dimension")
 
-    n_classes = max(rci.values()) + 1
-    components = [f"C{j}" for j in range(n_classes)]
+    components = [f"C{j}" for j in range(max(fs._index.ray_class) + 1)]
     strata: list[Stratum] = []
     gysin: dict[GysinKey, Matrix] = {}
-    top_hs = PureHS(n - t, {(n - t, 0): 1})
-    wall_hs = PureHS(n - t + 2, {(n - t + 1, 1): 1})
-
     for cusp in sorted(dims):
         d = dims[cusp]
-        top_classes = [
-            cls
-            for cls in cone_orbit_classes(fs, t)
-            if any(key[0] == cusp for key in cls)
-        ]
-        wall_classes = [
-            cls
-            for cls in cone_orbit_classes(fs, t - 1)
-            if any(key[0] == cusp for key in cls)
-        ] if t > 1 else []
-        wall_index = {key: i for i, cls in enumerate(wall_classes) for key in cls}
+        dc, vertex_class = _quotient(fs, cusp)
+        top = {n - t: PureHS(n - t, {(n - t, 0): d})} if d else {}
+        wall = {n - t + 2: PureHS(n - t + 2, {(n - t + 1, 1): d})} if d else {}
+        block = Matrix.identity(d)
 
-        def index_set_of(key):
-            kcusp, rays = key
-            return tuple(sorted(f"C{rci[(kcusp, r)]}" for r in rays))
+        def index_set(s):
+            return tuple(sorted(components[vertex_class[v]] for v in s.vertices))
 
-        wall_ids = []
-        for j, cls in enumerate(wall_classes):
-            sid = f"{cusp}/w{j:03d}"
-            wall_ids.append(sid)
-            strata.append(
-                Stratum(
-                    sid,
-                    index_set_of(cls[0]),
-                    {n - t + 2: PureHS(n - t + 2, {(n - t + 1, 1): d})} if d else {},
-                )
-            )
-        for j, cls in enumerate(top_classes):
-            sid = f"{cusp}/s{j:03d}"
-            key = cls[0]
-            kcusp, rays = key
-            strata.append(
-                Stratum(
-                    sid,
-                    index_set_of(key),
-                    {n - t: PureHS(n - t, {(n - t, 0): d})} if d else {},
-                )
-            )
-            if d == 0 or t == 1:
-                continue
-            for omit in rays:
-                sub = tuple(sorted(r for r in rays if r != omit))
-                wj = wall_index[(kcusp, sub)]
-                gysin[(sid, wall_ids[wj], n - t, n - t, 0)] = Matrix.identity(d)
+        walls = dc.simplices[t - 2] if t > 1 else ()
+        wall_ids = [f"{cusp}/w{s.id:03d}" for s in walls]
+        strata += (Stratum(sid, index_set(s), wall) for sid, s in zip(wall_ids, walls))
+        for s in dc.simplices[t - 1]:
+            sid = f"{cusp}/s{s.id:03d}"
+            strata.append(Stratum(sid, index_set(s), top))
+            if d:
+                for f in s.faces:
+                    gysin[(sid, wall_ids[f], n - t, n - t, 0)] = block
     return StrataComplex(n=n, components=components, strata=strata, gysin=gysin)
 
 

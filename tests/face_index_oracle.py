@@ -11,17 +11,33 @@ messages.
 
 ``fundamental_class_vector`` and ``collapse_map`` left ``delta_complex`` for
 the same reason the registry did: only the tests read them.
+
+``annotate_from_fans`` is ``weight_ss.annotate_from_fans`` as it was before
+it read the quotient complex: it rebuilds the orbit classes and ray classes
+as (cusp, rays) keys through ``cone_orbit_classes`` and ``ray_class_index``,
+and labels components ``C{j}``, so its index sets sort as strings.  The
+library must give the same strata complex once its labels are mapped, and
+raise the same errors with the same messages.
 """
 
 from __future__ import annotations
 
 import itertools
+from dataclasses import dataclass
 from functools import cached_property
 
 from fanhodge.delta_complex import DeltaComplex, Simplex, pseudomanifold_report
 from fanhodge.errors import NonFreeAction, SncConditionViolated, UnsaturatedWindow
-from fanhodge.fans import FanSystem, RayClass, SncReport
+from fanhodge.fans import FanSystem, SncReport
 from fanhodge.linalg import Matrix, inverse
+from fanhodge.mhs import PureHS
+from fanhodge.weight_ss import CuspStrataAnnotation, Stratum, StrataComplex
+
+
+@dataclass(frozen=True)
+class RayClass:
+    representative: tuple
+    members: tuple
 
 
 def _mat_vec(rows, v):
@@ -292,3 +308,68 @@ def collapse_map(dc: DeltaComplex) -> dict[int, dict[int, int]]:
         index = {k: i for i, k in enumerate(keys)}
         out[d] = {s.id: index[s.vertices] for s in dc.simplices[d]}
     return out
+
+
+def annotate_from_fans(fs: FanSystem, ann: CuspStrataAnnotation) -> StrataComplex:
+    report = check_snc_condition(fs)
+    if not report.ok:
+        raise SncConditionViolated(f"{len(report.violations)} violating cone(s)")
+    rci = ray_class_index(fs)
+    dims = dict(ann.dims)
+    tops = {
+        cusp: max((c.dim() for c in fs.cones if c.cusp == cusp), default=0)
+        for cusp in dims
+    }
+    t_values = set(tops.values())
+    if len(t_values) != 1:
+        raise ValueError("annotated cusps must share one top cone dimension")
+    t = t_values.pop()
+    if t < 1:
+        raise ValueError("annotated cusps carry no cones")
+    n = ann.ambient_dim if ann.ambient_dim is not None else t
+    if n < t:
+        raise ValueError("ambient dimension below top cone dimension")
+
+    n_classes = max(rci.values()) + 1
+    components = [f"C{j}" for j in range(n_classes)]
+    strata: list = []
+    gysin: dict = {}
+    for cusp in sorted(dims):
+        d = dims[cusp]
+        top_classes = [
+            cls for cls in cone_orbit_classes(fs, t) if any(key[0] == cusp for key in cls)
+        ]
+        wall_classes = [
+            cls for cls in cone_orbit_classes(fs, t - 1) if any(key[0] == cusp for key in cls)
+        ] if t > 1 else []
+        wall_index = {key: i for i, cls in enumerate(wall_classes) for key in cls}
+
+        def index_set_of(key):
+            kcusp, rays = key
+            return tuple(sorted(f"C{rci[(kcusp, r)]}" for r in rays))
+
+        wall_ids = []
+        for j, cls in enumerate(wall_classes):
+            sid = f"{cusp}/w{j:03d}"
+            wall_ids.append(sid)
+            strata.append(Stratum(
+                sid,
+                index_set_of(cls[0]),
+                {n - t + 2: PureHS(n - t + 2, {(n - t + 1, 1): d})} if d else {},
+            ))
+        for j, cls in enumerate(top_classes):
+            sid = f"{cusp}/s{j:03d}"
+            key = cls[0]
+            kcusp, rays = key
+            strata.append(Stratum(
+                sid,
+                index_set_of(key),
+                {n - t: PureHS(n - t, {(n - t, 0): d})} if d else {},
+            ))
+            if d == 0 or t == 1:
+                continue
+            for omit in rays:
+                sub = tuple(sorted(r for r in rays if r != omit))
+                wj = wall_index[(kcusp, sub)]
+                gysin[(sid, wall_ids[wj], n - t, n - t, 0)] = Matrix.identity(d)
+    return StrataComplex(n=n, components=components, strata=strata, gysin=gysin)

@@ -16,13 +16,11 @@ from fanhodge.fans import (
     FanSystem,
     Identification,
     check_snc_condition,
-    cone_orbit_classes,
     fan_system_from_dict,
     fan_system_to_dict,
     hilbert_cusp_window,
     is_refinement,
     is_smooth,
-    ray_classes,
     smooth_subdivide,
     two_division_subdivide,
 )
@@ -79,7 +77,7 @@ def rank3_window(rng):
 
 def test_hilbert_window_ray_classes_and_violations():
     fs = hilbert_cusp_window(M, 3)
-    assert len(ray_classes(fs)) == 1
+    assert len(set(fs._index.ray_class)) == 1
     rep = check_snc_condition(fs)
     assert not rep.ok
     rays = [(1, 0), (2, 1), (5, 3), (13, 8)]
@@ -92,7 +90,7 @@ def test_two_division_restores_the_ray_condition():
     sub = two_division_subdivide(fs)
     assert check_snc_condition(sub).ok
     assert len(sub.cones) == 6
-    assert len(ray_classes(sub)) == 2
+    assert len(set(sub._index.ray_class)) == 2
     assert is_refinement(sub, fs)
     assert all(is_smooth(sub, c) for c in sub.cones)
 
@@ -126,8 +124,8 @@ def test_condition_preserved_on_randomized_fixtures():
 
 def test_cone_orbit_classes_count():
     sub = two_division_subdivide(hilbert_cusp_window(M, 3))
-    assert len(cone_orbit_classes(sub, 2)) == 2
-    assert len(cone_orbit_classes(sub, 1)) == 2
+    assert len(sub._index.orbits(2)) == 2
+    assert len(sub._index.orbits(1)) == 2
 
 
 def test_unsaturated_window_detected():
@@ -138,7 +136,7 @@ def test_unsaturated_window_detected():
         identifications=(Identification(Matrix(list(M)), "F", "F"),),
     )
     with pytest.raises(UnsaturatedWindow):
-        cone_orbit_classes(fs, 2)
+        fs._index.orbits(2)
 
 
 def test_non_free_action_detected():
@@ -355,10 +353,8 @@ def test_cached_structure_leaves_equality_and_json_alone():
     fs = two_division_subdivide(hilbert_cusp_window(M, 3))
     fresh = fan_system_from_dict(fan_system_to_dict(fs))
     before = fan_system_to_dict(fs)
-    classes = cone_orbit_classes(fs, 2)
-    classes[0].append("mutated by the caller")
-    assert cone_orbit_classes(fs, 2) != classes
-    assert ray_classes(fs) == ray_classes(fresh)
+    assert fs._index.orbits(2) == fresh._index.orbits(2)
+    assert fs._index.ray_class == fresh._index.ray_class
     assert fs == fresh and hash(fs) == hash(fresh)
     assert fan_system_to_dict(fs) == before
 
@@ -522,3 +518,23 @@ def test_new_cones_are_checked_by_one_determinant():
     for fs, key, n, message in bad:
         with pytest.raises(ValueError, match=message):
             _checked_is_smooth(fs, key, n)
+
+
+def test_refinement_of_zero_cones_and_cusps_the_coarse_window_lacks():
+    """The zero cone lies in every cone of its cusp, a zero cone holds only
+    the zero cone, and a cone on a cusp with no coarse cone has no host."""
+    two = (CuspLabel("F", 2), CuspLabel("G", 2))
+    zero = FanSystem(two, (Cone("F", ()),))
+    cases = [
+        (zero, FanSystem(two, (Cone("F", ((1, 0), (0, 1))),))),
+        (zero, zero),
+        (zero, FanSystem(two, (Cone("G", ()),))),
+        (FanSystem(two, (Cone("F", ((1, 0),)),)), zero),
+        (FanSystem(two, (Cone("G", ((1, 0),)),)), FanSystem(two, (Cone("F", ((1, 0), (0, 1))),))),
+        (FanSystem(two, (Cone("G", ((1, 1),)),)),
+         FanSystem(two, (Cone("F", ((1, 0), (0, 1))), Cone("G", ((1, 0), (0, 1)))))),
+    ]
+    assert [is_refinement(fine, coarse) for fine, coarse in cases] == [
+        True, True, False, False, False, True]
+    for fine, coarse in cases:
+        assert is_refinement(fine, coarse) == oracle_is_refinement(fine, coarse)
