@@ -466,7 +466,9 @@ def annotate_from_fans(fs: FanSystem, ann: CuspStrataAnnotation) -> StrataComple
     if n < t:
         raise ValueError("ambient dimension below top cone dimension")
 
-    components = [f"C{j}" for j in range(max(fs._index.ray_class) + 1)]
+    # zero-padded, so that labels sort as their classes and vertices do
+    n_classes = max(fs._index.ray_class) + 1
+    components = [f"C{j:0{len(str(n_classes - 1))}d}" for j in range(n_classes)]
     strata: list[Stratum] = []
     gysin: dict[GysinKey, Matrix] = {}
     for cusp in sorted(dims):
@@ -477,7 +479,7 @@ def annotate_from_fans(fs: FanSystem, ann: CuspStrataAnnotation) -> StrataComple
         block = Matrix.identity(d)
 
         def index_set(s):
-            return tuple(sorted(components[vertex_class[v]] for v in s.vertices))
+            return tuple(components[vertex_class[v]] for v in s.vertices)
 
         walls = dc.simplices[t - 2] if t > 1 else ()
         wall_ids = [f"{cusp}/w{s.id:03d}" for s in walls]

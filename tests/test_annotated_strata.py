@@ -6,7 +6,8 @@ the orbit and ray classes as (cusp, rays) keys.  On Hilbert windows (raw and
 subdivided), seeded rank-3 windows, 1-dimensional windows, a two-cusp
 identification window and an embedded parent/child window, with several
 annotations and ambient dimensions, both must give the same strata complex
-with the same JSON, or raise the same error type with the same message.
+with the same JSON once the reference's labels are mapped to the library's
+zero-padded ones, or raise the same error type with the same message.
 """
 
 import json
@@ -16,7 +17,13 @@ import face_index_oracle as oracle
 from fanhodge.errors import SncConditionViolated, UnsaturatedWindow
 from fanhodge.fans import Cone, CuspLabel, FanSystem, Identification
 from fanhodge.linalg import Matrix
-from fanhodge.weight_ss import CuspStrataAnnotation, annotate_from_fans, strata_complex_to_dict
+from fanhodge.weight_ss import (
+    CuspStrataAnnotation,
+    Stratum,
+    StrataComplex,
+    annotate_from_fans,
+    strata_complex_to_dict,
+)
 from test_face_index import outcome, with_subdivisions
 from test_fans import one_cusp, rank3_window
 from test_local_subdivision import GAP, conjugated_hilbert_window, embedded_window
@@ -68,13 +75,28 @@ def annotations(fs):
     return out
 
 
+def relabelled(sc, components):
+    """``sc`` with component C<j> renamed ``components[j]`` and each index
+    set sorted in the new labels' order."""
+    rename = {f"C{j}": label for j, label in enumerate(components)}
+    strata = [Stratum(s.id, sorted(map(rename.__getitem__, s.index_set)), dict(s.cohomology))
+              for s in sc.strata]
+    return StrataComplex(sc.n, components, strata, dict(sc.gysin))
+
+
 def same(fs, ann):
+    """The library's outcome, once it matches the reference's: equal errors,
+    or equal complexes and JSON after the reference's labels C<j> are
+    zero-padded to one width (a no-op below ten classes)."""
     new = outcome(annotate_from_fans, fs, ann)
     old = outcome(oracle.annotate_from_fans, fs, ann)
-    assert new == old
     if not isinstance(new, tuple):
+        width = len(str(len(new.components) - 1))
+        assert new.components == tuple(f"C{j:0{width}d}" for j in range(len(new.components)))
+        old = relabelled(old, new.components)
         text = json.dumps(strata_complex_to_dict(new), sort_keys=True)
         assert text == json.dumps(strata_complex_to_dict(old), sort_keys=True)
+    assert new == old
     return new
 
 
@@ -91,10 +113,14 @@ def windows():
 
 
 def test_annotated_strata_match_the_reference():
-    kinds = set()
+    kinds, widths = set(), set()
     for fs in windows():
         for sub in with_subdivisions(fs):
             for ann in annotations(sub):
                 got = same(sub, ann)
-                kinds.add(got[0] if isinstance(got, tuple) else "ok")
-    assert kinds == {"ok", ValueError, SncConditionViolated, UnsaturatedWindow}
+                if isinstance(got, tuple):
+                    kinds.add(got[0])
+                else:
+                    widths.add(len(got.components[0]) - 1)
+    assert kinds == {ValueError, SncConditionViolated, UnsaturatedWindow}
+    assert widths == {1, 2}

@@ -188,10 +188,25 @@ def test_single_stratum_residue_is_invertible(d, window):
         assert rank(proj) == d
 
 
+def named_window(name):
+    """"fine" and "coarse" as above; "L<length>" is the chain of `length`
+    cones identified by M^length, and "-sub" its subdivision."""
+    if name == "fine":
+        return subdivided_window()
+    if name == "coarse":
+        return hilbert_window_cubed()
+    fs = hilbert_window_cubed(int(name[1:].split("-")[0]))
+    return smooth_subdivide(two_division_subdivide(fs)) if name.endswith("-sub") else fs
+
+
 @pytest.mark.parametrize("d", [1, 2, 3])
-@pytest.mark.parametrize("window", ["fine", "coarse"])
+@pytest.mark.parametrize(
+    "window", ["fine", "coarse", "L10", "L10-sub", "L20", "L20-sub", "L40", "L40-sub"]
+)
 def test_signed_gysin_equals_boundary_tensor_identity(d, window):
-    fs = subdivided_window() if window == "fine" else hilbert_window_cubed()
+    """With 10 or more ray classes, component labels must still sort as the
+    vertices do, or facet signs stop following the boundary's."""
+    fs = named_window(window)
     sc = annotate_from_fans(fs, CuspStrataAnnotation({"F": d}))
     gysin = signed_gysin_matrix(sc).to_matrix()
     boundary = boundary_matrices(quotient_delta_complex(fs, "F")).boundary[1].to_matrix()
