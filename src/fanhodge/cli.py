@@ -126,6 +126,8 @@ def _cusp_or_default(fs, cusp: str | None) -> str:
         return cusp
     if len(fs.cusps) == 1:
         return fs.cusps[0].name
+    if not fs.cusps:
+        raise FanhodgeError("the window has no cusp")
     raise FanhodgeError("several cusps present; pass --cusp")
 
 

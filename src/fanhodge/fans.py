@@ -28,17 +28,17 @@ index.  A face exists iff the incidence sets of its rays intersect, a face
 orbit is walked through the maps, and a step touches only the cones that
 contain a face of the orbit.  Each cone a step leaves in the fan is
 validated once (ray length, primitivity, independence); in the stellar
-loop a full-dimensional cone is validated by the one determinant that also
-answers whether it is smooth.  One ``FanSystem`` is built at the end from
-the input's cusps and identifications without checking them again.
+loop the one multiplicity that validates a cone also answers whether it is
+smooth.  One ``FanSystem`` is built at the end from the input's cusps and
+identifications without checking them again.
 
-The lattice work reads the ray matrix B of a cone.  A full-dimensional
-cone is independent iff det B != 0 and smooth iff det B = +-1, read by the
-integer Bareiss determinant ``linalg._det`` straight from the ray tuples
-(the rows of B^T), with no ``Matrix`` built; identifications are checked
-unimodular the same way.  A lower-dimensional cone is independent iff B
-has full ``rank`` and smooth iff every invariant factor is 1.  Rays are
-mapped by integer matrix-vector products.  The lattice points of the
+The lattice work reads the ray matrix B of a cone.  Its multiplicity is
+|det B| for a full-dimensional cone, read by the integer Bareiss
+determinant ``linalg._det`` straight from the ray tuples (the rows of B^T),
+with no ``Matrix`` built, and the product of the invariant factors of B for
+a lower-dimensional one; it is 0 iff the rays are dependent and 1 iff the
+cone is smooth.  Identifications are checked unimodular by the same
+determinant.  Rays are mapped by integer matrix-vector products.  The lattice points of the
 half-open parallelepiped are walked through the Smith group Z/d_1 x ... x
 Z/d_k, which has exactly mult = d_1 ... d_k elements, to find the stellar
 subdivision point.
@@ -62,7 +62,6 @@ from .linalg import (
     inverse,
     invariant_factors,
     primitivize,
-    rank,
     smith_normal_form,
 )
 
@@ -117,14 +116,27 @@ def _check_rays(rays: tuple[Ray, ...], lattice_rank: int) -> None:
             raise ValueError(f"non-primitive ray {ray}")
 
 
-def _check_cone(rays: tuple[Ray, ...], lattice_rank: int) -> None:
-    """The per-cone checks: ``_check_rays`` and rays independent over Q:
-    a nonzero determinant of the ray tuples for a full-dimensional cone, full
-    ``rank`` for a lower-dimensional one."""
+def _multiplicity(rays: tuple[Ray, ...], lattice_rank: int) -> int:
+    """The index of the lattice the rays span in its saturation, or 0 when
+    they are dependent over Q: |det| of the ray tuples of a full-dimensional
+    cone, the product of the invariant factors of a lower-dimensional one.
+    A cone is smooth iff it is 1."""
+    if not rays:
+        return 1
+    if len(rays) == lattice_rank:
+        return abs(_det(rays))
+    factors = invariant_factors(Matrix(rays))
+    return prod(factors) if len(factors) == len(rays) else 0
+
+
+def _check_cone(rays: tuple[Ray, ...], lattice_rank: int) -> int:
+    """The per-cone checks, ``_check_rays`` and rays independent over Q;
+    returns the cone's multiplicity."""
     _check_rays(rays, lattice_rank)
-    if rays and (_det(rays) == 0 if len(rays) == lattice_rank
-                 else rank(Matrix.from_columns(rays)) != len(rays)):
+    mult = _multiplicity(rays, lattice_rank)
+    if not mult:
         raise ValueError(f"dependent rays in cone {rays} (simplicial only)")
+    return mult
 
 
 def _numbered(cones) -> tuple[Cone, ...]:
@@ -414,43 +426,18 @@ def _check_free_action(fs: FanSystem) -> None:
 
 
 def is_smooth(fs: FanSystem, c: Cone) -> bool:
-    """True iff the rays extend to a basis of the cusp lattice.
-
-    A cone with as many rays as the lattice rank is smooth iff the
-    determinant of its ray tuples is +-1; a lower-dimensional one iff every
-    invariant factor of its ray matrix is 1.  Raises
-    DependentInput when the rays are linearly dependent over Q, and
-    ValueError when a ray's length is not the cusp's lattice rank.
+    """True iff the rays extend to a basis of the cusp lattice, i.e. the
+    cone's multiplicity is 1.  Raises DependentInput when the rays are
+    linearly dependent over Q, and ValueError when a ray's length is not the
+    cusp's lattice rank.
     """
     ambient = fs.cusp(c.cusp).lattice_rank
     if any(len(r) != ambient for r in c.rays):
         raise ValueError("ray length != cusp lattice rank")
-    if not c.rays:
-        return True
-    if len(c.rays) == ambient:
-        d = _det(c.rays)
-        if d == 0:
-            raise DependentInput("cone rays are linearly dependent over Q")
-        return abs(d) == 1
-    factors = invariant_factors(Matrix.from_columns(c.rays))
-    if len(factors) < len(c.rays):
+    mult = _multiplicity(c.rays, ambient)
+    if not mult:
         raise DependentInput("cone rays are linearly dependent over Q")
-    return all(f == 1 for f in factors)
-
-
-def _checked_is_smooth(fs: FanSystem, key: FaceKey, lattice_rank: int) -> bool:
-    """``_check_cone`` and then ``is_smooth`` on a cone that a subdivision
-    made.  A full-dimensional cone takes one determinant of its ray tuples:
-    it is nonzero iff the rays are independent, and +-1 iff it is smooth."""
-    cusp, rays = key
-    if len(rays) != lattice_rank:
-        _check_cone(rays, lattice_rank)
-        return is_smooth(fs, Cone(cusp, rays))
-    _check_rays(rays, lattice_rank)
-    d = _det(rays)
-    if d == 0:
-        raise ValueError(f"dependent rays in cone {rays} (simplicial only)")
-    return abs(d) == 1
+    return mult == 1
 
 
 @dataclass(frozen=True)
@@ -689,8 +676,8 @@ def smooth_subdivide(fs: FanSystem) -> FanSystem:
     starred in sorted order, each in the cones that contain it at that
     moment.  The sublattice index strictly decreases, so the loop
     terminates.  Smoothness depends only on the cusp and the rays, so each
-    distinct cone is tested once across all steps; for a new
-    full-dimensional cone it is read off the determinant that validated it.
+    distinct cone is tested once across all steps; for a new cone it is
+    read off the multiplicity that validated it.
     A window whose cones are all smooth is returned as it is.
     """
     _check_free_action(fs)
@@ -713,7 +700,7 @@ def smooth_subdivide(fs: FanSystem) -> FanSystem:
             added += state.split(face, assignment[face], _star_pieces)
         for key in state.alive(added):
             if key not in smooth:
-                smooth[key] = _checked_is_smooth(fs, key, state.ranks[key[0]])
+                smooth[key] = _check_cone(key[1], state.ranks[key[0]]) == 1
             if not smooth[key]:
                 heapq.heappush(queue, key)
     return FanSystem._trusted(fs, state.cones)

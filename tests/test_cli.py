@@ -232,6 +232,14 @@ def test_cusp_option_does_not_carry_over(tmp_path, capsys):
     assert err == "error: several cusps present; pass --cusp\n"
 
 
+def test_homology_of_a_window_with_no_cusp_exits_2(tmp_path, capsys):
+    p = tmp_path / "no_cusp.json"
+    p.write_text(json.dumps({"cusps": [], "cones": []}))
+    code, out, err = run(capsys, "homology", str(p))
+    assert code == 2 and out == ""
+    assert err == "error: the window has no cusp\n"
+
+
 @pytest.mark.parametrize("command", ["subdivide", "check-snc"])
 @pytest.mark.parametrize("entry", [1.9, True])
 def test_non_integer_ray_exits_2(tmp_path, capsys, command, entry):

@@ -24,7 +24,7 @@ from fanhodge.fans import (
     smooth_subdivide,
     two_division_subdivide,
 )
-from fanhodge.fans import _checked_is_smooth, _subdivision_point
+from fanhodge.fans import _check_cone, _multiplicity as multiplicity, _subdivision_point
 from fanhodge.linalg import (
     Matrix,
     coordinate_forms,
@@ -503,21 +503,45 @@ def test_high_rank_cones_subdivide_smoothly(last):
     assert check_snc_condition(sub).ok
 
 
-def test_new_cones_are_checked_by_one_determinant():
-    plane, space = one_cusp(2, ((1, 0), (0, 1))), one_cusp(3, ((1, 0, 0),))
-    assert _checked_is_smooth(plane, ("F", ((0, 1), (1, 0))), 2) is True
-    assert _checked_is_smooth(plane, ("F", ((1, 0), (1, 2))), 2) is False
-    assert _checked_is_smooth(space, ("F", ((0, 1, 2), (1, 0, 0))), 3) is True
-    assert _checked_is_smooth(space, ("F", ((1, 0, 0), (1, 2, 0))), 3) is False
+def test_new_cones_are_checked_by_one_multiplicity():
+    """``_check_cone`` validates a new cone and returns its multiplicity,
+    which is 1 iff ``is_smooth``."""
+    assert _check_cone(((0, 1), (1, 0)), 2) == 1
+    assert _check_cone(((1, 0), (1, 2)), 2) == 2
+    assert _check_cone(((0, 1, 2), (1, 0, 0)), 3) == 1
+    assert _check_cone(((1, 0, 0), (1, 2, 0)), 3) == 2
+    assert _check_cone(((1, 0, 0), (1, 3, 0), (1, 1, 5)), 3) == 15
+    assert _check_cone((), 2) == 1
     bad = [
-        (plane, ("F", ((-1, 0), (1, 0))), 2, "dependent rays"),
-        (space, ("F", ((-1, 0, 0), (1, 0, 0))), 3, "dependent rays"),
-        (plane, ("F", ((0, 1), (2, 0))), 2, "non-primitive"),
-        (plane, ("F", ((0, 1), (1, 0, 0))), 2, "ray length"),
+        (((-1, 0), (1, 0)), 2, "dependent rays"),
+        (((-1, 0, 0), (1, 0, 0)), 3, "dependent rays"),
+        (((1, 0, 0), (0, 1, 0), (1, 1, 0), (0, 0, 1)), 3, "dependent rays"),
+        (((0, 1), (2, 0)), 2, "non-primitive"),
+        (((0, 1), (1, 0, 0)), 2, "ray length"),
     ]
-    for fs, key, n, message in bad:
+    for rays, n, message in bad:
         with pytest.raises(ValueError, match=message):
-            _checked_is_smooth(fs, key, n)
+            _check_cone(rays, n)
+
+
+def test_multiplicity_matches_the_smith_form():
+    """On seeded cones of every dimension: the product of the Smith form's
+    diagonal, 0 for dependent rays, and is_smooth iff it is 1."""
+    rng = random.Random(31)
+    for n in (2, 3, 4):
+        for k in range(1, n + 2):
+            for _ in range(15):
+                vectors = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(k)]
+                rays = tuple(primitivize(v) for v in vectors if any(v))
+                factors = invariant_factors(Matrix.from_columns(rays))
+                want = math.prod(factors) if len(factors) == len(rays) else 0
+                assert multiplicity(rays, n) == want
+                fs = one_cusp(n)
+                if want:
+                    assert is_smooth(fs, Cone("F", rays)) == (want == 1)
+                else:
+                    with pytest.raises(DependentInput):
+                        is_smooth(fs, Cone("F", rays))
 
 
 def test_refinement_of_zero_cones_and_cusps_the_coarse_window_lacks():
