@@ -10,7 +10,9 @@ the orbit classes of each dimension come in the order of their least
 members from one sort of that dimension's faces, a simplex orders its
 rep's rays by vertex once, and each face is one dict lookup of that key
 with one ray deleted.  ``DeltaComplex`` checks each simplex's faces
-against the ordered subsets of its vertex tuple.
+against the ordered subsets of its vertex tuple.  One private builder,
+``_quotient``, also returns the global ray class of each vertex, which
+``weight_ss.annotate_from_fans`` reads as its index sets.
 
 Boundary maps are ``SparseMatrix`` rows written straight from the simplex
 faces.  Rational Betti numbers come from exact ranks of the boundary maps,

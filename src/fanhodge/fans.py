@@ -16,10 +16,11 @@ read backwards from the forward ones; its integer rows are computed once,
 for a subdivision only), the face pairings, the ray classes and the cone
 orbit classes of each dimension.  A map's pairings visit only the faces of
 cones holding a ray of its domain, and the DSUs hold only the rays and
-faces that a map or pairing touches.  Every query reads from it.  The
-cache is not a dataclass field, so it never changes equality, hashing or
-the JSON form, and public queries return fresh containers so callers
-cannot alter it.
+faces that a map or pairing touches.  Every reader takes its structure
+from it: the free-action and SNC checks, the subdivisions, the refinement
+check (candidate hosts by ray), and through ``delta_complex`` the quotient
+complex and the annotated strata of ``weight_ss``.  The cache is not a
+dataclass field, so it never changes equality, hashing or the JSON form.
 
 The two subdivisions do not rebuild a ``FanSystem`` per step.  Each works
 on one mutable local state, ``_LocalFan``: the cone set, a (cusp, ray) ->

@@ -474,8 +474,8 @@ def annotate_from_fans(fs: FanSystem, ann: CuspStrataAnnotation) -> StrataComple
     for cusp in sorted(dims):
         d = dims[cusp]
         dc, vertex_class = _quotient(fs, cusp)
-        top = {n - t: PureHS(n - t, {(n - t, 0): d})} if d else {}
-        wall = {n - t + 2: PureHS(n - t + 2, {(n - t + 1, 1): d})} if d else {}
+        top_hs = {n - t: PureHS(n - t, {(n - t, 0): d})} if d else {}
+        wall_hs = {n - t + 2: PureHS(n - t + 2, {(n - t + 1, 1): d})} if d else {}
         block = Matrix.identity(d)
 
         def index_set(s):
@@ -483,10 +483,10 @@ def annotate_from_fans(fs: FanSystem, ann: CuspStrataAnnotation) -> StrataComple
 
         walls = dc.simplices[t - 2] if t > 1 else ()
         wall_ids = [f"{cusp}/w{s.id:03d}" for s in walls]
-        strata += (Stratum(sid, index_set(s), wall) for sid, s in zip(wall_ids, walls))
+        strata += (Stratum(sid, index_set(s), wall_hs) for sid, s in zip(wall_ids, walls))
         for s in dc.simplices[t - 1]:
             sid = f"{cusp}/s{s.id:03d}"
-            strata.append(Stratum(sid, index_set(s), top))
+            strata.append(Stratum(sid, index_set(s), top_hs))
             if d:
                 for f in s.faces:
                     gysin[(sid, wall_ids[f], n - t, n - t, 0)] = block
