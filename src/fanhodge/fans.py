@@ -39,10 +39,10 @@ determinant ``linalg._det`` straight from the ray tuples (the rows of B^T),
 with no ``Matrix`` built, and the product of the invariant factors of B for
 a lower-dimensional one; it is 0 iff the rays are dependent and 1 iff the
 cone is smooth.  Identifications are checked unimodular by the same
-determinant.  Rays are mapped by integer matrix-vector products.  The lattice points of the
-half-open parallelepiped are walked through the Smith group Z/d_1 x ... x
-Z/d_k, which has exactly mult = d_1 ... d_k elements, to find the stellar
-subdivision point.
+determinant.  Rays are mapped by integer matrix-vector products.  The
+lattice points of the half-open parallelepiped are walked through the Smith
+group Z/d_1 x ... x Z/d_k, which has exactly mult = d_1 ... d_k elements,
+to find the stellar subdivision point.
 """
 
 from __future__ import annotations
