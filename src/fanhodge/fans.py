@@ -22,6 +22,15 @@ check (candidate hosts by ray), and through ``delta_complex`` the quotient
 complex and the annotated strata of ``weight_ss``.  The cache is not a
 dataclass field, so it never changes equality, hashing or the JSON form.
 
+A window is validated one cone at a time, by ``_canonical_cone``: the int
+entries, the ray sort, then ray length, primitivity and the multiplicity,
+with a message formatted only for the check that fails.  The constructor
+and the JSON loader both go through it, and the loader hands it (cusp,
+rays) pairs, so the only ``Cone`` objects built are the canonical ones.
+The refinement check tests a fine ray against a candidate host only when
+the ray is not one of the host's own rays, by plain integer dot products
+with the forms of the host's one elimination.
+
 The two subdivisions do not rebuild a ``FanSystem`` per step.  Each works
 on one mutable local state, ``_LocalFan``: the cone set, a (cusp, ray) ->
 cones incidence and the directed integer ray maps taken from the input's
@@ -52,7 +61,7 @@ import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from math import gcd, prod
-from operator import mul
+from operator import countOf, mul
 from typing import Sequence
 
 from .errors import DependentInput, NonFreeAction, UnsaturatedWindow, expect, expect_rows, member
@@ -140,6 +149,24 @@ def _check_cone(rays: tuple[Ray, ...], lattice_rank: int) -> int:
     return mult
 
 
+def _canonical_cone(i: int, cusp: str, rays, ranks: dict[str, int]) -> FaceKey:
+    """The (cusp, sorted rays) pair of cone ``i`` of a window, once it
+    passes the per-cone checks in order: a known cusp, int entries, then
+    ``_check_cone`` on the sorted rays.  A message is formatted only for the
+    check that fails, and names the cone."""
+    if cusp not in ranks:
+        raise ValueError(f"cone {i}: unknown cusp {cusp!r}")
+    for ray in rays:
+        if countOf(map(type, ray), int) != len(ray):
+            raise ValueError(f"cone {i}: ray {list(ray)} has a non-integer entry")
+    rays = tuple(sorted(map(tuple, rays)))
+    try:
+        _check_cone(rays, ranks[cusp])
+    except ValueError as exc:
+        raise ValueError(f"cone {i}: {exc}") from None
+    return cusp, rays
+
+
 def _numbered(cones) -> tuple[Cone, ...]:
     """Distinct (cusp, sorted rays) pairs, sorted and numbered from 0."""
     return tuple(Cone(cusp, rays, i) for i, (cusp, rays) in enumerate(sorted(set(cones))))
@@ -161,6 +188,22 @@ class FanSystem:
     identifications: tuple[Identification, ...] = ()
 
     def __post_init__(self):
+        self._check((cone.cusp, cone.rays) for cone in self.cones)
+
+    @classmethod
+    def _from_parts(cls, cusps, cones, identifications) -> FanSystem:
+        """The FanSystem of (cusp, rays) pairs, checked and canonicalised as
+        construction does; no ``Cone`` is built but the canonical ones."""
+        fs = object.__new__(cls)
+        object.__setattr__(fs, "cusps", cusps)
+        object.__setattr__(fs, "identifications", identifications)
+        fs._check(cones)
+        return fs
+
+    def _check(self, cones) -> None:
+        """Check the cusps, then each (cusp, rays) pair of ``cones`` by
+        ``_canonical_cone``, then the identifications; set ``cones`` to the
+        canonical cones."""
         cusp_names = [c.name for c in self.cusps]
         if len(set(cusp_names)) != len(cusp_names):
             raise ValueError("duplicate cusp names")
@@ -183,22 +226,8 @@ class FanSystem:
                     raise ValueError(f"{where}: not of full column rank")
                 if any(f != 1 for f in factors):
                     raise ValueError(f"{where}: image is not saturated")
-        canonical = []
-        for i, cone in enumerate(self.cones):
-            if cone.cusp not in ranks:
-                raise ValueError(f"cone {i}: unknown cusp {cone.cusp!r}")
-            for ray in cone.rays:
-                if not all(type(x) is int for x in ray):
-                    raise ValueError(
-                        f"cone {i}: ray {list(ray)} has a non-integer entry"
-                    )
-            rays = tuple(sorted(tuple(ray) for ray in cone.rays))
-            try:
-                _check_cone(rays, ranks[cone.cusp])
-            except ValueError as exc:
-                raise ValueError(f"cone {i}: {exc}") from None
-            canonical.append((cone.cusp, rays))
-        object.__setattr__(self, "cones", _numbered(canonical))
+        object.__setattr__(self, "cones", _numbered(
+            [_canonical_cone(i, cusp, rays, ranks) for i, (cusp, rays) in enumerate(cones)]))
         for i, ident in enumerate(self.identifications):
             _require_int_matrix(ident.matrix, f"identification {i}")
             if ident.source not in ranks or ident.target not in ranks:
@@ -710,22 +739,16 @@ def smooth_subdivide(fs: FanSystem) -> FanSystem:
 # -- refinement and equivariance helpers ------------------------------------
 
 
-def _in_cone(forms, v: Ray) -> bool:
-    equations, coordinates = forms
-    return all(
-        sum(a * b for a, b in zip(e, v)) == 0 for e in equations
-    ) and all(sum(a * b for a, b in zip(f, v)) >= 0 for f in coordinates)
-
-
 def is_refinement(fine: FanSystem, coarse: FanSystem) -> bool:
     """Every cone of `fine` lies inside some cone of `coarse` (same cusp).
 
-    Each coarse cone is eliminated at most once, when first needed, into
-    the integer forms of ``coordinate_forms``; a ray lies in the cone iff
-    the equations vanish on it and the coordinate forms are nonnegative.
     A fine cone's host is looked for first among the coarse cones that
     share a ray with it, read from the coarse face index, then among the
-    other coarse cones of its cusp.
+    other coarse cones of its cusp.  A fine ray that is one of the
+    candidate's own rays lies in it; every other ray is tested against the
+    candidate's integer forms from ``coordinate_forms``: it lies in the cone
+    iff the equations vanish on it and the coordinate forms are nonnegative.
+    Each coarse cone is eliminated at most once, when a ray first needs it.
     """
     ranks = {c.name: c.lattice_rank for c in coarse.cusps}
     if any(ranks.get(c.name, c.lattice_rank) != c.lattice_rank for c in fine.cusps):
@@ -733,21 +756,42 @@ def is_refinement(fine: FanSystem, coarse: FanSystem) -> bool:
     index = coarse._index
     forms: dict[int, tuple] = {}
 
-    def hosts(i: int, rays: tuple[Ray, ...]) -> bool:
+    def hosts(i: int, rays: tuple[Ray, ...], ids: list) -> bool:
+        own, outside = index.cones[i], []
+        for ray, r in zip(rays, ids):
+            if r not in own:
+                outside.append(ray)
+        if not outside:
+            return True
         f = forms.get(i)
         if f is None:
             host = coarse.cones[i]
             f = forms[i] = coordinate_forms(host.rays, ranks[host.cusp])
-        return all(_in_cone(f, r) for r in rays)
+        equations, coordinates = f
+        for v in outside:
+            for e in equations:
+                if sum(map(mul, e, v)):
+                    return False
+            for c in coordinates:
+                if sum(map(mul, c, v)) < 0:
+                    return False
+        return True
 
     for cone in fine.cones:
-        ids = index.ids.get(cone.cusp, {})
-        near = set().union(*(index.holders[ids[r]] for r in cone.rays if r in ids))
-        if any(hosts(i, cone.rays) for i in sorted(near)):
-            continue
-        if not any(hosts(i, cone.rays) for i, c in enumerate(coarse.cones)
-                   if c.cusp == cone.cusp and i not in near):
-            return False
+        ids = list(map(index.ids.get(cone.cusp, {}).get, cone.rays))  # None off the window
+        near: set[int] = set()
+        for r in ids:
+            if r is not None:
+                near |= index.holders[r]
+        for i in sorted(near):
+            if hosts(i, cone.rays, ids):
+                break
+        else:
+            for i, c in enumerate(coarse.cones):
+                if c.cusp == cone.cusp and i not in near and hosts(i, cone.rays, ids):
+                    break
+            else:
+                return False
     return True
 
 
@@ -805,22 +849,23 @@ def fan_system_to_dict(fs: FanSystem) -> dict:
     }
 
 
-def _rays_from_json(rays, path: str) -> tuple[Ray, ...]:
-    """Rays as tuples; a non-list names its JSON path in a ValueError.
-
-    Entry types are checked by ``FanSystem`` itself.
-    """
+def _check_json_rays(rays, i: int) -> None:
+    """A ValueError that names the JSON path of cone ``i``'s rays when they
+    are not a list, or of the first ray that is not a list."""
+    path = f"cones[{i}].rays"
     if not isinstance(rays, list):
         raise ValueError(f"{path}: expected a list of rays, got {rays!r}")
     for j, ray in enumerate(rays):
         if not isinstance(ray, list):
             raise ValueError(f"{path}[{j}]: expected a list of ints, got {ray!r}")
-    return tuple(tuple(r) for r in rays)
 
 
 def fan_system_from_dict(data: dict) -> FanSystem:
     """Read the JSON form.  A value of the wrong JSON type raises a
-    ValueError, and a missing key a KeyError, that names its path."""
+    ValueError, and a missing key a KeyError, that names its path; every
+    value is type-checked before any cone or identification is validated.
+    Entry types and everything else are checked as ``FanSystem`` checks
+    them, with each cone checked once."""
     expect(data, dict)
     cusps = []
     for i, c in enumerate(member(data, "cusps", list)):
@@ -837,9 +882,11 @@ def fan_system_from_dict(data: dict) -> FanSystem:
     cones = []
     for i, c in enumerate(member(data, "cones", list)):
         expect(c, dict, "cones", i)
-        cones.append(Cone(member(c, "cusp", str, "cones", i),
-                          _rays_from_json(member(c, "rays", object, "cones", i),
-                                          f"cones[{i}].rays")))
+        cusp = member(c, "cusp", str, "cones", i)
+        rays = member(c, "rays", object, "cones", i)
+        if type(rays) is not list or countOf(map(type, rays), list) != len(rays):
+            _check_json_rays(rays, i)
+        cones.append((cusp, rays))
     idents = []
     for i, g in enumerate(expect(data.get("identifications", []), list, "identifications")):
         path = ("identifications", i)
@@ -848,4 +895,4 @@ def fan_system_from_dict(data: dict) -> FanSystem:
         idents.append(Identification(Matrix(matrix, cols=expect_rows(matrix, *path, ".matrix")),
                                      member(g, "source", str, *path),
                                      member(g, "target", str, *path)))
-    return FanSystem(cusps=tuple(cusps), cones=tuple(cones), identifications=tuple(idents))
+    return FanSystem._from_parts(tuple(cusps), cones, tuple(idents))

@@ -295,18 +295,11 @@ class SpectralPage:
     def _entries(self) -> dict[tuple[int, int], PureHS]:
         return dict(self.entries)
 
-    @cached_property
-    def _complexes(self) -> dict[tuple[int, int], BidegreeComplex]:
-        return dict(self.complexes or ())
-
     def entry(self, p: int, q: int) -> PureHS:
         """The entry at (p, q); zero of weight q off the page, as
         E1^{-m,k+m} has weight k + m = q."""
         hs = self._entries.get((p, q))
         return PureHS(q) if hs is None else hs
-
-    def complex_at(self, P: int, Q: int) -> BidegreeComplex | None:
-        return self._complexes.get((P, Q))
 
 
 def e1_page(sc: StrataComplex, k: int) -> SpectralPage:
@@ -383,15 +376,6 @@ class FnFiltrationReport:
                 return basis, rows
         return None
 
-    def residue_projection(self, m: int, stratum_id: str) -> Matrix:
-        """Rows of the kernel basis belonging to one codim-m stratum."""
-        found = self.kernel_basis(m)
-        if found is None:
-            raise KeyError(f"no kernel data at weight offset {m}")
-        basis, rows = found
-        idx = [i for i, (sid, _) in enumerate(rows) if sid == stratum_id]
-        return basis.submatrix(idx, range(basis.cols))
-
 
 def weight_filtration_on_FnHn(sc: StrataComplex) -> FnFiltrationReport:
     """Gr^W_{n+m} F^n = kernel of the signed residue/Gysin map out of the
@@ -445,8 +429,10 @@ def annotate_from_fans(fs: FanSystem, ann: CuspStrataAnnotation) -> StrataComple
     dimension d in the top layer, the (t-2)-simplices the matching
     (n-t+1,1) layer, each face of a simplex is one identity Gysin block (the
     chain-complex signs are supplied by assembly), and a stratum's index set
-    is the global ray classes of its vertices.  The model is synthetic: it
-    checks bookkeeping, not geometry.
+    is the global ray classes of its vertices.  Two annotated cusps that
+    share an orbit class of the strata's cone dimensions raise a ValueError
+    naming both: each cusp's quotient would hold that class.  The model is
+    synthetic: it checks bookkeeping, not geometry.
     """
     report = check_snc_condition(fs)
     if not report.ok:
@@ -465,9 +451,19 @@ def annotate_from_fans(fs: FanSystem, ann: CuspStrataAnnotation) -> StrataComple
     n = ann.ambient_dim if ann.ambient_dim is not None else t
     if n < t:
         raise ValueError("ambient dimension below top cone dimension")
+    index = fs._index
+    if len(dims) > 1:  # a stratum's orbit class must be one cusp's alone
+        for dim in range(max(t - 1, 1), t + 1):
+            for cls in index.orbits(dim):
+                shared = sorted({index.rays[face[0]][0] for face in cls}.intersection(dims))
+                if len(shared) > 1:
+                    raise ValueError(
+                        f"annotated cusps {shared[0]!r} and {shared[1]!r} share an orbit "
+                        f"class of {dim}-cones; annotate one of them"
+                    )
 
     # zero-padded, so that labels sort as their classes and vertices do
-    n_classes = max(fs._index.ray_class) + 1
+    n_classes = max(index.ray_class) + 1
     components = [f"C{j:0{len(str(n_classes - 1))}d}" for j in range(n_classes)]
     strata: list[Stratum] = []
     gysin: dict[GysinKey, Matrix] = {}

@@ -3,7 +3,8 @@
 The strata documents include an annotated window, whose repeated Hodge
 tables and Gysin blocks the loader shares; on every strata case the loader
 must also agree with the reference loader of ``loader_oracle``: an equal
-complex, or the same exception type and message.
+complex, or the same exception type and message.  On every fan case the fan
+loader must agree in the same way with the one of ``fan_oracle``.
 
 Each case starts from a valid document, then replaces one or two values by
 values of another JSON type (an object inside a list by a non-object, say),
@@ -22,11 +23,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fan_oracle
 from fanhodge.corank_report import CuspInventory
 from fanhodge.errors import FanhodgeError, json_path
 from fanhodge.fans import fan_system_from_dict
 from fanhodge.fixtures import builtin_fixtures
 from fanhodge.weight_ss import strata_complex_from_dict, strata_complex_to_dict
+from test_face_index import outcome
 from test_strata_loader import assert_same_as_reference
 from test_weight_ss import annotated_hilbert_window
 
@@ -171,6 +174,14 @@ def test_strata_loader_on_mutated_documents(case):
 @given(mutated("inventory"))
 def test_inventory_loader_on_mutated_documents(case):
     _check(case)
+
+
+@FUZZ
+@given(mutated("fan"))
+def test_fan_loader_matches_the_reference_loader(case):
+    doc = case[1]
+    assert outcome(fan_system_from_dict, copy.deepcopy(doc)) == outcome(
+        fan_oracle.fan_system_from_dict, copy.deepcopy(doc))
 
 
 @FUZZ

@@ -37,6 +37,7 @@ from fanhodge.weight_ss import (
     weight_graded,
 )
 from dense_oracle import is_zero, matmul
+from weight_oracle import complex_at, residue_projection
 
 
 def tensor_identity(m: Matrix, d: int) -> Matrix:
@@ -67,12 +68,12 @@ def test_off_page_entry_has_weight_q():
     off = page.entry(-2, 3)
     assert off.weight == 3 and off.is_zero()
     assert page.entry(-1, 2) is dict(page.entries)[(-1, 2)]
-    assert page.complex_at(1, 1) is None
+    assert complex_at(page, 1, 1) is None
     full = d1(cstar_strata(), page)
     assert full.complexes
     for (P, Q), bc in full.complexes:
-        assert full.complex_at(P, Q) is bc
-    assert full.complex_at(9, 9) is None
+        assert complex_at(full, P, Q) is bc
+    assert complex_at(full, 9, 9) is None
 
 
 def test_cstar_d1_matrix():
@@ -183,7 +184,7 @@ def test_single_stratum_residue_is_invertible(d, window):
     rep = weight_filtration_on_FnHn(sc)
     basis, rows = rep.kernel_basis(sc.n)
     for sid in sorted({s for s, _ in rows}):
-        proj = rep.residue_projection(sc.n, sid)
+        proj = residue_projection(rep, sc.n, sid)
         assert proj.shape == (d, d)
         assert rank(proj) == d
 
