@@ -35,8 +35,10 @@ The two subdivisions do not rebuild a ``FanSystem`` per step.  Each works
 on one mutable local state, ``_LocalFan``: the cone set, a (cusp, ray) ->
 cones incidence and the directed integer ray maps taken from the input's
 index.  A face exists iff the incidence sets of its rays intersect, a face
-orbit is walked through the maps, and a step touches only the cones that
-contain a face of the orbit.  Each cone a step leaves in the fan is
+orbit is walked through the maps, and both subdivisions take one stellar
+step, ``_LocalFan.star``, which stars the faces of an orbit in sorted order
+and touches only the cones that contain one of them; two-division is the
+star of each 2-face at its ray sum.  Each cone a step leaves in the fan is
 validated once (ray length, primitivity, independence); in the stellar
 loop the one multiplicity that validates a cone also answers whether it is
 smooth.  One ``FanSystem`` is built at the end from the input's cusps and
@@ -597,36 +599,25 @@ class _LocalFan:
                     raise UnsaturatedWindow("orbit class not connected by pairings")
         return assignment
 
-    def split(self, face: FaceKey, w: Ray, pieces) -> list[FaceKey]:
-        """Replace each cone holding ``face`` by ``pieces(rays, face rays,
-        w)``; returns the cones added."""
-        cusp, support = face
+    def star(self, assignment: dict[FaceKey, Ray]) -> list[FaceKey]:
+        """Star each face of an orbit ``assignment`` at its new ray, in
+        sorted face order: each cone holding the face at that moment is
+        replaced by the cones that trade one ray of the face for the new
+        ray.  Returns the cones added."""
         added = []
-        for key in self.holders(cusp, support):
-            self.cones.remove(key)
-            for ray in key[1]:
-                self.incidence[(cusp, ray)].discard(key)
-            added.extend(self.add(cusp, piece) for piece in pieces(key[1], support, w))
+        for (cusp, support), w in sorted(assignment.items()):
+            for key in self.holders(cusp, support):
+                self.cones.remove(key)
+                for ray in key[1]:
+                    self.incidence[(cusp, ray)].discard(key)
+                for omitted in support:
+                    piece = tuple(sorted(tuple(r for r in key[1] if r != omitted) + (w,)))
+                    added.append(self.add(cusp, piece))
         return added
 
     def alive(self, keys) -> list[FaceKey]:
         """The distinct cones among ``keys`` still in the fan."""
         return [key for key in dict.fromkeys(keys) if key in self.cones]
-
-
-def _wall_pieces(rays, support, w):
-    """The two cones into which the wall at w cuts a cone holding the 2-face."""
-    a, b = support
-    others = tuple(r for r in rays if r != a and r != b)
-    return tuple(sorted(others + (a, w))), tuple(sorted(others + (w, b)))
-
-
-def _star_pieces(rays, support, w):
-    """The cones of the star subdivision of a cone at w inside its face."""
-    return [
-        tuple(sorted(tuple(r for r in rays if r != omitted) + (w,)))
-        for omitted in support
-    ]
 
 
 def two_division_subdivide(fs: FanSystem) -> FanSystem:
@@ -636,23 +627,23 @@ def two_division_subdivide(fs: FanSystem) -> FanSystem:
     taken in the order of their representatives.  The new ray is the
     primitivized sum of the representative's two primitive generators; it
     is propagated through the orbit by the identifications.  Once every
-    orbit has its rays, the wall of each divided 2-face is inserted, orbit
-    by orbit and in sorted face order within one, into every window cone
-    that contains the 2-face at that moment.
+    orbit has its rays, the orbits are starred by ``_LocalFan.star`` in
+    that order: starring a 2-face cuts every window cone that contains it
+    at that moment by the wall at its new ray.
     """
     _check_free_action(fs)
     state = _LocalFan(fs)
-    divisions: list[tuple[FaceKey, Ray]] = []
+    assignments: list[dict[FaceKey, Ray]] = []
     divided: set[FaceKey] = set()
     for face in map(fs._index.key, fs._index.faces(2)):
         if face not in divided:
             a, b = face[1]
             assignment = state.orbit(face, primitivize(tuple(x + y for x, y in zip(a, b))))
             divided.update(assignment)
-            divisions.extend(sorted(assignment.items()))
+            assignments.append(assignment)
     added = []
-    for face, w in divisions:
-        added += state.split(face, w, _wall_pieces)
+    for assignment in assignments:
+        added += state.star(assignment)
     for cusp, rays in state.alive(added):
         _check_cone(rays, state.ranks[cusp])
     return FanSystem._trusted(fs, state.cones)
@@ -702,9 +693,9 @@ def smooth_subdivide(fs: FanSystem) -> FanSystem:
     """Equivariant stellar resolution until every cone is smooth.
 
     Each step subdivides the orbit of the least non-smooth cone, by (cusp,
-    rays), at a minimal interior lattice point; the faces of the orbit are
-    starred in sorted order, each in the cones that contain it at that
-    moment.  The sublattice index strictly decreases, so the loop
+    rays), at a minimal interior lattice point; ``_LocalFan.star`` stars
+    the faces of the orbit in sorted order, each in the cones that contain
+    it at that moment.  The sublattice index strictly decreases, so the loop
     terminates.  Smoothness depends only on the cusp and the rays, so each
     distinct cone is tested once across all steps; for a new cone it is
     read off the multiplicity that validated it.
@@ -725,10 +716,7 @@ def smooth_subdivide(fs: FanSystem) -> FanSystem:
         assert point is not None
         w, support = point
         assignment = state.orbit((cusp, tuple(sorted(support))), w)
-        added = []
-        for face in sorted(assignment):
-            added += state.split(face, assignment[face], _star_pieces)
-        for key in state.alive(added):
+        for key in state.alive(state.star(assignment)):
             if key not in smooth:
                 smooth[key] = _check_cone(key[1], state.ranks[key[0]]) == 1
             if not smooth[key]:

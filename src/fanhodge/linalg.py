@@ -31,25 +31,24 @@ transforms.  A unit phase eliminates +-1 pivots, sparsest first, exactly
 and without scaling; each is unimodular and gives a factor 1, and the
 sparse +-1 boundary maps are mostly used up by it.  A residual phase takes
 what is left modulo delta, the absolute value of one nonzero r x r minor
-of the residual of rank r, which every invariant factor divides, and
-diagonalises it over Z/delta with 2 x 2 extended-gcd steps, so no entry
-ever exceeds delta.  ``smith_normal_form`` returns the unimodular
-transforms, so it works over Z, but with the same steps: ``_gcd_step``
-turns a pivot and an entry below it into their gcd and a zero in one row
-step, and rows are cleared as the columns of the transpose.  A pivot that
-changes becomes a proper divisor of itself, so the loop cannot stall, and
-on dense 6 x 6 input with entries in [-9, 9] the U/V entries stay under
-about 70 bits.
+of the residual of rank r, which every invariant factor divides.
+``smith_normal_form`` returns the unimodular transforms, so it works over
+Z.  Both run one Smith loop, ``_smith``, which takes the modulus: 0 for Z,
+delta for Z/delta, where every row is reduced after each step, so no entry
+ever exceeds delta.  ``_gcd_step`` turns a pivot and an entry below it into
+their gcd and a zero in one row step, and rows are cleared as the columns
+of the transpose.  A pivot that changes becomes a proper divisor of itself,
+so the loop cannot stall, and on dense 6 x 6 input with entries in [-9, 9]
+the U/V entries stay under about 70 bits.
 """
 
 from __future__ import annotations
 
 import heapq
 from fractions import Fraction
-from functools import partial
 from math import gcd, lcm, prod
 from operator import itemgetter
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .errors import DependentInput
 
@@ -480,51 +479,15 @@ def smith_normal_form(m: Matrix) -> tuple[Matrix, Matrix, Matrix]:
     """Smith normal form of an integer matrix.
 
     Returns (U, D, V) with U * m * V = D, U and V unimodular, and D diagonal
-    with nonnegative entries d_i | d_{i+1}.
-
-    The loop keeps the rows of [A | X] and, apart, the rows of Y, with
-    X * m * Y^T = A; a row step on [A | X] keeps that true.  Transposed,
-    Y * m^T * X^T = A^T has the same form with the roles swapped, so a
-    column step on A is a row step on [A^T | Y].  Each pivot is the first
-    entry of least absolute value in the remaining block, moved by
-    ``_pivot``; Y gets its column swap as a row swap.  The pivot column is
-    cleared by the row steps of ``_gcd_step``, which leave the gcd of the
-    column at the pivot; if the pivot row is not clear, the loop transposes
-    and clears it as a column.  Then a row of the block with an entry that
-    the pivot does not divide is added to the pivot row, to be cleared
-    again.  A clearing that changes the pivot makes it a proper divisor of
-    itself, so the loop ends.
+    with nonnegative entries d_i | d_{i+1}, from ``_smith`` over Z on the
+    rows of [m | I] and of I.
     """
     if not m.is_integer():
         raise ValueError("smith_normal_form needs an integer matrix")
     nrows, ncols = m.shape
     w = [[int(x) for x in row] + [int(i == j) for j in range(nrows)] for i, row in enumerate(m._d)]
     y = [[int(i == j) for j in range(ncols)] for i in range(ncols)]
-    flipped = False
-    for t in range(min(nrows, ncols)):
-        k = len(y)  # the columns of A
-        j = _pivot(w, t, k, abs)
-        if j is None:
-            break
-        y[t], y[j] = y[j], y[t]
-        while True:
-            for i in range(t + 1, len(w)):
-                if w[i][t]:
-                    w[t], w[i] = _gcd_step(w[t], w[i], t)
-            if any(w[t][t + 1:k]):
-                # on to [A^T | Y]; zip stops at the k columns of A
-                w, y = [[*col, *row] for col, row in zip(zip(*w), y)], [r[k:] for r in w]
-                k = len(y)
-                flipped = not flipped
-                continue
-            p = w[t][t]
-            rest = w[t + 1:] if abs(p) > 1 else ()  # a unit divides the rest
-            offender = next((row for row in rest if any(x % p for x in row[t + 1:k])), None)
-            if offender is None:
-                break
-            w[t] = [a + b for a, b in zip(w[t], offender)]
-        if w[t][t] < 0:
-            w[t] = [-x for x in w[t]]
+    w, y, flipped = _smith(w, y, 0)
     k = len(y)
     d, x = [r[:k] for r in w], [r[k:] for r in w]
     if flipped:
@@ -544,8 +507,9 @@ def invariant_factors(m: Matrix | SparseMatrix) -> list[int]:
     gcd of all of them, divides delta, and so does every d_i.  Over
     Z/delta, R is equivalent to diag(d_1, ..., d_r) mod delta, whose
     entries have gcd(d_i, delta) = d_i, except that d_i = delta reads 0.
-    So ``_factors_mod`` on R mod delta gives the d_i below delta, and the
-    rest of the r factors are delta.
+    So ``_smith`` over Z/delta on R mod delta, with no transforms, leaves
+    diagonal entries p_1, ..., p_r with gcd(p_i, delta) = d_i, where a
+    p_i = 0 reads delta.
     """
     sparse, where = _sparse_rows(m._d, integer=True)
     units = _unit_pivots(sparse, where)
@@ -556,8 +520,8 @@ def invariant_factors(m: Matrix | SparseMatrix) -> list[int]:
     dense = [[row.get(c, 0) for c in cols] for row in residual]
     _, _, order, pivots = _row_echelon(dense)
     delta = abs(_det([[dense[i][c] for c in pivots] for i in order]))
-    factors = _factors_mod(dense, delta) if delta > 1 else []
-    return [1] * units + factors + [delta] * (len(pivots) - len(factors))
+    w, _, _ = _smith([[x % delta for x in row] for row in dense], [[] for _ in cols], delta)
+    return [1] * units + [gcd(w[t][t], delta) for t in range(len(pivots))]
 
 
 def _unit_pivots(sparse: list[dict[int, int]], where: dict[int, set[int]]) -> int:
@@ -607,18 +571,76 @@ def _unit_pivots(sparse: list[dict[int, int]], where: dict[int, set[int]]) -> in
     return count
 
 
-def _pivot(a: list[list[int]], t: int, k: int, key: Callable[[int], int]) -> int | None:
-    """Move the first nonzero entry of least ``key`` in the block
+def _smith(w: list[list[int]], y: list[list[int]], mod: int) -> tuple[
+    list[list[int]], list[list[int]], bool
+]:
+    """The Smith loop over Z (``mod`` 0) or over Z/mod, for both
+    ``smith_normal_form`` and ``invariant_factors``.
+
+    ``w`` holds the rows of [A | X] and ``y``, apart, the rows of Y, with
+    X * m * Y^T = A; a row step on [A | X] keeps that true.  Transposed,
+    Y * m^T * X^T = A^T has the same form with the roles swapped, so a
+    column step on A is a row step on [A^T | Y].  Without transforms, X and
+    Y have empty rows, one per row and column of A.  Each pivot is the first
+    entry of least gcd with ``mod`` (least absolute value over Z) in the
+    remaining block, moved by ``_pivot``; Y gets its column swap as a row
+    swap.  The pivot column is cleared by the row steps of ``_gcd_step``,
+    which leave the gcd of the column at the pivot; if the pivot row is not
+    clear, the loop transposes and clears it as a column.  Then a row of
+    the block with an entry that gcd(pivot, mod) does not divide is added
+    to the pivot row, to be cleared again.  Over Z/mod every row is reduced
+    after each step.  A clearing that changes the pivot makes it a proper
+    divisor of itself, so the loop ends.  Over Z a negative pivot row is
+    negated.
+
+    Returns the final rows of [A | X] and of Y, A now diagonal, and whether
+    they are those of the transposed system.
+    """
+    flipped = False
+    for t in range(min(len(w), len(y))):
+        k = len(y)  # the columns of A
+        j = _pivot(w, t, k, mod)
+        if j is None:
+            break
+        y[t], y[j] = y[j], y[t]
+        while True:
+            for i in range(t + 1, len(w)):
+                if w[i][t]:
+                    w[t], w[i] = _gcd_step(w[t], w[i], t)
+                    if mod:
+                        w[t], w[i] = [x % mod for x in w[t]], [x % mod for x in w[i]]
+            if any(w[t][t + 1:k]):
+                # on to [A^T | Y]; zip stops at the k columns of A
+                w, y = [[*col, *row] for col, row in zip(zip(*w), y)], [r[k:] for r in w]
+                k = len(y)
+                flipped = not flipped
+                continue
+            g = gcd(w[t][t], mod)
+            rest = w[t + 1:] if g > 1 else ()  # a unit divides the rest
+            offender = next((row for row in rest if any(x % g for x in row[t + 1:k])), None)
+            if offender is None:
+                break
+            w[t] = [a + b for a, b in zip(w[t], offender)]
+            if mod:
+                w[t] = [x % mod for x in w[t]]
+        if w[t][t] < 0:
+            w[t] = [-x for x in w[t]]
+    return w, y, flipped
+
+
+def _pivot(a: list[list[int]], t: int, k: int, mod: int) -> int | None:
+    """Move the first nonzero entry of least gcd with ``mod`` in the block
     a[t:][t:k], in row-major order, to (t, t) by a row and a column swap,
-    and return its column; None when the block is zero.  No key is below 1,
-    so the search ends with the row of the first entry of key 1.
+    and return its column; None when the block is zero.  gcd(0, x) = |x|,
+    so over Z that is the least absolute value.  No gcd is below 1, so the
+    search ends with the row of the first entry of gcd 1.
     """
     best = None
     for i in range(t, len(a)):
         row = a[i]
         for j in range(t, k):
             if row[j]:
-                g = key(row[j])
+                g = gcd(mod, row[j])
                 if best is None or g < best[0]:
                     best = g, i, j
         if best is not None and best[0] == 1:
@@ -655,37 +677,3 @@ def _gcd_step(p: list[int], q: list[int], c: int) -> tuple[list[int], list[int]]
         t0, t1 = t1, t0 - k * t1
     x, y = a // g, b // g
     return [s0 * i + t0 * j for i, j in zip(p, q)], [x * j - y * i for i, j in zip(p, q)]
-
-
-def _factors_mod(rows: list[list[int]], delta: int) -> list[int]:
-    """gcd(pivot, delta) for each pivot of a diagonalisation over Z/delta.
-
-    Each pivot is an entry of least gcd with delta, by ``_pivot``.  Its
-    column is cleared by the row steps of ``_gcd_step``, reduced mod delta,
-    and its row the same way on the transpose; a row of the remaining block
-    with an entry that gcd(pivot, delta) does not divide is added to the
-    pivot row until none is left.  The values come out in divisibility
-    order; entries that are 0 mod delta give none.
-    """
-    a = [[x % delta for x in row] for row in rows]
-    out = []
-    for t in range(min(len(a), len(a[0]))):
-        if _pivot(a, t, len(a[0]), partial(gcd, delta)) is None:
-            break
-        while True:
-            for i in range(t + 1, len(a)):
-                if a[i][t]:
-                    p, q = _gcd_step(a[t], a[i], t)
-                    a[t], a[i] = [x % delta for x in p], [x % delta for x in q]
-            if any(a[t][t + 1:]):
-                a = [list(col) for col in zip(*a)]
-                continue
-            g = gcd(a[t][t], delta)
-            rest = a[t + 1:] if g > 1 else ()
-            offender = next((row for row in rest if any(x % g for x in row[t + 1:])), None)
-            if offender is None:
-                out.append(g)
-                break
-            a[t] = [(p + q) % delta for p, q in zip(a[t], offender)]
-    return out
-

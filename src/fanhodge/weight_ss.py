@@ -429,19 +429,23 @@ def annotate_from_fans(fs: FanSystem, ann: CuspStrataAnnotation) -> StrataComple
     dimension d in the top layer, the (t-2)-simplices the matching
     (n-t+1,1) layer, each face of a simplex is one identity Gysin block (the
     chain-complex signs are supplied by assembly), and a stratum's index set
-    is the global ray classes of its vertices.  Two annotated cusps that
-    share an orbit class of the strata's cone dimensions raise a ValueError
-    naming both: each cusp's quotient would hold that class.  The model is
-    synthetic: it checks bookkeeping, not geometry.
+    is the global ray classes of its vertices.  An annotated cusp with no
+    cones in the window raises a ValueError naming it.  Two annotated cusps
+    that share an orbit class of the strata's cone dimensions raise a
+    ValueError naming both: each cusp's quotient would hold that class.
+    The model is synthetic: it checks bookkeeping, not geometry.
     """
     report = check_snc_condition(fs)
     if not report.ok:
         raise SncConditionViolated(f"{len(report.violations)} violating cone(s)")
     dims = dict(ann.dims)
     tops = {
-        cusp: max((c.dim() for c in fs.cones if c.cusp == cusp), default=0)
+        cusp: max((c.dim() for c in fs.cones if c.cusp == cusp), default=None)
         for cusp in dims
     }
+    missing = [cusp for cusp, top in tops.items() if top is None]
+    if missing:
+        raise ValueError(f"annotated cusp {missing[0]!r} has no cones in the window")
     t_values = set(tops.values())
     if len(t_values) != 1:
         raise ValueError("annotated cusps must share one top cone dimension")

@@ -11,13 +11,21 @@ here too: the subdivision oracles map rays with it, where the library uses
 integer rows.  So do ``matmul``, ``transpose``, ``zeros`` and ``is_zero``:
 the library's chain maps are ``SparseMatrix`` values, and the tests multiply
 them densely through ``to_matrix()``; ``sparse`` goes the other way.
+
+``smith_normal_form`` and ``residual_invariant_factors`` are the two Smith
+loops that ``fanhodge.linalg`` ran before it folded them into one loop that
+takes the modulus: the U/V loop over Z, and the transform-free loop over
+Z/delta that took the residual left by the unit phase of
+``invariant_factors``.  The tests hold the library's U, D, V and factors
+to them.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import partial
 from math import gcd, lcm, prod
-from typing import Sequence
+from typing import Callable, Sequence
 
 from fanhodge.linalg import Entry, Matrix, SparseMatrix
 
@@ -195,3 +203,133 @@ def dense_invariant_factors(m: Matrix) -> list[int]:
         out.append(abs(p))
         a = [row[1:] for row in a[1:]]
     return out
+
+
+def smith_normal_form(m: Matrix) -> tuple[Matrix, Matrix, Matrix]:
+    """(U, D, V) with U * m * V = D by the library's previous U/V loop.
+
+    The loop keeps the rows of [A | X] and, apart, the rows of Y, with
+    X * m * Y^T = A.  Each pivot is the first entry of least absolute value
+    in the remaining block; its column is cleared by ``_gcd_step`` row steps,
+    its row the same way on [A^T | Y], and a row with an entry that the
+    pivot does not divide is added to the pivot row until none is left.
+    """
+    nrows, ncols = m.shape
+    w = [[int(x) for x in row] + [int(i == j) for j in range(nrows)]
+         for i, row in enumerate(m.to_lists())]
+    y = [[int(i == j) for j in range(ncols)] for i in range(ncols)]
+    flipped = False
+    for t in range(min(nrows, ncols)):
+        k = len(y)
+        j = _pivot(w, t, k, abs)
+        if j is None:
+            break
+        y[t], y[j] = y[j], y[t]
+        while True:
+            for i in range(t + 1, len(w)):
+                if w[i][t]:
+                    w[t], w[i] = _gcd_step(w[t], w[i], t)
+            if any(w[t][t + 1:k]):
+                w, y = [[*col, *row] for col, row in zip(zip(*w), y)], [r[k:] for r in w]
+                k = len(y)
+                flipped = not flipped
+                continue
+            p = w[t][t]
+            rest = w[t + 1:] if abs(p) > 1 else ()
+            offender = next((row for row in rest if any(x % p for x in row[t + 1:k])), None)
+            if offender is None:
+                break
+            w[t] = [a + b for a, b in zip(w[t], offender)]
+        if w[t][t] < 0:
+            w[t] = [-x for x in w[t]]
+    k = len(y)
+    d, x = [r[:k] for r in w], [r[k:] for r in w]
+    if flipped:
+        return Matrix(y), Matrix(list(zip(*d))), Matrix(list(zip(*x)))
+    return Matrix(x), Matrix(d), Matrix(list(zip(*y)))
+
+
+def residual_invariant_factors(m: Matrix) -> list[int]:
+    """Nonzero Smith diagonal of an integer matrix by the previous residual
+    route of ``invariant_factors``, with no unit phase.
+
+    delta is |det| of an r x r submatrix of rank r, on the pivot columns of
+    m and of its transpose (``dense_echelon``).  ``factors_mod`` of m mod
+    delta gives the factors below delta; the rest of the r factors are delta.
+    """
+    rows = m.to_lists()
+    cols, _ = dense_echelon([list(r) for r in rows])
+    if not cols:
+        return []
+    pivot_rows, _ = dense_echelon([list(r) for r in zip(*rows)])
+    delta = int(abs(dense_det(Matrix([[rows[i][j] for j in cols] for i in pivot_rows]))))
+    factors = factors_mod(rows, delta) if delta > 1 else []
+    return factors + [delta] * (len(cols) - len(factors))
+
+
+def factors_mod(rows: list[list[int]], delta: int) -> list[int]:
+    """gcd(pivot, delta) for each pivot of a diagonalisation over Z/delta,
+    by the library's previous transform-free loop; entries that are 0 mod
+    delta give none."""
+    a = [[x % delta for x in row] for row in rows]
+    out = []
+    for t in range(min(len(a), len(a[0]))):
+        if _pivot(a, t, len(a[0]), partial(gcd, delta)) is None:
+            break
+        while True:
+            for i in range(t + 1, len(a)):
+                if a[i][t]:
+                    p, q = _gcd_step(a[t], a[i], t)
+                    a[t], a[i] = [x % delta for x in p], [x % delta for x in q]
+            if any(a[t][t + 1:]):
+                a = [list(col) for col in zip(*a)]
+                continue
+            g = gcd(a[t][t], delta)
+            rest = a[t + 1:] if g > 1 else ()
+            offender = next((row for row in rest if any(x % g for x in row[t + 1:])), None)
+            if offender is None:
+                out.append(g)
+                break
+            a[t] = [(p + q) % delta for p, q in zip(a[t], offender)]
+    return out
+
+
+def _pivot(a: list[list[int]], t: int, k: int, key: Callable[[int], int]) -> int | None:
+    """Move the first nonzero entry of least ``key`` in a[t:][t:k] to (t, t)
+    by a row and a column swap and return its column; None when the block
+    is zero."""
+    best = None
+    for i in range(t, len(a)):
+        row = a[i]
+        for j in range(t, k):
+            if row[j]:
+                g = key(row[j])
+                if best is None or g < best[0]:
+                    best = g, i, j
+        if best is not None and best[0] == 1:
+            break
+    if best is None:
+        return None
+    _, i, j = best
+    a[t], a[i] = a[i], a[t]
+    if j != t:
+        for row in a:
+            row[t], row[j] = row[j], row[t]
+    return j
+
+
+def _gcd_step(p: list[int], q: list[int], c: int) -> tuple[list[int], list[int]]:
+    """Rows p and q after a determinant-1 row step that takes p[c] != 0 and
+    q[c] to (+-gcd, 0); p stays as it is when p[c] divides q[c]."""
+    a, b = p[c], q[c]
+    if b % a == 0:
+        y = b // a
+        return p, [j - y * i for i, j in zip(p, q)]
+    g, r, s0, s1, t0, t1 = a, b, 1, 0, 0, 1
+    while r:
+        k = g // r
+        g, r = r, g - k * r
+        s0, s1 = s1, s0 - k * s1
+        t0, t1 = t1, t0 - k * t1
+    x, y = a // g, b // g
+    return [s0 * i + t0 * j for i, j in zip(p, q)], [x * j - y * i for i, j in zip(p, q)]

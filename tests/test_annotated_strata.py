@@ -107,6 +107,11 @@ def same(fs, ann):
         # the reference builds the strata of such a class once per cusp
         assert shares_strata_across_cusps(old)
         return new
+    if isinstance(new, tuple) and "has no cones in the window" in new[1]:
+        # the reference raises one of two messages that name no cusp
+        assert old in ((ValueError, "annotated cusps carry no cones"),
+                       (ValueError, "annotated cusps must share one top cone dimension"))
+        return new
     if not isinstance(new, tuple):
         width = len(str(len(new.components) - 1))
         assert new.components == tuple(f"C{j:0{width}d}" for j in range(len(new.components)))
@@ -158,3 +163,17 @@ def test_two_annotated_cusps_in_one_orbit_class_are_rejected():
         assert all(s.id.startswith(f"{cusp}/") for s in sc.strata)
         rep = weight_filtration_on_FnHn(sc)
         assert rep.graded == ((1, 0), (2, 0))  # a path carries no b_1
+
+
+def test_an_annotated_cusp_alone_and_missing_from_the_window_is_named():
+    """The error names the cusp, where it said that the annotated cusps
+    carry no cones."""
+    with pytest.raises(ValueError, match="annotated cusp 'X' has no cones in the window"):
+        annotate_from_fans(two_cusp_window(), CuspStrataAnnotation({"X": 3}))
+
+
+def test_an_annotated_cusp_beside_one_in_the_window_is_named():
+    """The error names the missing cusp, where it said that the annotated
+    cusps must share one top cone dimension."""
+    with pytest.raises(ValueError, match="annotated cusp 'X' has no cones in the window"):
+        annotate_from_fans(two_cusp_window(), CuspStrataAnnotation({"F": 3, "X": 1}))

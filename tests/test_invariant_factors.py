@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from fanhodge.delta_complex import boundary_matrices, integral_homology, quotient_delta_complex
 from fanhodge.fans import fan_system_from_dict, smooth_subdivide, two_division_subdivide
 from fanhodge.linalg import Matrix, det, invariant_factors, rank, smith_normal_form
-from dense_oracle import matmul, zeros
+from dense_oracle import matmul, residual_invariant_factors, zeros
 
 
 def snf_factors(m):
@@ -67,9 +67,9 @@ def matrices(max_dim):
     )
 
 
-# The U/V Smith loop does not always finish on dense 6 x 5 and larger
-# matrices with entries in [-9, 9], so from 6 rows or columns on the
-# determinantal divisors are the only oracle.
+# Both run ``linalg._smith``, over Z and over Z/delta, so this checks the unit
+# phase and the modulus rather than the loop; the determinantal divisors and
+# the residual tests below check the loop against independent references.
 @settings(max_examples=150, deadline=None)
 @given(matrices(5))
 def test_invariant_factors_match_the_smith_form_diagonal(rows):
@@ -149,6 +149,73 @@ def test_dense_20x20_matrices():
     factors = invariant_factors(matmul(a, b))
     assert len(factors) == 12
     assert_consistent(matmul(a, b), factors)
+
+
+def no_unit_rows(rng, rows, cols):
+    """Entries in +-[2, 30]: the unit phase finds no pivot, so the residual
+    phase runs at full size."""
+    return [[rng.choice((-1, 1)) * rng.randint(2, 30) for _ in range(cols)] for _ in range(rows)]
+
+
+def no_unit_product(rng, size, inner):
+    """A rank-deficient size x size product through ``inner`` dimensions,
+    drawn again until it has no +-1 entry."""
+    while True:
+        rows = matmul(Matrix(no_unit_rows(rng, size, inner)),
+                      Matrix(no_unit_rows(rng, inner, size))).to_lists()
+        if all(abs(x) != 1 for row in rows for x in row):
+            return rows
+
+
+def test_residual_phase_matches_the_reference_route():
+    """With no +-1 entry, all of the work is the residual phase over
+    Z/delta; it must agree with the previous transform-free route and, on
+    small sizes, with the determinantal divisors."""
+    rng = random.Random(3030)
+    full = non_unit = 0
+    for size in (4, 5, 6, 8, 12, 16, 20, 25, 30):
+        inputs = [no_unit_rows(rng, size, size), no_unit_rows(rng, size, size - 2),
+                  no_unit_rows(rng, size - 3, size), no_unit_product(rng, size, size // 2)]
+        for rows in inputs:
+            assert all(abs(x) != 1 for row in rows for x in row)
+            m = Matrix(rows)
+            factors = invariant_factors(m)
+            assert factors == residual_invariant_factors(m)
+            assert_consistent(m, factors)
+            if size <= 5:
+                assert factors == determinantal_factors(rows)
+            full += len(factors) == min(m.shape)
+            non_unit += factors[-1] > 1
+    assert full > 0 and non_unit > 0
+
+
+def unimodular(rng, n):
+    """A random n x n unimodular matrix: row additions applied to I."""
+    rows = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(3 * n):
+        i, j = rng.sample(range(n), 2) if n > 1 else (0, 0)
+        if i != j:
+            k = rng.choice((-3, -2, -1, 1, 2, 3))
+            rows[i] = [a + k * b for a, b in zip(rows[i], rows[j])]
+    return Matrix(rows)
+
+
+def test_residual_phase_on_known_divisibility_chains():
+    """U * D * V with D = diag(d_1, ..., d_r, 0, ...) and d_1 = 2, so no
+    entry is +-1 and the residual phase must find a chain such as
+    2 | 4 | 12 itself, through the rows it adds to a pivot row."""
+    rng = random.Random(2468)
+    for rows, cols in ((4, 4), (5, 3), (3, 6), (6, 6), (8, 7), (10, 12), (12, 12)):
+        for _ in range(4):
+            r = min(rows, cols) - rng.randint(0, 2)
+            chain = [2]
+            while len(chain) < r:
+                chain.append(chain[-1] * rng.choice((1, 2, 3, 5)))
+            d = Matrix([[chain[i] if i == j and i < r else 0 for j in range(cols)]
+                        for i in range(rows)])
+            m = matmul(matmul(unimodular(rng, rows), d), unimodular(rng, cols))
+            assert invariant_factors(m) == chain
+            assert residual_invariant_factors(m) == chain
 
 
 def test_extended_gcd_must_keep_a_dividing_pivot():

@@ -17,6 +17,7 @@ from fanhodge.linalg import (
     rational_kernel_basis,
     smith_normal_form,
 )
+import dense_oracle
 from dense_oracle import is_zero, matmul, solve, zeros
 
 
@@ -81,6 +82,25 @@ def test_snf_and_rank_agree_with_oracle_on_200_random_matrices():
     dense = random.Random(6)
     for _ in range(400):
         assert_smith_form(Matrix([[dense.randint(-9, 9) for _ in range(6)] for _ in range(6)]))
+
+
+def test_snf_transforms_match_the_reference_loop():
+    """U, D and V equal those of the previous U/V loop, kept as
+    ``dense_oracle.smith_normal_form``, on the 400 seeded dense 6 x 6
+    matrices above, on seeded rectangular ones and on sparse +-1 ones."""
+    dense = random.Random(6)
+    square = [[[dense.randint(-9, 9) for _ in range(6)] for _ in range(6)] for _ in range(400)]
+    rng = random.Random(4711)
+    shapes = [(r, c) for r in range(1, 9) for c in range(1, 9) if r != c]
+    rectangular = [[[rng.randint(-9, 9) for _ in range(c)] for _ in range(r)]
+                   for r, c in shapes for _ in range(4)]
+    for rows in square + rectangular + [STALLING_6X6]:
+        m = Matrix(rows)
+        assert smith_normal_form(m) == dense_oracle.smith_normal_form(m)
+    for rows, cols in ((12, 12), (15, 11), (9, 16)):
+        m = sparse_unit_matrix(rng, rows, cols, 2)
+        assert smith_normal_form(m) == dense_oracle.smith_normal_form(m)
+    assert smith_normal_form(zeros(2, 4)) == dense_oracle.smith_normal_form(zeros(2, 4))
 
 
 def test_kernel_basis_is_annihilated_and_spans():
