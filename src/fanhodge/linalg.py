@@ -7,18 +7,18 @@ operations return new values, so they are safe to call concurrently.
 the nonzero entries of each row, the form in which ``fanhodge.delta_complex``
 and ``fanhodge.weight_ss`` build their chain maps.
 
-``rank``, ``rational_kernel_basis``, ``inverse`` and ``coordinate_forms``
-share one elimination core: sparse integer Gauss-Jordan on
-``{column: int}`` rows, with a column -> rows index so that a pivot touches
-only the rows holding its column, and every combined row divided by the
-gcd of its entries.  ``_sparse_rows`` sets it up by copying the rows of a
-``SparseMatrix`` or scanning those of a ``Matrix``.  The sparse +-1
-boundary and Gysin maps therefore cost in proportion to their nonzeros and
-keep small entries.  Its forward pass, ``_row_echelon``, is all that
-``rank`` needs; ``_echelon`` adds the backward pass for the others.  Pivot
-columns are taken left to right, so each reader gets the unique reduced row
-echelon form, whatever the pivot rows.  The core keeps no determinant
-factor.
+``rank``, ``inverse`` and ``coordinate_forms`` share one elimination
+core: sparse integer Gauss-Jordan on ``{column: int}`` rows, with a column
+-> rows index so that a pivot touches only the rows holding its column, and
+every combined row divided by the gcd of its entries.  ``_sparse_rows``
+sets it up by copying the rows of a ``SparseMatrix`` or scanning those of a
+``Matrix``.  The sparse +-1 boundary and Gysin maps therefore cost in
+proportion to their nonzeros and keep small entries.  Its forward pass,
+``_row_echelon``, is all that ``rank`` needs, and ``rank`` is all that
+rational homology and the weight-filtration dimensions read; ``_echelon``
+adds the backward pass for the others.  Pivot columns are taken left to
+right, so each reader gets the unique reduced row echelon form, whatever
+the pivot rows.  The core keeps no determinant factor.
 
 Determinants come from ``_det``, fraction-free (Bareiss) elimination on
 dense integer rows, whose intermediate entries are minors of the input.
@@ -360,31 +360,6 @@ def rank(m: Matrix | SparseMatrix) -> int:
     return len(_row_echelon(m._d)[3])
 
 
-def rational_kernel_basis(m: Matrix | SparseMatrix) -> Matrix:
-    """Basis of ker(m) as matrix columns; exact, full column rank.
-
-    Returns a matrix with ``cols - rank`` columns (possibly zero columns).
-    Column k is the free column f_k set to 1 and the others to 0, solved
-    for the pivot columns, so its entries are all ``Fraction``s.
-    """
-    if m.rows == 0:
-        return Matrix.identity(m.cols)
-    reduced, pivots = _echelon(m._d)
-    is_pivot = set(pivots)
-    free = {f: k for k, f in enumerate(f for f in range(m.cols) if f not in is_pivot)}
-    zero, one = Fraction(0), Fraction(1)
-    rows = [[zero] * len(free) for _ in range(m.cols)]
-    for f, k in free.items():
-        rows[f][k] = one
-    for p, row in zip(pivots, reduced):
-        x = row[p]
-        out = rows[p]
-        for j, y in row.items():
-            if j != p:
-                out[free[j]] = Fraction(-y, x)
-    return Matrix(rows, cols=len(free))
-
-
 def inverse(m: Matrix) -> Matrix:
     """Exact inverse of a square nonsingular matrix."""
     if m.rows != m.cols:
@@ -490,9 +465,12 @@ def smith_normal_form(m: Matrix) -> tuple[Matrix, Matrix, Matrix]:
     w, y, flipped = _smith(w, y, 0)
     k = len(y)
     d, x = [r[:k] for r in w], [r[k:] for r in w]
+    # explicit column counts: a matrix with no rows or no columns has an
+    # empty D and identity U and V
     if flipped:
-        return Matrix(y), Matrix(list(zip(*d))), Matrix(list(zip(*x)))
-    return Matrix(x), Matrix(d), Matrix(list(zip(*y)))
+        return (Matrix(y, cols=nrows), Matrix(list(zip(*d)), cols=ncols),
+                Matrix(list(zip(*x)), cols=ncols))
+    return Matrix(x, cols=nrows), Matrix(d, cols=ncols), Matrix(list(zip(*y)), cols=ncols)
 
 
 def invariant_factors(m: Matrix | SparseMatrix) -> list[int]:

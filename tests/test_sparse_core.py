@@ -25,6 +25,7 @@ from dense_oracle import (
     dense_rank,
     is_zero,
     matmul,
+    rational_kernel_basis,
     solve,
     sparse,
     transpose,
@@ -40,7 +41,6 @@ from fanhodge.linalg import (
     invariant_factors,
     inverse,
     rank,
-    rational_kernel_basis,
 )
 from fanhodge.weight_ss import (
     StrataComplex,

@@ -37,7 +37,7 @@ from fanhodge.weight_ss import (
     weight_graded,
 )
 from dense_oracle import is_zero, matmul
-from weight_oracle import complex_at, residue_projection
+from weight_oracle import complex_at, kernel_basis, residue_projection
 
 
 def tensor_identity(m: Matrix, d: int) -> Matrix:
@@ -181,10 +181,9 @@ def test_fn_filtration_dimension_from_annotation(d, window):
 def test_single_stratum_residue_is_invertible(d, window):
     fs = subdivided_window() if window == "fine" else hilbert_window_cubed()
     sc = annotate_from_fans(fs, CuspStrataAnnotation({"F": d}))
-    rep = weight_filtration_on_FnHn(sc)
-    basis, rows = rep.kernel_basis(sc.n)
+    basis, rows = kernel_basis(sc, sc.n)
     for sid in sorted({s for s, _ in rows}):
-        proj = residue_projection(rep, sc.n, sid)
+        proj = residue_projection(sc, sc.n, sid)
         assert proj.shape == (d, d)
         assert rank(proj) == d
 

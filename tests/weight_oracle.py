@@ -1,15 +1,26 @@
-"""Lookups on weight spectral sequence results that only the tests read.
+"""Lookups and previous definitions of weight spectral sequence results that
+only the tests read.
 
-``complex_at`` was ``weight_ss.SpectralPage.complex_at`` and
-``residue_projection`` was ``weight_ss.FnFiltrationReport.residue_projection``;
-no library code called either, so they left ``weight_ss`` and live here,
-taking the page or the report as their first argument.
+``complex_at`` was ``weight_ss.SpectralPage.complex_at``; no library code
+called it, so it left ``weight_ss`` and lives here, taking the page as its
+first argument.
+
+``weight_ss.weight_filtration_on_FnHn`` reads each graded dimension off a
+rank and keeps no kernel basis.  ``kernel_basis`` computes the basis that
+its report kept, by the library's previous ``rational_kernel_basis`` (now in
+``dense_oracle``), and ``residue_projection``, which was a method of the
+report, reads its rows of one stratum.  ``e1_page`` is the previous E1
+page: the sum of the Tate twists of the strata tables, in id order, by
+``tate_twist`` and ``direct_sum``, which were ``mhs.tate_twist`` and
+``mhs.PureHS.__add__``.
 """
 
 from __future__ import annotations
 
+from dense_oracle import rational_kernel_basis
 from fanhodge.linalg import Matrix
-from fanhodge.weight_ss import BidegreeComplex, FnFiltrationReport, SpectralPage
+from fanhodge.mhs import PureHS
+from fanhodge.weight_ss import BidegreeComplex, SpectralPage, StrataComplex, bidegree_complex
 
 
 def complex_at(page: SpectralPage, P: int, Q: int) -> BidegreeComplex | None:
@@ -17,11 +28,54 @@ def complex_at(page: SpectralPage, P: int, Q: int) -> BidegreeComplex | None:
     return dict(page.complexes or ()).get((P, Q))
 
 
-def residue_projection(report: FnFiltrationReport, m: int, stratum_id: str) -> Matrix:
+def kernel_basis(sc: StrataComplex, m: int) -> tuple[Matrix, tuple[tuple[str, int], ...]] | None:
+    """The kernel basis (columns) of the signed Gysin map out of column m at
+    bidegree (n, m) and its row basis, the (stratum id, index) of each row;
+    None when that column is empty."""
+    bc = bidegree_complex(sc, sc.n, m)
+    if bc.dim(m) == 0:
+        return None
+    return rational_kernel_basis(bc.map_out(m)), bc.basis[m]
+
+
+def residue_projection(sc: StrataComplex, m: int, stratum_id: str) -> Matrix:
     """Rows of the kernel basis belonging to one codim-m stratum."""
-    found = report.kernel_basis(m)
+    found = kernel_basis(sc, m)
     if found is None:
         raise KeyError(f"no kernel data at weight offset {m}")
     basis, rows = found
     idx = [i for i, (sid, _) in enumerate(rows) if sid == stratum_id]
     return basis.submatrix(idx, range(basis.cols))
+
+
+def tate_twist(h: PureHS, m: int) -> PureHS:
+    """(-m)-th Tate twist: weight += 2m, each (p,q) -> (p+m, q+m)."""
+    return PureHS(
+        h.weight + 2 * m,
+        {(p + m, q + m): d for (p, q), d in h.hodge_numbers},
+    )
+
+
+def direct_sum(a: PureHS, b: PureHS) -> PureHS:
+    """Direct sum (weights must agree)."""
+    if a.weight != b.weight:
+        raise ValueError("direct sum of different weights")
+    table = dict(a.hodge_numbers)
+    for pq, d in b.hodge_numbers:
+        table[pq] = table.get(pq, 0) + d
+    return PureHS(a.weight, table)
+
+
+def e1_page(sc: StrataComplex, k: int) -> SpectralPage:
+    """Entry (-m, k+m) = Tate twist by m of degree (k-m) cohomology of D(m),
+    summed over the codimension-m strata in id order."""
+    entries = []
+    for m in range(0, min(k, sc.n) + 1):
+        deg = k - m
+        total = PureHS(k + m)
+        for s in sorted(sc.strata_of_codim(m), key=lambda s: s.id):
+            for d, hs in s.cohomology:
+                if d == deg:
+                    total = direct_sum(total, tate_twist(hs, m))
+        entries.append(((-m, k + m), total))
+    return SpectralPage(k=k, n=sc.n, entries=tuple(entries))
