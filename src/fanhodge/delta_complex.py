@@ -5,6 +5,12 @@ distinct vertices and order-preserving face maps; two simplices may share
 the same vertex set.  Built from a fan window, the d-simplices are the
 orbit classes of (d+1)-dimensional cones and the vertices are ray classes.
 
+A simplex is stored as a ``(vertices, faces)`` pair, and its id is its
+position in its level: level d of ``DeltaComplex.simplices`` is a tuple of
+such pairs, ``vertices`` is the ascending tuple of its d + 1 vertex ids,
+and ``faces[t]`` is the id (position in level d - 1) of the face that omits
+vertex t.  No per-simplex object is built.
+
 The quotient is read from the window's face index (``fans._FanIndex``):
 the orbit classes of each dimension come in the order of their least
 members from one sort of that dimension's faces, a simplex orders its
@@ -33,46 +39,49 @@ from .errors import NotAComplex, NotEquidimensional, SncConditionViolated
 from .fans import Face, FanSystem, check_snc_condition
 from .linalg import SparseMatrix, invariant_factors, rank
 
-
-@dataclass(frozen=True)
-class Simplex:
-    id: int
-    vertices: tuple[int, ...]  # ascending vertex ids
-    faces: tuple[int, ...]  # id of the face omitting each vertex position
+_Level = tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]  # (vertices, faces) pairs
 
 
 @dataclass(frozen=True)
 class DeltaComplex:
-    """Per-dimension simplex lists; index d of `simplices` is the dimension."""
+    """Per-dimension simplex levels; index d of `simplices` is the dimension.
 
-    simplices: tuple[tuple[Simplex, ...], ...]
+    Level d is a tuple of ``(vertices, faces)`` pairs, one per d-simplex,
+    whose id is its position in the level: ``vertices`` ascend, and
+    ``faces[t]`` is the id of the (d-1)-simplex omitting vertex t (``()``
+    for a vertex).  Each face id must be an int in range, and the face must
+    have the vertex tuple with vertex t deleted.
+    """
+
+    simplices: tuple[_Level, ...]
 
     def __post_init__(self):
-        below: tuple[tuple[int, ...], ...] = ()  # the vertex tuples of level d - 1
+        below: _Level = ()  # level d - 1
         for d, level in enumerate(self.simplices):
-            for i, s in enumerate(level):
-                vertices = s.vertices
-                if s.id != i:
-                    raise ValueError("simplex ids must be positional")
+            for i, (vertices, faces) in enumerate(level):
                 if len(vertices) != d + 1:
                     raise ValueError("vertex count != dimension + 1")
                 if not all(map(lt, vertices, vertices[1:])):
                     raise ValueError("vertices must be distinct and ascending")
                 if d == 0:
-                    if s.faces != ():
+                    if faces != ():
                         raise ValueError("0-simplices have no faces")
                     continue
-                if len(s.faces) != d + 1:
+                if len(faces) != d + 1:
                     raise ValueError("need one face per omitted vertex")
                 # face t omits vertex t; combinations omit the last vertex first
                 expected = list(itertools.combinations(vertices, d))
                 expected.reverse()
-                for fid, want in zip(s.faces, expected):
-                    if below[fid] != want:
+                for fid, want in zip(faces, expected):
+                    if type(fid) is not int or not 0 <= fid < len(below):
                         raise ValueError(
-                            f"face {fid} of simplex {s.id} (dim {d}) has wrong vertices"
+                            f"face {fid!r} of simplex {i} (dim {d}) is not a simplex of dim {d - 1}"
                         )
-            below = tuple(s.vertices for s in level)
+                    if below[fid][0] != want:
+                        raise ValueError(
+                            f"face {fid} of simplex {i} (dim {d}) has wrong vertices"
+                        )
+            below = level
 
     @property
     def dim(self) -> int:
@@ -90,9 +99,12 @@ class DeltaComplex:
 def from_top_simplices(tops: Sequence[Sequence[int]]) -> DeltaComplex:
     """Build a Delta-complex from top vertex tuples, gluing faces by vertex set.
 
-    Lower simplices are unique per vertex set, so this cannot express two
-    glued edges with equal endpoints below the top dimension; it is a test
-    and fixture convenience, not a general constructor.
+    The top level holds one ``(vertices, faces)`` pair per given tuple, in
+    the given order; each lower level holds every vertex subset of that
+    size once, in ascending order.  Lower simplices are unique per vertex
+    set, so this cannot express two glued edges with equal endpoints below
+    the top dimension; it is a test and fixture convenience.  A general
+    complex is built by passing its levels of pairs to ``DeltaComplex``.
     """
     if not tops:
         raise ValueError("need at least one top simplex")
@@ -100,36 +112,19 @@ def from_top_simplices(tops: Sequence[Sequence[int]]) -> DeltaComplex:
     if len(dims) != 1:
         raise ValueError("top simplices must be equidimensional")
     top_dim = dims.pop()
-    by_dim: list[dict[tuple[int, ...], int]] = [dict() for _ in range(top_dim)]
-    for t in tops:
-        vs = tuple(t)
-        if list(vs) != sorted(set(vs)):
-            raise ValueError("vertices must be distinct and ascending")
-        for d in range(top_dim):
-            for sub in itertools.combinations(vs, d + 1):
-                by_dim[d].setdefault(sub, None)
-    for d in range(top_dim):
-        for i, key in enumerate(sorted(by_dim[d])):
-            by_dim[d][key] = i
-    levels: list[tuple[Simplex, ...]] = []
-    for d in range(top_dim):
-        level = []
-        for key in sorted(by_dim[d]):
-            faces = ()
-            if d > 0:
-                faces = tuple(
-                    by_dim[d - 1][key[:t] + key[t + 1:]] for t in range(d + 1)
-                )
-            level.append(Simplex(by_dim[d][key], key, faces))
-        levels.append(tuple(level))
-    top_level = []
-    for i, t in enumerate(tops):
-        vs = tuple(t)
-        faces = tuple(
-            by_dim[top_dim - 1][vs[:j] + vs[j + 1:]] for j in range(top_dim + 1)
-        )
-        top_level.append(Simplex(i, vs, faces))
-    levels.append(tuple(top_level))
+    tops = [tuple(t) for t in tops]
+    if any(list(vs) != sorted(set(vs)) for vs in tops):
+        raise ValueError("vertices must be distinct and ascending")
+    keys = [sorted({sub for vs in tops for sub in itertools.combinations(vs, d + 1)})
+            for d in range(top_dim)]
+    levels: list[_Level] = []
+    face_id: dict[tuple[int, ...], int] = {}  # vertex tuple of a (d-1)-simplex -> id
+    for d, level in enumerate(keys + [tops]):
+        levels.append(tuple(
+            (vs, tuple(face_id[vs[:t] + vs[t + 1:]] for t in range(d + 1)) if d else ())
+            for vs in level
+        ))
+        face_id = {vs: i for i, vs in enumerate(level)}
     return DeltaComplex(tuple(levels))
 
 
@@ -169,7 +164,7 @@ def _quotient(fs: FanSystem, cusp: str) -> tuple[DeltaComplex, list[int]]:
     vid = [vid_of_class.get(c) for c in ray_class]
     by_vertex = vid.__getitem__
 
-    levels: list[tuple[Simplex, ...]] = []
+    levels: list[_Level] = []
     face_id: dict[Face, int] = {}  # class-ordered key of a (d-1)-face -> simplex id
     for d in range(1, max_dim + 1):
         level, ids = [], {}
@@ -178,7 +173,7 @@ def _quotient(fs: FanSystem, cusp: str) -> tuple[DeltaComplex, list[int]]:
             faces = ()
             if d > 1:  # the (d-1)-subsets of key come omitting its last ray first
                 faces = tuple(map(face_id.__getitem__, itertools.combinations(key, d - 1)))[::-1]
-            level.append(Simplex(sid, tuple(map(by_vertex, key)), faces))
+            level.append((tuple(map(by_vertex, key)), faces))
             ids[key] = sid
             for other in cls[1:]:
                 ids[tuple(sorted(other, key=by_vertex))] = sid
@@ -214,10 +209,10 @@ def boundary_matrices(dc: DeltaComplex) -> ChainComplexQ:
     boundaries = [SparseMatrix((), dims[0])]
     for d in range(1, dc.dim + 1):
         rows: list[dict[int, int]] = [{} for _ in range(dims[d - 1])]
-        for s in dc.simplices[d]:
+        for sid, (_, faces) in enumerate(dc.simplices[d]):
             # the faces of a simplex have distinct vertex sets, so distinct ids
-            for j, fid in enumerate(s.faces):
-                rows[fid][s.id] = -1 if j % 2 else 1
+            for j, fid in enumerate(faces):
+                rows[fid][sid] = -1 if j % 2 else 1
         boundaries.append(SparseMatrix(rows, dims[d]))
     return ChainComplexQ(dims, tuple(boundaries))
 
@@ -261,56 +256,47 @@ def pseudomanifold_report(dc: DeltaComplex) -> PseudomanifoldReport:
     Requires equidimensionality: every simplex must be an iterated face of
     a top-dimensional simplex.
     """
+    levels = dc.simplices
     top = dc.dim
-    reachable: set[tuple[int, int]] = set()
-    frontier = [(top, s.id) for s in dc.simplices[top]]
-    reachable.update(frontier)
-    while frontier:
-        d, sid = frontier.pop()
-        if d == 0:
-            continue
-        for fid in dc.simplices[d][sid].faces:
-            if (d - 1, fid) not in reachable:
-                reachable.add((d - 1, fid))
-                frontier.append((d - 1, fid))
-    for d in range(top + 1):
-        for s in dc.simplices[d]:
-            if (d, s.id) not in reachable:
-                raise NotEquidimensional(f"simplex {s.id} of dim {d} has no coface")
+    # reachable[k] holds the ids of the (top - k)-simplices that are iterated
+    # faces of top simplices: the faces of the reachable simplices one up
+    reachable = [range(len(levels[top]))]
+    for d in range(top, 0, -1):
+        reachable.append({fid for sid in reachable[-1] for fid in levels[d][sid][1]})
+    for d, reached in enumerate(reversed(reachable)):
+        if len(reached) < len(levels[d]):  # face ids are in range, so one is missing
+            sid = next(i for i in range(len(levels[d])) if i not in reached)
+            raise NotEquidimensional(f"simplex {sid} of dim {d} has no coface")
 
     if top == 0:
         # a discrete set: closed, oriented, fundamental class exists iff single point
-        chain = tuple((s.id, 1) for s in dc.simplices[0])
-        return PseudomanifoldReport(True, True, chain)
+        return PseudomanifoldReport(True, True, tuple((i, 1) for i in reachable[0]))
 
-    incidences: dict[int, list[tuple[int, int]]] = {}
-    for s in dc.simplices[top]:
-        for j, fid in enumerate(s.faces):
-            incidences.setdefault(fid, []).append((s.id, (-1) ** j))
-    closed = all(
-        len(incidences.get(f.id, [])) == 2 for f in dc.simplices[top - 1]
-    )
-    if not closed:
+    tops = levels[top]
+    incidences: list[list[tuple[int, int]]] = [[] for _ in levels[top - 1]]
+    for sid, (_, faces) in enumerate(tops):
+        for j, fid in enumerate(faces):
+            incidences[fid].append((sid, -1 if j % 2 else 1))
+    if any(len(inc) != 2 for inc in incidences):
         return PseudomanifoldReport(False, False, None)
 
     # propagate compatible orientations from each top simplex to its
     # neighbours across its own codimension-1 faces
-    tops = dc.simplices[top]
-    signs: dict[int, int] = {}
+    signs = [0] * len(tops)  # 0 until reached
     for start in range(len(tops)):
-        if start in signs:
+        if signs[start]:
             continue
         signs[start] = 1
         queue = [start]
         while queue:
             cur = queue.pop()
-            for fid in tops[cur].faces:
+            for fid in tops[cur][1]:
                 # the faces of one simplex have distinct vertex sets, so the
                 # two incidences of fid belong to two different simplices
                 (a, sa), (b, sb) = incidences[fid]
                 other, so, sc = (b, sb, sa) if cur == a else (a, sa, sb)
                 want = -signs[cur] * sc * so
-                if other not in signs:
+                if not signs[other]:
                     signs[other] = want
                     queue.append(other)
                 elif signs[other] != want:
@@ -318,10 +304,9 @@ def pseudomanifold_report(dc: DeltaComplex) -> PseudomanifoldReport:
 
     # the signed sum of the top simplices is a cycle iff its signed
     # incidences cancel on every codimension-1 face
-    if any(sum(signs[t] * sign for t, sign in inc) for inc in incidences.values()):
+    if any(sum(signs[t] * sign for t, sign in inc) for inc in incidences):
         return PseudomanifoldReport(True, False, None)
-    fclass = tuple((i, signs[i]) for i in range(dc.count(top)))
-    return PseudomanifoldReport(True, True, fclass)
+    return PseudomanifoldReport(True, True, tuple(enumerate(signs)))
 
 
 # -- JSON ---------------------------------------------------------------------
@@ -343,7 +328,6 @@ def homology_report(dc: DeltaComplex) -> dict:
 
 
 __all__ = [
-    "Simplex",
     "DeltaComplex",
     "from_top_simplices",
     "quotient_delta_complex",

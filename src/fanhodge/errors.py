@@ -87,8 +87,7 @@ def expect_rows(rows, *path) -> int:
             or len(set(map(len, rows))) > 1):
         # some check failed: find the first bad row, for the message
         for i, row in enumerate(expect(rows, list, *path)):
-            if type(row) is not list or len(row) != len(rows[0]):
-                expect(row, list, *path, i)
+            if len(expect(row, list, *path, i)) != len(rows[0]):
                 raise ValueError(
                     f"{json_path(*path, i)}: expected {len(rows[0])} entries, got {len(row)}"
                 )

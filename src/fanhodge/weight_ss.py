@@ -170,20 +170,16 @@ class StrataComplex:
     def _facets(self) -> dict[str, tuple[tuple[Stratum, int], ...]]:
         """Per stratum id, its codimension-1 facets in strata order, each
         with the sign (-1)^(i-1) of the omitted component's position i."""
-        position = {s.id: i for i, s in enumerate(self.strata)}
-        by_index_set: dict[tuple[str, ...], list[Stratum]] = {}
-        for s in self.strata:
-            by_index_set.setdefault(s.index_set, []).append(s)
-        facets = {}
-        for s in self.strata:
-            found = [
-                (t, -1 if i % 2 else 1)
-                for i in range(s.codim)
-                for t in by_index_set.get(s.index_set[:i] + s.index_set[i + 1 :], ())
-            ]
-            found.sort(key=lambda ts: position[ts[0].id])
-            facets[s.id] = tuple(found)
-        return facets
+        cofaces: dict[tuple[str, ...], list[tuple[Stratum, int]]] = {}
+        for s in self.strata:  # s, with its sign, per index set of a facet
+            ix = s.index_set
+            for i in range(len(ix)):
+                cofaces.setdefault(ix[:i] + ix[i + 1 :], []).append((s, -1 if i % 2 else 1))
+        found: dict[str, list[tuple[Stratum, int]]] = {s.id: [] for s in self.strata}
+        for t in self.strata:  # in strata order, so no list needs a sort
+            for s, sign in cofaces.get(t.index_set, ()):
+                found[s.id].append((t, sign))
+        return {sid: tuple(ts) for sid, ts in found.items()}
 
     def stratum(self, sid: str) -> Stratum:
         return self._by_id[sid]
@@ -484,17 +480,17 @@ def annotate_from_fans(fs: FanSystem, ann: CuspStrataAnnotation) -> StrataComple
         wall_hs = {n - t + 2: PureHS(n - t + 2, {(n - t + 1, 1): d})} if d else {}
         block = Matrix.identity(d)
 
-        def index_set(s):
-            return tuple(components[vertex_class[v]] for v in s.vertices)
+        def index_set(vertices):
+            return tuple(components[vertex_class[v]] for v in vertices)
 
         walls = dc.simplices[t - 2] if t > 1 else ()
-        wall_ids = [f"{cusp}/w{s.id:03d}" for s in walls]
-        strata += (Stratum(sid, index_set(s), wall_hs) for sid, s in zip(wall_ids, walls))
-        for s in dc.simplices[t - 1]:
-            sid = f"{cusp}/s{s.id:03d}"
-            strata.append(Stratum(sid, index_set(s), top_hs))
+        wall_ids = [f"{cusp}/w{i:03d}" for i in range(len(walls))]
+        strata += (Stratum(sid, index_set(vs), wall_hs) for sid, (vs, _) in zip(wall_ids, walls))
+        for i, (vertices, faces) in enumerate(dc.simplices[t - 1]):
+            sid = f"{cusp}/s{i:03d}"
+            strata.append(Stratum(sid, index_set(vertices), top_hs))
             if d:
-                for f in s.faces:
+                for f in faces:
                     gysin[(sid, wall_ids[f], n - t, n - t, 0)] = block
     return StrataComplex(n=n, components=components, strata=strata, gysin=gysin)
 

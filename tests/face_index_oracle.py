@@ -4,10 +4,11 @@ This was ``fans._FanIndex`` and ``delta_complex.quotient_delta_complex``
 before they shared one face index.  Here every face of every dimension is
 built and sorted as a (cusp, rays) key, each ray map scans every face, the
 DSUs run over every ray and every face, and the quotient sorts a fresh key
-for every face it looks up, and ``check_simplices`` checks a Delta-complex
-one simplex at a time.  The library must give the same ray classes, orbit
-classes and Delta-complexes, and raise the same errors with the same
-messages.
+for every face it looks up, ``check_simplices`` checks a Delta-complex one
+simplex at a time, and ``check_equidimensional`` finds the simplices that
+are iterated faces of top simplices by a search over (dimension, id) pairs.
+The library must give the same ray classes, orbit classes and
+Delta-complexes, and raise the same errors with the same messages.
 
 ``fundamental_class_vector`` and ``collapse_map`` left ``delta_complex`` for
 the same reason the registry did: only the tests read them.
@@ -26,8 +27,13 @@ import itertools
 from dataclasses import dataclass
 from functools import cached_property
 
-from fanhodge.delta_complex import DeltaComplex, Simplex, pseudomanifold_report
-from fanhodge.errors import NonFreeAction, SncConditionViolated, UnsaturatedWindow
+from fanhodge.delta_complex import DeltaComplex, pseudomanifold_report
+from fanhodge.errors import (
+    NonFreeAction,
+    NotEquidimensional,
+    SncConditionViolated,
+    UnsaturatedWindow,
+)
 from fanhodge.fans import FanSystem, SncReport
 from fanhodge.linalg import Matrix, inverse
 from fanhodge.mhs import PureHS
@@ -259,33 +265,56 @@ def quotient_delta_complex(fs: FanSystem, cusp: str) -> DeltaComplex:
                 faces = tuple(face_ids)
             sid = len(levels[d - 1])
             simplex_id[(d, ci)] = sid
-            levels[d - 1].append(Simplex(sid, vertices, faces))
+            levels[d - 1].append((vertices, faces))
     return DeltaComplex(tuple(tuple(level) for level in levels))
 
 
 def check_simplices(simplices) -> None:
-    """``DeltaComplex``'s checks, one simplex at a time."""
+    """``DeltaComplex``'s checks, one simplex at a time; a simplex is a
+    (vertices, faces) pair and its id is its position in its level."""
     for d, level in enumerate(simplices):
-        for i, s in enumerate(level):
-            if s.id != i:
-                raise ValueError("simplex ids must be positional")
-            if len(s.vertices) != d + 1:
+        for i, (vertices, faces) in enumerate(level):
+            if len(vertices) != d + 1:
                 raise ValueError("vertex count != dimension + 1")
-            if list(s.vertices) != sorted(set(s.vertices)):
+            if list(vertices) != sorted(set(vertices)):
                 raise ValueError("vertices must be distinct and ascending")
             if d == 0:
-                if s.faces != ():
+                if faces != ():
                     raise ValueError("0-simplices have no faces")
                 continue
-            if len(s.faces) != d + 1:
+            if len(faces) != d + 1:
                 raise ValueError("need one face per omitted vertex")
-            for t, fid in enumerate(s.faces):
-                face = simplices[d - 1][fid]
-                expected = s.vertices[:t] + s.vertices[t + 1:]
-                if face.vertices != expected:
+            for t, fid in enumerate(faces):
+                if type(fid) is not int or fid not in range(len(simplices[d - 1])):
                     raise ValueError(
-                        f"face {fid} of simplex {s.id} (dim {d}) has wrong vertices"
+                        f"face {fid!r} of simplex {i} (dim {d}) is not a simplex of dim {d - 1}"
                     )
+                expected = vertices[:t] + vertices[t + 1:]
+                if simplices[d - 1][fid][0] != expected:
+                    raise ValueError(
+                        f"face {fid} of simplex {i} (dim {d}) has wrong vertices"
+                    )
+
+
+def check_equidimensional(dc: DeltaComplex) -> None:
+    """``pseudomanifold_report``'s first check, as it was: a search from the
+    top simplices over (dimension, id) pairs, then the first simplex in
+    (dimension, id) order that it did not reach is named."""
+    top = dc.dim
+    reachable = {(top, i) for i in range(dc.count(top))}
+    frontier = list(reachable)
+    while frontier:
+        d, sid = frontier.pop()
+        if d == 0:
+            continue
+        for fid in dc.simplices[d][sid][1]:
+            if (d - 1, fid) not in reachable:
+                reachable.add((d - 1, fid))
+                frontier.append((d - 1, fid))
+    for d in range(top + 1):
+        for i in range(dc.count(d)):
+            if (d, i) not in reachable:
+                raise NotEquidimensional(f"simplex {i} of dim {d} has no coface")
 
 
 def fundamental_class_vector(dc: DeltaComplex) -> Matrix:
@@ -304,9 +333,9 @@ def collapse_map(dc: DeltaComplex) -> dict[int, dict[int, int]]:
     """
     out: dict[int, dict[int, int]] = {}
     for d in range(dc.dim + 1):
-        keys = sorted({s.vertices for s in dc.simplices[d]})
+        keys = sorted({vertices for vertices, _ in dc.simplices[d]})
         index = {k: i for i, k in enumerate(keys)}
-        out[d] = {s.id: index[s.vertices] for s in dc.simplices[d]}
+        out[d] = {i: index[vertices] for i, (vertices, _) in enumerate(dc.simplices[d])}
     return out
 
 

@@ -27,8 +27,7 @@ _GYSIN_TYPES = tuple(kind for _, kind in _GYSIN_FIELDS)
 
 def _expect_rows(rows, *path) -> int:
     for i, row in enumerate(expect(rows, list, *path)):
-        if type(row) is not list or len(row) != len(rows[0]):
-            expect(row, list, *path, i)
+        if len(expect(row, list, *path, i)) != len(rows[0]):
             raise ValueError(
                 f"{json_path(*path, i)}: expected {len(rows[0])} entries, got {len(row)}"
             )

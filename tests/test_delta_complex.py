@@ -1,13 +1,13 @@
 """Quotient Delta-complexes, boundary maps, homology, pseudomanifolds."""
 
 import random
+import re
 
 import pytest
 
 from fanhodge.delta_complex import (
     ChainComplexQ,
     DeltaComplex,
-    Simplex,
     boundary_matrices,
     from_top_simplices,
     homology_dims,
@@ -20,14 +20,24 @@ from fanhodge.fans import hilbert_cusp_window, smooth_subdivide, two_division_su
 from fanhodge.fixtures import hilbert_window, hilbert_window_cubed
 from fanhodge.linalg import Matrix
 from dense_oracle import is_zero, matmul, sparse, zeros
-from face_index_oracle import collapse_map, fundamental_class_vector
+from face_index_oracle import check_equidimensional, collapse_map, fundamental_class_vector
+from test_face_index import outcome
+
+
+VERTS = (((0,), ()), ((1,), ()))
 
 
 def two_vertex_circle() -> DeltaComplex:
     """Two vertices a < b, two edges both running a -> b."""
-    verts = (Simplex(0, (0,), ()), Simplex(1, (1,), ()))
-    edges = (Simplex(0, (0, 1), (1, 0)), Simplex(1, (0, 1), (1, 0)))
-    return DeltaComplex((verts, edges))
+    return DeltaComplex((VERTS, (((0, 1), (1, 0)), ((0, 1), (1, 0)))))
+
+
+@pytest.mark.parametrize("fid", [-1, -2, 2, "0", True, 0.0, None])
+def test_face_ids_must_be_ints_in_range(fid):
+    # at -1 the id wrapped to the last vertex, and the circle read as open
+    message = f"face {fid!r} of simplex 1 (dim 1) is not a simplex of dim 0"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        DeltaComplex((VERTS, (((0, 1), (1, 0)), ((0, 1), (fid, 0)))))
 
 
 def test_two_vertex_circle_boundary():
@@ -88,17 +98,57 @@ def test_nonorientable_edge_pair():
     # one edge glued to itself head-to-head cannot happen with distinct
     # ordered vertices, but two edges with the same orientation pattern on a
     # single shared face list produce an unorientable incidence
-    verts = (Simplex(0, (0,), ()),)
     with pytest.raises(ValueError):
         # an edge needs two distinct vertices: the complex forbids loops
-        DeltaComplex((verts, (Simplex(0, (0, 0), (0, 0)),)))
+        DeltaComplex((VERTS[:1], (((0, 0), (0, 0)),)))
 
 
 def test_not_equidimensional_detected():
-    verts = tuple(Simplex(i, (i,), ()) for i in range(3))
-    edges = (Simplex(0, (0, 1), (1, 0)),)  # vertex 2 has no coface
+    verts = tuple(((i,), ()) for i in range(3))
+    edges = (((0, 1), (1, 0)),)  # vertex 2 has no coface
     with pytest.raises(NotEquidimensional):
         pseudomanifold_report(DeltaComplex((verts, edges)))
+
+
+def test_the_first_simplex_without_a_coface_is_named_by_dimension():
+    # triangle 012 and a dangling edge 23: edge 3 and its far vertex 3 are
+    # unreached, and the vertex comes first in (dimension, id) order
+    tri = from_top_simplices([(0, 1, 2)]).simplices
+    verts = tri[0] + (((3,), ()),)
+    edges = tri[1] + (((2, 3), (3, 2)),)
+    dc = DeltaComplex((verts, edges, tri[2]))
+    with pytest.raises(NotEquidimensional, match="^simplex 3 of dim 0 has no coface$"):
+        pseudomanifold_report(dc)
+
+
+def with_dangling_simplices(dc: DeltaComplex, rng) -> DeltaComplex:
+    """``dc`` (of dimension 2) plus isolated vertices and dangling edges
+    between old or new vertices, appended in random order."""
+    verts, edges, tris = map(list, dc.simplices)
+    vertex_id = {vs[0]: i for i, (vs, _) in enumerate(verts)}
+
+    def vertex(v):
+        if v not in vertex_id:
+            vertex_id[v] = len(verts)
+            verts.append(((v,), ()))
+        return vertex_id[v]
+
+    for _ in range(rng.randint(1, 4)):
+        if rng.random() < 0.2:
+            vertex(max(vertex_id) + 1)
+        else:
+            a, b = sorted(rng.sample(range(max(vertex_id) + 3), 2))
+            edges.append(((a, b), (vertex(b), vertex(a))))
+    return DeltaComplex((tuple(verts), tuple(edges), tuple(tris)))
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_the_unreached_simplex_named_is_the_one_the_search_names(seed):
+    rng = random.Random(seed)
+    dc = with_dangling_simplices(random_2_complex(rng), rng)
+    new = outcome(pseudomanifold_report, dc)
+    old = outcome(check_equidimensional, dc)
+    assert new[0] is NotEquidimensional and new == old
 
 
 def test_chain_complex_validation():

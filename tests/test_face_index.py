@@ -12,7 +12,7 @@ import random
 
 import face_index_oracle as oracle
 from fanhodge import delta_complex, fans
-from fanhodge.delta_complex import DeltaComplex, Simplex, from_top_simplices
+from fanhodge.delta_complex import DeltaComplex, from_top_simplices
 from fanhodge.errors import (
     FanhodgeError,
     NonFreeAction,
@@ -173,18 +173,17 @@ def test_identification_fixing_a_face_names_it_in_both():
 def test_delta_complex_checks_match_the_per_simplex_checks():
     """Seeded faults in the boundary of a 4-simplex: ``DeltaComplex`` must
     raise what the previous per-simplex checks raise, with the same
-    message."""
+    message.  A face id out of range, negative or not an int is rejected
+    by both."""
     base = from_top_simplices(list(itertools.combinations(range(5), 4))).simplices
     rng = random.Random(4)
     faults = [
-        lambda s, n: Simplex(s.id + 1, s.vertices, s.faces),
-        lambda s, n: Simplex(s.id, s.vertices[::-1], s.faces),
-        lambda s, n: Simplex(s.id, s.vertices[:-1], s.faces),
-        lambda s, n: Simplex(s.id, s.vertices, s.faces[::-1]),
-        lambda s, n: Simplex(s.id, s.vertices, s.faces[:-1]),
-        lambda s, n: Simplex(s.id, s.vertices,
-                             s.faces[:1] + (rng.randrange(-n, 2 * n),) + s.faces[2:]),
-        lambda s, n: Simplex(s.id, s.vertices, s.faces[:-1] + ("0",)),
+        lambda vs, fs, n: (vs[::-1], fs),
+        lambda vs, fs, n: (vs[:-1], fs),
+        lambda vs, fs, n: (vs, fs[::-1]),
+        lambda vs, fs, n: (vs, fs[:-1]),
+        lambda vs, fs, n: (vs, fs[:1] + (rng.randrange(-n, 2 * n),) + fs[2:]),
+        lambda vs, fs, n: (vs, fs[:-1] + ("0",)),
     ]
     seen = set()
     for _ in range(300):
@@ -192,10 +191,15 @@ def test_delta_complex_checks_match_the_per_simplex_checks():
         for _ in range(rng.randint(1, 2)):
             d = rng.randrange(1, len(levels))
             i = rng.randrange(len(levels[d]))
-            levels[d][i] = rng.choice(faults)(levels[d][i], len(levels[d - 1]))
+            levels[d][i] = rng.choice(faults)(*levels[d][i], len(levels[d - 1]))
         simplices = tuple(map(tuple, levels))
         new = outcome(DeltaComplex, simplices)
         old = outcome(oracle.check_simplices, simplices)
         assert (None if isinstance(new, DeltaComplex) else new) == old
-        seen.add(old if old is None else old[0])
-    assert seen == {None, ValueError, IndexError, TypeError}
+        seen.add(old if old is None else (old[0], old[1].split(") ")[-1]))
+    assert seen == {None, (ValueError, "vertex count != dimension + 1"),
+                    (ValueError, "vertices must be distinct and ascending"),
+                    (ValueError, "need one face per omitted vertex"),
+                    (ValueError, "has wrong vertices"), (ValueError, "is not a simplex of dim 2"),
+                    (ValueError, "is not a simplex of dim 1"),
+                    (ValueError, "is not a simplex of dim 0")}

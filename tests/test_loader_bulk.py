@@ -12,7 +12,8 @@ from collections import OrderedDict
 
 import pytest
 
-from fanhodge.fixtures import p1xp1_strata
+from fanhodge.fans import fan_system_from_dict, fan_system_to_dict
+from fanhodge.fixtures import hilbert_window_cubed, p1xp1_strata
 from fanhodge.weight_ss import strata_complex_from_dict, strata_complex_to_dict
 from test_face_index import outcome
 from test_strata_loader import assert_same_as_reference, two_points
@@ -37,6 +38,30 @@ def test_subclasses_of_json_types_load_as_in_the_reference():
     doc["gysin"] = Items(OrderedDict(g, src=Label(g["src"]), dst=Label(g["dst"]))
                          for g in doc["gysin"])
     assert strata_complex_from_dict(doc) == p1xp1_strata()
+    assert_same_as_reference(doc)
+
+
+def test_list_subclass_rows_of_a_fan_matrix_are_rows():
+    doc = fan_system_to_dict(hilbert_window_cubed())
+    ident = doc["identifications"][0]
+    (a, b), (c, d) = ident["matrix"]
+    for matrix in (Items([Items([a, b]), Items([c, d])]), [Items([a, b]), [c, d]]):
+        ident["matrix"] = matrix
+        assert fan_system_from_dict(doc) == hilbert_window_cubed()
+    ident["matrix"] = [Items([a, b]), Items([c])]
+    assert outcome(fan_system_from_dict, doc) == (
+        ValueError, "identifications[0].matrix[1]: expected 2 entries, got 1")
+
+
+def test_list_subclass_rows_of_a_gysin_block_are_rows():
+    doc = two_points()
+    want = strata_complex_from_dict(doc)
+    doc["gysin"][1]["matrix"] = Items([Items([1])])
+    assert strata_complex_from_dict(doc) == want
+    assert_same_as_reference(doc)
+    doc["gysin"][1]["matrix"] = [Items([1, 0]), [1]]
+    assert outcome(strata_complex_from_dict, doc) == (
+        ValueError, "gysin[1].matrix[1]: expected 2 entries, got 1")
     assert_same_as_reference(doc)
 
 

@@ -37,7 +37,7 @@ from fanhodge.weight_ss import (
     weight_graded,
 )
 from dense_oracle import is_zero, matmul
-from weight_oracle import complex_at, kernel_basis, residue_projection
+from weight_oracle import complex_at, facets, kernel_basis, residue_projection
 
 
 def tensor_identity(m: Matrix, d: int) -> Matrix:
@@ -305,6 +305,21 @@ def test_bidegree_complex_matches_reference_assembly(name):
             assert [x.to_matrix() for x in bc.maps[1:]] == maps
     if name.startswith("L"):
         assert weight_filtration_on_FnHn(sc).graded == ((1, 0), (2, d))
+
+
+@pytest.mark.parametrize("name", ["cstar", "p1xp1", "reversed", "L10d1", "L40d2"])
+def test_facets_come_in_strata_order(name):
+    if name == "cstar":
+        sc = cstar_strata()
+    elif name.startswith("L"):
+        length, d = (int(x) for x in name[1:].split("d"))
+        sc = annotated_hilbert_window(length, d)
+    else:
+        sc = p1xp1_strata()
+        if name == "reversed":  # facets in strata order, not component order
+            sc = StrataComplex(sc.n, sc.components, sc.strata[::-1], dict(sc.gysin))
+    assert sc._facets == facets(sc)
+    assert name == "cstar" or any(len(found) > 1 for found in sc._facets.values())
 
 
 def test_strata_complex_lookups_are_not_fields():

@@ -13,6 +13,9 @@ report, reads its rows of one stratum.  ``e1_page`` is the previous E1
 page: the sum of the Tate twists of the strata tables, in id order, by
 ``tate_twist`` and ``direct_sum``, which were ``mhs.tate_twist`` and
 ``mhs.PureHS.__add__``.
+
+``facets`` is ``StrataComplex._facets`` as it was: each stratum's facets
+sorted by a key function that looks up their strata positions by id.
 """
 
 from __future__ import annotations
@@ -20,7 +23,13 @@ from __future__ import annotations
 from dense_oracle import rational_kernel_basis
 from fanhodge.linalg import Matrix
 from fanhodge.mhs import PureHS
-from fanhodge.weight_ss import BidegreeComplex, SpectralPage, StrataComplex, bidegree_complex
+from fanhodge.weight_ss import (
+    BidegreeComplex,
+    SpectralPage,
+    StrataComplex,
+    Stratum,
+    bidegree_complex,
+)
 
 
 def complex_at(page: SpectralPage, P: int, Q: int) -> BidegreeComplex | None:
@@ -79,3 +88,22 @@ def e1_page(sc: StrataComplex, k: int) -> SpectralPage:
                     total = direct_sum(total, tate_twist(hs, m))
         entries.append(((-m, k + m), total))
     return SpectralPage(k=k, n=sc.n, entries=tuple(entries))
+
+
+def facets(sc: StrataComplex) -> dict[str, tuple[tuple[Stratum, int], ...]]:
+    """Per stratum id, its codimension-1 facets in strata order, each with
+    the sign (-1)^(i-1) of the omitted component's position i."""
+    position = {s.id: i for i, s in enumerate(sc.strata)}
+    by_index_set: dict[tuple[str, ...], list[Stratum]] = {}
+    for s in sc.strata:
+        by_index_set.setdefault(s.index_set, []).append(s)
+    out = {}
+    for s in sc.strata:
+        found = [
+            (t, -1 if i % 2 else 1)
+            for i in range(s.codim)
+            for t in by_index_set.get(s.index_set[:i] + s.index_set[i + 1 :], ())
+        ]
+        found.sort(key=lambda ts: position[ts[0].id])
+        out[s.id] = tuple(found)
+    return out
