@@ -37,9 +37,6 @@ class CuspRecord:
         if self.dim_S_cat < 0 or self.dim_U < 0:
             raise InvalidParams(f"cusp {self.label!r}: negative dimension count")
 
-    def to_dict(self) -> dict:
-        return {"label": self.label, "dim_S_cat": self.dim_S_cat, "dim_U": self.dim_U}
-
 
 @dataclass(frozen=True)
 class CuspInventory:
@@ -69,14 +66,6 @@ class CuspInventory:
 
     def cusps_of_corank(self, cd: CorankData, i: int) -> tuple[CuspRecord, ...]:
         return tuple(c for c in self.cusps if c.dim_U == cd.n_of(i))
-
-    def to_dict(self) -> dict:
-        out = {"cusps": [c.to_dict() for c in self.cusps], "neat": self.neat}
-        for key in _GLOBAL_COUNTS:
-            value = getattr(self, key)
-            if value is not None:
-                out[key] = value
-        return out
 
     @staticmethod
     def from_dict(data: dict) -> "CuspInventory":

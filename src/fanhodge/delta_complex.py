@@ -20,12 +20,12 @@ against the ordered subsets of its vertex tuple.  One private builder,
 ``_quotient``, also returns the global ray class of each vertex, which
 ``weight_ss.annotate_from_fans`` reads as its index sets.
 
-Boundary maps are ``SparseMatrix`` rows written straight from the simplex
-faces.  Rational Betti numbers come from exact ranks of the boundary maps,
-each ranked once; integral homology takes the invariant factors of each
-boundary map (unit pivots, then the residual modulo one minor; no
-transforms), which give both the torsion and, by their count, the rank
-that the next degree needs.
+Boundary maps are ``Matrix`` values whose ``{column: entry}`` rows are
+written straight from the simplex faces.  Rational Betti numbers come from
+exact ranks of the boundary maps, each ranked once; integral homology takes
+the invariant factors of each boundary map (unit pivots, then the residual
+modulo one minor; no transforms), which give both the torsion and, by their
+count, the rank that the next degree needs.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from typing import Sequence
 
 from .errors import NotAComplex, NotEquidimensional, SncConditionViolated
 from .fans import Face, FanSystem, check_snc_condition
-from .linalg import SparseMatrix, invariant_factors, rank
+from .linalg import Matrix, invariant_factors, rank
 
 _Level = tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]  # (vertices, faces) pairs
 
@@ -49,8 +49,8 @@ class DeltaComplex:
     Level d is a tuple of ``(vertices, faces)`` pairs, one per d-simplex,
     whose id is its position in the level: ``vertices`` ascend, and
     ``faces[t]`` is the id of the (d-1)-simplex omitting vertex t (``()``
-    for a vertex).  Each face id must be an int in range, and the face must
-    have the vertex tuple with vertex t deleted.
+    for a vertex).  Each entry must be such a pair, each face id an int in
+    range, and the face must have the vertex tuple with vertex t deleted.
     """
 
     simplices: tuple[_Level, ...]
@@ -58,7 +58,13 @@ class DeltaComplex:
     def __post_init__(self):
         below: _Level = ()  # level d - 1
         for d, level in enumerate(self.simplices):
-            for i, (vertices, faces) in enumerate(level):
+            for i, simplex in enumerate(level):
+                try:
+                    vertices, faces = simplex
+                except (TypeError, ValueError):
+                    raise ValueError(
+                        f"simplex {i} (dim {d}) is {simplex!r}, not a (vertices, faces) pair"
+                    ) from None
                 if len(vertices) != d + 1:
                     raise ValueError("vertex count != dimension + 1")
                 if not all(map(lt, vertices, vertices[1:])):
@@ -187,7 +193,7 @@ class ChainComplexQ:
     """Rational chain complex: boundary[d] maps degree d to degree d-1."""
 
     dims: tuple[int, ...]  # number of simplices per degree
-    boundary: tuple[SparseMatrix, ...]  # boundary[d], d >= 1; boundary[0] is zero map
+    boundary: tuple[Matrix, ...]  # boundary[d], d >= 1; boundary[0] is zero map
 
     def __post_init__(self):
         for d in range(1, len(self.dims)):
@@ -197,23 +203,19 @@ class ChainComplexQ:
             if d > 1 and not self.boundary[d - 1].product_is_zero(m):
                 raise NotAComplex(f"boundary {d-1} o boundary {d} != 0")
 
-    @property
-    def top(self) -> int:
-        return len(self.dims) - 1
-
 
 def boundary_matrices(dc: DeltaComplex) -> ChainComplexQ:
     """Boundary of a d-simplex: sum over omitted positions j=1..d+1 of
     (-1)^(j-1) times the corresponding face."""
     dims = tuple(dc.count(d) for d in range(dc.dim + 1))
-    boundaries = [SparseMatrix((), dims[0])]
+    boundaries = [Matrix((), dims[0])]
     for d in range(1, dc.dim + 1):
         rows: list[dict[int, int]] = [{} for _ in range(dims[d - 1])]
         for sid, (_, faces) in enumerate(dc.simplices[d]):
             # the faces of a simplex have distinct vertex sets, so distinct ids
             for j, fid in enumerate(faces):
                 rows[fid][sid] = -1 if j % 2 else 1
-        boundaries.append(SparseMatrix(rows, dims[d]))
+        boundaries.append(Matrix(rows, dims[d]))
     return ChainComplexQ(dims, tuple(boundaries))
 
 

@@ -3,20 +3,22 @@
 Everything here works with Python ints and ``fractions.Fraction``, so there
 is no overflow and no rounding anywhere.  Matrices are immutable and all
 operations return new values, so they are safe to call concurrently.
-``Matrix`` is dense; ``SparseMatrix`` keeps a ``{column: entry}`` dict of
-the nonzero entries of each row, the form in which ``fanhodge.delta_complex``
-and ``fanhodge.weight_ss`` build their chain maps.
+There is one matrix type, ``Matrix``, which keeps a ``{column: entry}``
+dict of the nonzero entries of each row: the form in which
+``fanhodge.delta_complex`` and ``fanhodge.weight_ss`` build their chain
+maps.  Rays, identifications, Gysin blocks and Smith transforms are given
+as dense rows and stored the same way.
 
 ``rank``, ``inverse`` and ``coordinate_forms`` share one elimination
 core: sparse integer Gauss-Jordan on ``{column: int}`` rows, with a column
 -> rows index so that a pivot touches only the rows holding its column, and
 every combined row divided by the gcd of its entries.  ``_sparse_rows``
-sets it up by copying the rows of a ``SparseMatrix`` or scanning those of a
-``Matrix``.  The sparse +-1 boundary and Gysin maps therefore cost in
-proportion to their nonzeros and keep small entries.  Its forward pass,
-``_row_echelon``, is all that ``rank`` needs, and ``rank`` is all that
-rational homology and the weight-filtration dimensions read; ``_echelon``
-adds the backward pass for the others.  Pivot columns are taken left to
+sets it up by copying the dict rows without their zeros.  The sparse +-1
+boundary and Gysin maps therefore cost in proportion to their nonzeros
+and keep small entries.  Its forward pass, ``_row_echelon``, is all that
+``rank`` needs, and ``rank`` is all that rational homology and the
+weight-filtration dimensions read; ``_echelon`` adds the backward pass for
+the others.  Pivot columns are taken left to
 right, so each reader gets the unique reduced row echelon form, whatever
 the pivot rows.  The core keeps no determinant factor.
 
@@ -47,122 +49,88 @@ from __future__ import annotations
 import heapq
 from fractions import Fraction
 from math import gcd, lcm, prod
-from operator import itemgetter
-from typing import Iterable, Sequence
+from operator import countOf, itemgetter
+from typing import ItemsView, Iterable, Sequence
 
 from .errors import DependentInput
 
 Entry = int | Fraction
-Row = Sequence[Entry] | dict[int, Entry]  # dense, or the nonzeros by column
+_EXACT = (int, Fraction)
 _second = itemgetter(1)
 
 
 class Matrix:
-    """Immutable dense matrix with exact integer or rational entries."""
+    """Immutable matrix with exact integer or rational entries.
+
+    Row i is a ``{column: entry}`` dict of its nonzero entries.  The rows
+    are given dense, as sequences of entries, or as such dicts, in which a
+    caller may add up terms that cancel; ``cols`` is needed when no row is
+    dense.  A dict row leaves out every zero, a dense row its int and
+    ``Fraction`` zeros only: any other entry, such as ``0.0`` or ``False``,
+    is kept for a check to reject, and the elimination drops it.
+    """
 
     __slots__ = ("rows", "cols", "_d")
 
-    def __init__(self, entries: Sequence[Sequence[Entry]], cols: int | None = None):
-        data = tuple(map(tuple, entries))
-        if data:
-            ncols = len(data[0])
-            if len(set(map(len, data))) > 1:
-                raise ValueError("ragged rows")
-        else:
-            if cols is None:
-                raise ValueError("empty matrix needs explicit column count")
-            ncols = cols
-        if cols is not None and data and cols != ncols:
-            raise ValueError("column count mismatch")
+    def __init__(self, rows: Iterable[Sequence[Entry] | dict[int, Entry]], cols: int | None = None):
+        data, widths = [], set()
+        for row in rows:
+            if isinstance(row, dict):
+                data.append(dict(filter(_second, row.items())))
+                continue
+            widths.add(len(row))
+            data.append({j: x for j, x in enumerate(row) if x or type(x) not in _EXACT})
+        if len(widths) > 1:
+            raise ValueError("ragged rows")
+        if widths:
+            width = widths.pop()
+            if cols is not None and cols != width:
+                raise ValueError("column count mismatch")
+            cols = width
+        elif cols is None:
+            raise ValueError("a matrix with no dense rows needs an explicit column count")
+        self._set(tuple(data), cols)
+
+    def _set(self, data: tuple[dict[int, Entry], ...], cols: int) -> "Matrix":
         object.__setattr__(self, "rows", len(data))
-        object.__setattr__(self, "cols", ncols)
+        object.__setattr__(self, "cols", cols)
         object.__setattr__(self, "_d", data)
+        return self
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
 
-    # -- constructors ------------------------------------------------------
+    @staticmethod
+    def _of(data: Iterable[dict[int, Entry]], cols: int) -> "Matrix":
+        """The matrix whose rows are the given new dicts of nonzeros, not copied."""
+        return object.__new__(Matrix)._set(tuple(data), cols)
 
     @staticmethod
     def identity(n: int) -> "Matrix":
-        return Matrix(
-            [[1 if i == j else 0 for j in range(n)] for i in range(n)], cols=n
-        )
+        return Matrix._of(({i: 1} for i in range(n)), n)
 
     @staticmethod
     def from_columns(columns: Sequence[Sequence[Entry]]) -> "Matrix":
-        if not columns:
-            raise ValueError("need at least one column")
-        nrows = len(columns[0])
-        return Matrix([[col[i] for col in columns] for i in range(nrows)])
-
-    # -- access ------------------------------------------------------------
+        return Matrix(list(zip(*columns)), cols=len(columns))
 
     def __getitem__(self, ij: tuple[int, int]) -> Entry:
         i, j = ij
-        return self._d[i][j]
+        return self._d[i].get(j, 0)
 
-    def row(self, i: int) -> tuple[Entry, ...]:
-        return self._d[i]
+    def row(self, i: int) -> ItemsView[int, Entry]:
+        """The nonzeros of row i, as a read-only view of (column, entry) pairs."""
+        return self._d[i].items()
 
     def to_lists(self) -> list[list[Entry]]:
-        return [list(row) for row in self._d]
-
-    def submatrix(self, row_idx: Sequence[int], col_idx: Sequence[int]) -> "Matrix":
-        return Matrix(
-            [[self._d[i][j] for j in col_idx] for i in row_idx], cols=len(col_idx)
-        )
+        """Dense rows; each entry left out reads as int 0."""
+        cols, zeros = range(self.cols), (0,) * self.cols
+        return [list(map(row.get, cols, zeros)) for row in self._d]
 
     @property
     def shape(self) -> tuple[int, int]:
         return (self.rows, self.cols)
 
-    def is_integer(self) -> bool:
-        return all(
-            type(x) is int or Fraction(x).denominator == 1 for row in self._d for x in row
-        )
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Matrix):
-            return NotImplemented
-        if self.shape != other.shape:
-            return False
-        return all(
-            a == b for r1, r2 in zip(self._d, other._d) for a, b in zip(r1, r2)
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.shape, tuple(tuple(Fraction(x) for x in r) for r in self._d)))
-
-    def __repr__(self) -> str:
-        return f"Matrix({self.to_lists()!r})"
-
-
-class SparseMatrix:
-    """Immutable sparse matrix: row i is a ``{column: entry}`` dict of its
-    nonzero entries.  Chain maps are built and eliminated in this form.  The
-    given rows are copied without their zero entries, so a caller may build
-    them by adding up terms that cancel."""
-
-    __slots__ = ("rows", "cols", "_d")
-
-    def __init__(self, rows: Iterable[dict[int, Entry]], cols: int):
-        data = tuple({j: x for j, x in row.items() if x} for row in rows)
-        object.__setattr__(self, "rows", len(data))
-        object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "_d", data)
-
-    __setattr__ = Matrix.__setattr__
-    shape = Matrix.shape
-
-    def to_matrix(self) -> Matrix:
-        dense = [[0] * self.cols for _ in self._d]
-        for out, row in zip(dense, self._d):
-            for j, x in row.items():
-                out[j] = x
-        return Matrix(dense, cols=self.cols)
-
-    def product_is_zero(self, other: "SparseMatrix") -> bool:
+    def product_is_zero(self, other: "Matrix") -> bool:
         """Whether self * other = 0, row by row on the nonzeros of both."""
         for row in self._d:
             image: dict[int, Entry] = {}
@@ -174,7 +142,7 @@ class SparseMatrix:
         return True
 
     def __eq__(self, other) -> bool:
-        if not isinstance(other, SparseMatrix):
+        if not isinstance(other, Matrix):
             return NotImplemented
         return self.shape == other.shape and self._d == other._d
 
@@ -182,7 +150,7 @@ class SparseMatrix:
         return hash((self.shape, tuple(frozenset(row.items()) for row in self._d)))
 
     def __repr__(self) -> str:
-        return f"SparseMatrix({list(self._d)!r}, cols={self.cols})"
+        return f"Matrix({self.to_lists()!r})"
 
 
 def primitivize(v: Sequence[int]) -> tuple[int, ...]:
@@ -257,22 +225,24 @@ def _integer_row(row: Sequence[Entry]) -> tuple[Sequence[int], int]:
     return [x.numerator * (scale // x.denominator) for x in fracs], scale
 
 
-def _sparse_rows(rows: Iterable[Row], integer: bool = False) -> tuple[
+def _sparse_rows(rows: Iterable[dict[int, Entry]], integer: bool = False) -> tuple[
     list[dict[int, int]], dict[int, set[int]]
 ]:
     """The set-up of the elimination core.
 
-    Each row becomes a ``{column: int}`` dict of its nonzero entries, scaled
-    to integers by ``_integer_row``: a dense row is scanned, a row of a
-    ``SparseMatrix`` is copied.  A column -> rows index finds the rows that
-    hold a column.  Returns the rows and the index; with ``integer``, a row
-    that needs scaling raises ValueError instead.
+    Each ``{column: entry}`` row is copied.  A row with an entry that is not
+    an int loses its zeros, such as a ``0.0`` or a ``False`` that a
+    ``Matrix`` keeps (it stores no int zero), and is scaled to integers by
+    ``_integer_row``.  A column -> rows index finds the rows that hold a
+    column.  Returns the rows and the index; with ``integer``, a row that
+    needs scaling raises ValueError instead.
     """
     sparse: list[dict[int, int]] = []
     where: dict[int, set[int]] = {}  # column -> rows with a nonzero there
     for i, row in enumerate(rows):
-        entries = row.copy() if type(row) is dict else dict(filter(_second, enumerate(row)))
-        if type(sum(entries.values())) is not int:
+        entries = row.copy()
+        if countOf(map(type, entries.values()), int) != len(entries):
+            entries = dict(filter(_second, entries.items()))
             ints, scale = _integer_row(list(entries.values()))
             if integer and scale != 1:
                 raise ValueError("invariant_factors needs an integer matrix")
@@ -287,7 +257,7 @@ def _sparse_rows(rows: Iterable[Row], integer: bool = False) -> tuple[
     return sparse, where
 
 
-def _row_echelon(rows: Iterable[Row]) -> tuple[
+def _row_echelon(rows: Iterable[dict[int, Entry]]) -> tuple[
     list[dict[int, int]], dict[int, set[int]], list[int], list[int]
 ]:
     """Forward pass of the elimination core: a row echelon form of ``rows``.
@@ -335,7 +305,7 @@ def _row_echelon(rows: Iterable[Row]) -> tuple[
     return sparse, where, order, pivots
 
 
-def _echelon(rows: Iterable[Row]) -> tuple[list[dict[int, int]], list[int]]:
+def _echelon(rows: Iterable[dict[int, Entry]]) -> tuple[list[dict[int, int]], list[int]]:
     """Sparse integer Gauss-Jordan elimination of ``rows``.
 
     The forward pass ``_row_echelon`` clears each pivot column below its
@@ -355,7 +325,7 @@ def _echelon(rows: Iterable[Row]) -> tuple[list[dict[int, int]], list[int]]:
     return [sparse[i] for i in order], pivots
 
 
-def rank(m: Matrix | SparseMatrix) -> int:
+def rank(m: Matrix) -> int:
     """Rank over the rationals."""
     return len(_row_echelon(m._d)[3])
 
@@ -365,16 +335,11 @@ def inverse(m: Matrix) -> Matrix:
     if m.rows != m.cols:
         raise ValueError("not square")
     n = m.rows
-    reduced, pivots = _echelon(
-        [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(m._d)]
-    )
+    reduced, pivots = _echelon(row | {n + i: 1} for i, row in enumerate(m._d))
     if pivots != list(range(n)):
         raise ValueError("singular matrix")
-    right, zeros = range(n, 2 * n), (0,) * n
-    return Matrix(
-        [[Fraction(x, row[r]) for x in map(row.get, right, zeros)] for r, row in enumerate(reduced)],
-        cols=n,
-    )
+    return Matrix._of(({j - n: Fraction(x, row[r]) for j, x in row.items() if j >= n}
+                       for r, row in enumerate(reduced)), n)
 
 
 def det(m: Matrix) -> Fraction:
@@ -382,7 +347,7 @@ def det(m: Matrix) -> Fraction:
     to integers by ``_integer_row``."""
     if m.rows != m.cols:
         raise ValueError("not square")
-    rows = [_integer_row(row) for row in m._d]
+    rows = [_integer_row(row) for row in m.to_lists()]
     return Fraction(_det([ints for ints, _ in rows]), prod(scale for _, scale in rows))
 
 
@@ -434,8 +399,7 @@ def coordinate_forms(
         raise ValueError("vector length != ambient_rank")
     k = len(cols)
     reduced, pivots = _echelon(
-        [c[i] for c in cols] + [int(i == j) for j in range(ambient_rank)]
-        for i in range(ambient_rank)
+        {j: c[i] for j, c in enumerate(cols) if c[i]} | {k + i: 1} for i in range(ambient_rank)
     )
     if pivots[:k] != list(range(k)):
         raise DependentInput("input vectors are linearly dependent over Q")
@@ -457,23 +421,33 @@ def smith_normal_form(m: Matrix) -> tuple[Matrix, Matrix, Matrix]:
     with nonnegative entries d_i | d_{i+1}, from ``_smith`` over Z on the
     rows of [m | I] and of I.
     """
-    if not m.is_integer():
-        raise ValueError("smith_normal_form needs an integer matrix")
     nrows, ncols = m.shape
-    w = [[int(x) for x in row] + [int(i == j) for j in range(nrows)] for i, row in enumerate(m._d)]
+    w = []
+    for i, row in enumerate(m._d):
+        r = [0] * (ncols + nrows)
+        r[ncols + i] = 1
+        for j, x in row.items():
+            if type(x) is not int:
+                x = Fraction(x)
+                if x.denominator != 1:
+                    raise ValueError("smith_normal_form needs an integer matrix")
+                x = x.numerator
+            r[j] = x
+        w.append(r)
     y = [[int(i == j) for j in range(ncols)] for i in range(ncols)]
     w, y, flipped = _smith(w, y, 0)
     k = len(y)
-    d, x = [r[:k] for r in w], [r[k:] for r in w]
-    # explicit column counts: a matrix with no rows or no columns has an
-    # empty D and identity U and V
-    if flipped:
-        return (Matrix(y, cols=nrows), Matrix(list(zip(*d)), cols=ncols),
-                Matrix(list(zip(*x)), cols=ncols))
-    return Matrix(x, cols=nrows), Matrix(d, cols=ncols), Matrix(list(zip(*y)), cols=ncols)
+    x = [r[k:] for r in w]
+    u, v = (y, x) if flipped else (x, y)
+    # a matrix with no rows or no columns has an empty D and identity U and V
+    diag = min(nrows, ncols)
+    d = ({t: w[t][t]} if t < diag and w[t][t] else {} for t in range(nrows))
+    return (Matrix._of((dict(filter(_second, enumerate(row))) for row in u), nrows),
+            Matrix._of(d, ncols),
+            Matrix._of((dict(filter(_second, enumerate(col))) for col in zip(*v)), ncols))
 
 
-def invariant_factors(m: Matrix | SparseMatrix) -> list[int]:
+def invariant_factors(m: Matrix) -> list[int]:
     """Nonzero diagonal entries of the Smith normal form, in order.
 
     No transforms are kept.  First ``_unit_pivots`` eliminates +-1 pivots
@@ -494,11 +468,11 @@ def invariant_factors(m: Matrix | SparseMatrix) -> list[int]:
     residual = [row for row in sparse if row]
     if not residual:
         return [1] * units
+    _, _, order, pivots = _row_echelon(residual)
+    delta = abs(_det([[residual[i].get(c, 0) for c in pivots] for i in order]))
     cols = sorted(c for c, holders in where.items() if holders)
-    dense = [[row.get(c, 0) for c in cols] for row in residual]
-    _, _, order, pivots = _row_echelon(dense)
-    delta = abs(_det([[dense[i][c] for c in pivots] for i in order]))
-    w, _, _ = _smith([[x % delta for x in row] for row in dense], [[] for _ in cols], delta)
+    w, _, _ = _smith([[row.get(c, 0) % delta for c in cols] for row in residual],
+                     [[] for _ in cols], delta)
     return [1] * units + [gcd(w[t][t], delta) for t in range(len(pivots))]
 
 

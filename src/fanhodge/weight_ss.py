@@ -17,14 +17,15 @@ and of the bidegree bases), and each stratum's codimension-1 facets, found
 by index-set lookup, with the sign of the omitted component.  Like
 ``FanSystem``'s cache, these lookups are not dataclass fields, so they never
 change equality, hashing or the JSON form.  A bidegree complex is assembled
-from the nonzero Gysin entries only, into ``SparseMatrix`` rows on which
-d1 o d1 = 0 is checked and which go as they are to the sparse elimination
-core of ``linalg``, so E1/d1/E2 and the F^n filtration cost in proportion
-to the nonzeros.  Each graded piece of the F^n filtration is a source
-dimension less a rank, the forward elimination pass only; no kernel basis
-is built.  An E1 entry adds the shifted Hodge numbers of each distinct
-table, times the number of strata that carry it, into one table.  Gysin
-blocks stay dense ``Matrix`` values.
+from the nonzero Gysin entries only, into the ``{column: entry}`` rows of a
+``Matrix``, on which d1 o d1 = 0 is checked and which go as they are to the
+sparse elimination core of ``linalg``, so E1/d1/E2 and the F^n filtration
+cost in proportion to the nonzeros.  A Gysin block is a ``Matrix`` too,
+whose nonzeros are copied with their sign.  Each graded piece of the F^n
+filtration is a source dimension less a rank, the forward elimination pass
+only; no kernel basis is built.  An E1 entry adds the shifted Hodge
+numbers of each distinct table, times the number of strata that carry it,
+into one table.
 
 The JSON loader reads a document in one validating pass and formats a
 message only for a check that fails.  Each stratum and each Gysin block is
@@ -51,7 +52,7 @@ from typing import Mapping, Sequence
 from .errors import NotAComplex, SncConditionViolated, expect, expect_rows, json_path, member
 from .delta_complex import _quotient
 from .fans import FanSystem, check_snc_condition
-from .linalg import Entry, Matrix, SparseMatrix, rank
+from .linalg import Entry, Matrix, rank
 from .mhs import MixedHSTable, PureHS
 
 GysinKey = tuple[str, str, int, int, int]  # (src id, dst id, degree, p, q)
@@ -203,25 +204,25 @@ class BidegreeComplex:
     P: int
     Q: int
     basis: tuple[tuple[tuple[str, int], ...], ...]  # per m: (stratum id, index)
-    maps: tuple[SparseMatrix, ...]  # maps[m]: column m -> column m-1; maps[0] unused
+    maps: tuple[Matrix, ...]  # maps[m]: column m -> column m-1; maps[0] unused
 
     def dim(self, m: int) -> int:
         if 0 <= m < len(self.basis):
             return len(self.basis[m])
         return 0
 
-    def map_out(self, m: int) -> SparseMatrix:
+    def map_out(self, m: int) -> Matrix:
         if 1 <= m < len(self.maps):
             return self.maps[m]
-        return SparseMatrix([{}] * self.dim(m - 1), self.dim(m))
+        return Matrix([{}] * self.dim(m - 1), self.dim(m))
 
 
 def bidegree_complex(sc: StrataComplex, P: int, Q: int) -> BidegreeComplex:
     """Assemble the signed Gysin complex in one normalized bidegree.
 
     Each map is written from the nonzero Gysin entries straight into the
-    rows of a ``SparseMatrix``, and d1 o d1 = 0 is checked on those rows, so
-    the work is proportional to the nonzeros.
+    rows of a ``Matrix``, and d1 o d1 = 0 is checked on those rows, so the
+    work is proportional to the nonzeros.
     """
     top = min(P, Q, sc.n)
     basis: list[tuple[tuple[str, int], ...]] = []
@@ -238,7 +239,7 @@ def bidegree_complex(sc: StrataComplex, P: int, Q: int) -> BidegreeComplex:
                 col.extend((s.id, i) for i in range(d))
         basis.append(tuple(col))
         offsets.append(off)
-    maps = [SparseMatrix((), len(basis[0]))]
+    maps = [Matrix((), len(basis[0]))]
     facets = sc._facets
     for m in range(1, top + 1):
         deg, p, q = P + Q - 2 * m, P - m, Q - m
@@ -261,10 +262,10 @@ def bidegree_complex(sc: StrataComplex, P: int, Q: int) -> BidegreeComplex:
                 roff = offsets[m - 1][dst.id]
                 for i in range(block.rows):
                     row = rows[roff + i]
-                    for j, x in enumerate(block.row(i), coff):
-                        if x:  # a sum that cancels is dropped by SparseMatrix
-                            row[j] = row.get(j, 0) + sign * x
-        maps.append(SparseMatrix(rows, len(basis[m])))
+                    # a sum that cancels is dropped by Matrix
+                    for j, x in block.row(i):
+                        row[coff + j] = row.get(coff + j, 0) + sign * x
+        maps.append(Matrix(rows, len(basis[m])))
         if m > 1 and not maps[m - 1].product_is_zero(maps[m]):
             raise NotAComplex(
                 f"signed Gysin maps do not compose to zero at bidegree ({P},{Q})"
@@ -495,12 +496,12 @@ def annotate_from_fans(fs: FanSystem, ann: CuspStrataAnnotation) -> StrataComple
     return StrataComplex(n=n, components=components, strata=strata, gysin=gysin)
 
 
-def signed_gysin_matrix(sc: StrataComplex) -> SparseMatrix:
+def signed_gysin_matrix(sc: StrataComplex) -> Matrix:
     """The assembled signed Gysin map out of the top canonical-form layer
     (column m = deepest populated codimension at bidegree (n, m))."""
     populated = [s.codim for s in sc.strata if s.cohomology]
     if not populated:
-        return SparseMatrix((), 0)
+        return Matrix((), 0)
     t = max(populated)
     bc = bidegree_complex(sc, sc.n, t)
     return bc.map_out(t)

@@ -8,9 +8,9 @@ same reduced row echelon form.  ``solve`` lives only here: the tests use it
 as the cone-membership oracle for ``coordinate_forms``.  ``apply_matrix``,
 a matrix-vector product that also takes ``Fraction`` entries, lives only
 here too: the subdivision oracles map rays with it, where the library uses
-integer rows.  So do ``matmul``, ``transpose``, ``zeros`` and ``is_zero``:
-the library's chain maps are ``SparseMatrix`` values, and the tests multiply
-them densely through ``to_matrix()``; ``sparse`` goes the other way.
+integer rows.  So do ``matmul``, ``transpose``, ``zeros``, ``is_zero``,
+``is_integer`` and ``submatrix``, which the tests apply to the library's
+sparse ``Matrix`` values through their dense rows.
 ``rational_kernel_basis`` was ``fanhodge.linalg``'s kernel basis; the
 library now reads only ranks, so it lives here, on the library's sparse
 ``_echelon``, and the tests hold it to ``dense_kernel_basis``.
@@ -30,7 +30,7 @@ from functools import partial
 from math import gcd, lcm, prod
 from typing import Callable, Sequence
 
-from fanhodge.linalg import Entry, Matrix, SparseMatrix, _echelon
+from fanhodge.linalg import Entry, Matrix, _echelon
 
 
 def matmul(a: Matrix, b: Matrix | Entry) -> Matrix:
@@ -58,16 +58,23 @@ def is_zero(m: Matrix) -> bool:
     return all(x == 0 for row in m.to_lists() for x in row)
 
 
-def sparse(m: Matrix) -> SparseMatrix:
-    """m as a ``SparseMatrix``."""
-    return SparseMatrix((dict(enumerate(m.row(i))) for i in range(m.rows)), m.cols)
+def is_integer(m: Matrix) -> bool:
+    """Whether every entry is an integer, of any type: 2.0, Fraction(4, 2)
+    and True are."""
+    return all(type(x) is int or Fraction(x).denominator == 1
+               for row in m.to_lists() for x in row)
+
+
+def submatrix(m: Matrix, row_idx: Sequence[int], col_idx: Sequence[int]) -> Matrix:
+    rows = m.to_lists()
+    return Matrix([[rows[i][j] for j in col_idx] for i in row_idx], cols=len(col_idx))
 
 
 def apply_matrix(m: Matrix, v: Sequence) -> tuple:
     """m applied to a column vector, returned as a tuple."""
     if m.cols != len(v):
         raise ValueError("shape mismatch")
-    return tuple(sum(a * b for a, b in zip(m.row(i), v)) for i in range(m.rows))
+    return tuple(sum(a * b for a, b in zip(row, v)) for row in m.to_lists())
 
 
 def dense_echelon(rows: list) -> tuple[list[int], Fraction]:
@@ -134,7 +141,7 @@ def dense_kernel_basis(m: Matrix) -> Matrix:
     return Matrix.from_columns(basis_cols)
 
 
-def rational_kernel_basis(m: Matrix | SparseMatrix) -> Matrix:
+def rational_kernel_basis(m: Matrix) -> Matrix:
     """Basis of ker(m) as matrix columns; exact, full column rank.
 
     Returns a matrix with ``cols - rank`` columns (possibly zero columns).

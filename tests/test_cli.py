@@ -118,6 +118,18 @@ def test_report_command(tmp_path, capsys):
     assert json.loads(out)["n1_exact_sequence"]["defect"] == 1
 
 
+def test_report_exits_1_when_dim_M_can_disagrees(tmp_path, capsys):
+    inv = {"cusps": [{"label": "a", "dim_S_cat": 2, "dim_U": 3}], "dim_M_can": 5}
+    p = tmp_path / "inv.json"
+    p.write_text(json.dumps(inv))
+    code, out, err = run(capsys, "report", "--preset", "custom:3;3;1",
+                         "--inventory", str(p))
+    assert (code, err) == (1, "")
+    assert json.loads(out)["dim_M_can_check"] == {
+        "supplied": 5, "sum_of_graded": 2, "consistent": False}
+    assert "n1_exact_sequence" not in json.loads(out)
+
+
 def test_determinism(fixture_files, tmp_path, capsys):
     _, a, _ = run(capsys, "spectral", fixture_files["p1xp1"], "--k", "2")
     _, b, _ = run(capsys, "spectral", fixture_files["p1xp1"], "--k", "2")

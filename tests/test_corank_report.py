@@ -133,3 +133,20 @@ def test_report_is_pure():
         dim_Omega_n_minus_1=1,
     )
     assert report(cd, inv) == report(cd, inv)
+
+
+def test_report_notes_a_dim_M_can_check_it_cannot_make():
+    cd = preset_sp(2)  # n(1) = 1: the corank-1 piece is only bounded
+    inv = CuspInventory(cusps=(CuspRecord("a", 1, 1), CuspRecord("b", 2, 3)),
+                        dim_Omega_n_minus_1=1, dim_M_can=3)
+    assert [g.kind for g in graded_dims(cd, inv)] == ["bounds", "exact"]
+    assert report(cd, inv)["dim_M_can_check"] == {
+        "supplied": 3, "consistent": None, "note": "not all graded pieces are exact"}
+
+
+def test_report_nonneat_annotates_the_n1_exact_sequence():
+    cd = CorankData(n=3, n_seq=(3,), c=1)
+    inv = CuspInventory(dim_GrW_np1_Fn=1, dim_H0K_corank1=2, dim_Hn1=1, dim_FnW_np1=1,
+                        neat=False)
+    assert report(cd, inv)["n1_exact_sequence"] == {
+        "defect": 1, "consistent": False, "note": nonneat_note(inv)}

@@ -19,7 +19,7 @@ from fanhodge.errors import NotAComplex, NotEquidimensional, SncConditionViolate
 from fanhodge.fans import hilbert_cusp_window, smooth_subdivide, two_division_subdivide
 from fanhodge.fixtures import hilbert_window, hilbert_window_cubed
 from fanhodge.linalg import Matrix
-from dense_oracle import is_zero, matmul, sparse, zeros
+from dense_oracle import is_zero, matmul, zeros
 from face_index_oracle import check_equidimensional, collapse_map, fundamental_class_vector
 from test_face_index import outcome
 
@@ -40,11 +40,19 @@ def test_face_ids_must_be_ints_in_range(fid):
         DeltaComplex((VERTS, (((0, 1), (1, 0)), ((0, 1), (fid, 0)))))
 
 
+@pytest.mark.parametrize("dim, entry", [(0, 5), (1, 5), (1, ((0, 1), (1, 0), ())), (1, ((0, 1),))])
+def test_level_entries_must_be_vertices_faces_pairs(dim, entry):
+    levels = ((((0,), ()), entry),) if dim == 0 else (VERTS, (((0, 1), (1, 0)), entry))
+    message = f"simplex 1 (dim {dim}) is {entry!r}, not a (vertices, faces) pair"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        DeltaComplex(levels)
+
+
 def test_two_vertex_circle_boundary():
     dc = two_vertex_circle()
     cc = boundary_matrices(dc)
     # both edges: boundary = [b] - [a]
-    assert cc.boundary[1].to_matrix().to_lists() == [[-1, -1], [1, 1]]
+    assert cc.boundary[1].to_lists() == [[-1, -1], [1, 1]]
     assert homology_dims(cc) == [1, 1]
     assert dc.euler_characteristic() == 0
 
@@ -85,7 +93,7 @@ def test_pseudomanifold_circles():
         assert all(s in (-1, 1) for s in signs.values())
         v = fundamental_class_vector(dc)
         cc = boundary_matrices(dc)
-        assert is_zero(matmul(cc.boundary[dc.dim].to_matrix(), v))
+        assert is_zero(matmul(cc.boundary[dc.dim], v))
 
 
 def test_open_interval_is_not_closed():
@@ -155,7 +163,7 @@ def test_chain_complex_validation():
     with pytest.raises(NotAComplex):
         ChainComplexQ(
             (1, 1, 1),
-            (sparse(zeros(0, 1)), sparse(Matrix([[1]])), sparse(Matrix([[1]]))),
+            (zeros(0, 1), Matrix([[1]]), Matrix([[1]])),
         )
 
 
@@ -164,21 +172,21 @@ def test_chain_complex_validation_finds_one_flipped_sign():
     dc = from_top_simplices([tuple(v for v in range(5) if v != o) for o in range(5)])
     cc = boundary_matrices(dc)
     for d in (1, 2, 3):
-        rows = cc.boundary[d].to_matrix().to_lists()
+        rows = cc.boundary[d].to_lists()
         j = next(j for j, x in enumerate(rows[-1]) if x)
         rows[-1][j] = -rows[-1][j]
         maps = list(cc.boundary)
-        maps[d] = sparse(Matrix(rows, cols=cc.dims[d]))
+        maps[d] = Matrix(rows, cols=cc.dims[d])
         with pytest.raises(NotAComplex):
             ChainComplexQ(cc.dims, tuple(maps))
     # a sum that cancels is no defect: scale one map by -1
     maps = list(cc.boundary)
-    maps[2] = sparse(matmul(maps[2].to_matrix(), -1))
+    maps[2] = matmul(maps[2], -1)
     assert ChainComplexQ(cc.dims, tuple(maps)).dims == cc.dims
 
 
 def test_integral_torsion_diagnostic():
-    cc = ChainComplexQ((1, 1), (sparse(zeros(0, 1)), sparse(Matrix([[2]]))))
+    cc = ChainComplexQ((1, 1), (zeros(0, 1), Matrix([[2]])))
     assert integral_homology(cc) == [(0, [2]), (0, [])]
 
 
@@ -256,7 +264,7 @@ def test_torus_is_closed_and_oriented():
     assert rep.closed and rep.oriented
     cc = boundary_matrices(dc)
     assert homology_dims(cc) == [1, 2, 1]
-    assert is_zero(matmul(cc.boundary[2].to_matrix(), fundamental_class_vector(dc)))
+    assert is_zero(matmul(cc.boundary[2], fundamental_class_vector(dc)))
 
 
 def circle(n):

@@ -34,7 +34,7 @@ from fanhodge.linalg import (
     rank,
     smith_normal_form,
 )
-from dense_oracle import apply_matrix, dense_det, matmul, solve
+from dense_oracle import apply_matrix, dense_det, matmul, solve, submatrix
 
 M = ((2, 1), (1, 1))
 
@@ -336,6 +336,36 @@ def test_non_integer_matrices_rejected():
         )
 
 
+@pytest.mark.parametrize("via", ["FanSystem", "fan_system_from_dict"])
+@pytest.mark.parametrize("where", ["identification", "embedding"])
+@pytest.mark.parametrize("bad", [0.0, False, None])
+def test_zero_like_matrix_entries_rejected(bad, where, via):
+    """A Matrix leaves out int zeros only, so the checks still see a 0.0, a
+    False or a None in a lattice map and name it."""
+    ident = [[1, bad], [0, 1]] if where == "identification" else [[1, 0], [0, 1]]
+    emb = [[1], [bad]] if where == "embedding" else [[1], [0]]
+    if via == "FanSystem":
+        def build():
+            return FanSystem(
+                cusps=(CuspLabel("P", 2), CuspLabel("C", 1, (("P", Matrix(emb)),))),
+                cones=(Cone("P", ((1, 0), (0, 1))),),
+                identifications=(Identification(Matrix(ident), "P", "P"),),
+            )
+    else:
+        def build():
+            return fan_system_from_dict({
+                "cusps": [{"name": "P", "rank": 2},
+                          {"name": "C", "rank": 1,
+                           "embeddings": [{"parent": "P", "matrix": emb}]}],
+                "cones": [{"cusp": "P", "rays": [[1, 0], [0, 1]]}],
+                "identifications": [{"matrix": ident, "source": "P", "target": "P"}],
+            })
+    prefix = "identification 0" if where == "identification" else "cusp 'C': embedding into 'P'"
+    message = f"{prefix}: matrix entry {bad!r} is not an integer"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        build()
+
+
 @pytest.mark.parametrize(
     "matrix, message",
     [([[1, 2], [2, 4], [0, 0]], "embedding into 'P': not of full column rank"),
@@ -441,7 +471,7 @@ def gcd_of_maximal_minors(rays):
     b = Matrix.from_columns(rays)
     g = 0
     for rows in itertools.combinations(range(b.rows), b.cols):
-        g = math.gcd(g, int(dense_det(b.submatrix(rows, range(b.cols)))))
+        g = math.gcd(g, int(dense_det(submatrix(b, rows, range(b.cols)))))
     return g
 
 

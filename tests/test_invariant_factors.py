@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from fanhodge.delta_complex import boundary_matrices, integral_homology, quotient_delta_complex
 from fanhodge.fans import fan_system_from_dict, smooth_subdivide, two_division_subdivide
 from fanhodge.linalg import Matrix, det, invariant_factors, rank, smith_normal_form
-from dense_oracle import matmul, residual_invariant_factors, zeros
+from dense_oracle import is_integer, matmul, residual_invariant_factors, zeros
 
 
 def snf_factors(m):
@@ -238,12 +238,17 @@ def test_non_integer_input_is_rejected(bad):
 
 
 def test_is_integer_entry_types():
-    assert Matrix([[1, -2]]).is_integer()
-    assert Matrix([[Fraction(4, 2), Fraction(-3)]]).is_integer()
-    assert not Matrix([[Fraction(1, 2)]]).is_integer()
-    assert Matrix([[2.0]]).is_integer()
-    assert not Matrix([[2.5]]).is_integer()
-    assert Matrix([[True, False]]).is_integer()
+    """2.0, Fraction(4, 2) and True are integers, which ``smith_normal_form``
+    takes; Fraction(1, 2) and 2.5 are not, and it refuses them."""
+    for rows in ([[1, -2]], [[Fraction(4, 2), Fraction(-3)]], [[2.0]], [[True, False]]):
+        m = Matrix(rows)
+        assert is_integer(m)
+        u, d, v = smith_normal_form(m)
+        assert matmul(matmul(u, m), v) == d
+    for rows in ([[Fraction(1, 2)]], [[2.5]]):
+        assert not is_integer(Matrix(rows))
+        with pytest.raises(ValueError, match="integer matrix"):
+            smith_normal_form(Matrix(rows))
 
 
 def test_integral_homology_of_the_subdivided_rank4_cone():

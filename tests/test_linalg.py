@@ -317,3 +317,48 @@ def test_snf_of_sparse_unit_matrices_up_to_40x40():
             assert sum(1 for x in diag if x) == rank(m)
             non_unit += any(x > 1 for x in diag)
     assert non_unit > 0
+
+
+def dict_rows(rows):
+    """The nonzeros of dense ``rows`` as ``{column: entry}`` dicts."""
+    return [{j: x for j, x in enumerate(row) if x} for row in rows]
+
+
+def test_dense_and_dict_rows_build_equal_matrices():
+    rng = random.Random(23)
+    for _ in range(100):
+        rows = [[rng.choice((0, 0, rng.randint(-9, 9), Fraction(rng.randint(-9, 9), 4)))
+                 for _ in range(5)] for _ in range(rng.randint(1, 5))]
+        dense, sparse = Matrix(rows), Matrix(dict_rows(rows), 5)
+        assert dense == sparse and sparse == dense
+        assert hash(dense) == hash(sparse)
+        assert sparse.to_lists() == dense.to_lists() == [
+            [x if x else 0 for x in row] for row in rows]
+    assert Matrix([[Fraction(0), 2]]) == Matrix([{1: 2, 0: 0}], 2) == Matrix([{1: 2}], 2)
+    assert Matrix([[1, 0]]) != Matrix([{0: 1}], 3)
+
+
+def test_rank_and_smith_forms_agree_on_dense_and_dict_rows():
+    rng = random.Random(24)
+    for _ in range(100):
+        nrows, ncols = rng.randint(1, 6), rng.randint(1, 6)
+        rows = [[rng.choice((0, 0, 1, -1, rng.randint(-9, 9))) for _ in range(ncols)]
+                for _ in range(nrows)]
+        dense, sparse = Matrix(rows), Matrix(dict_rows(rows), ncols)
+        assert rank(dense) == rank(sparse) == oracle_rank(rows)
+        assert invariant_factors(dense) == invariant_factors(sparse)
+        assert smith_normal_form(dense) == smith_normal_form(sparse)
+
+
+@pytest.mark.parametrize("rows, want", [
+    ([[0.0, 1.0], [2.0, 2.0]], 2),
+    ([[False, True], [True, True]], 2),
+    ([[True, False], [False, False]], 1),
+    ([[0.5, 0], [0, 0.0]], 1),
+    ([[1.5, 3.0], [1, 2]], 1),
+    ([[0.0, False], [False, 0.0]], 0),
+])
+def test_float_and_bool_entries_keep_their_rank(rows, want):
+    """A Matrix keeps a 0.0 or a False from dense rows; the elimination
+    drops it, as it drops every zero."""
+    assert rank(Matrix(rows)) == want

@@ -5,8 +5,8 @@ before its core became sparse.  Both compute the unique reduced row echelon
 form, so ranks, kernel bases and inverses must be identical, not just
 equivalent.  Determinants come from Bareiss elimination instead of the core
 and must equal the oracle's too.  The chain maps of ``delta_complex`` and
-``weight_ss`` are ``SparseMatrix`` values; their ranks, kernel bases and
-invariant factors must equal the oracle's on ``to_matrix()``.  The examples
+``weight_ss`` are sparse ``Matrix`` values; their ranks, kernel bases and
+invariant factors must equal the oracle's on their dense rows.  The examples
 are seeded (``derandomize`` or a fixed seed) and carry no wall-clock bound.
 """
 
@@ -23,11 +23,11 @@ from dense_oracle import (
     dense_invariant_factors,
     dense_kernel_basis,
     dense_rank,
+    is_integer,
     is_zero,
     matmul,
     rational_kernel_basis,
     solve,
-    sparse,
     transpose,
 )
 from fanhodge.delta_complex import ChainComplexQ, boundary_matrices, from_top_simplices
@@ -35,7 +35,6 @@ from fanhodge.errors import DependentInput, NotAComplex
 from fanhodge.fixtures import p1xp1_strata
 from fanhodge.linalg import (
     Matrix,
-    SparseMatrix,
     coordinate_forms,
     det,
     invariant_factors,
@@ -67,14 +66,13 @@ def assert_same_as_dense(m: Matrix) -> None:
         assert inverse(m) == dense_inverse(m)
 
 
-def assert_sparse_same_as_dense(m: SparseMatrix) -> None:
-    """A chain map against the oracle on its dense copy; invariant factors
+def assert_sparse_same_as_dense(m: Matrix) -> None:
+    """A chain map against the oracle on its dense rows; invariant factors
     only for integer maps, and a rational one must be refused."""
-    dense = m.to_matrix()
-    assert rank(m) == dense_rank(dense)
-    assert rational_kernel_basis(m) == dense_kernel_basis(dense)
-    if dense.is_integer():
-        assert invariant_factors(m) == dense_invariant_factors(dense)
+    assert rank(m) == dense_rank(m)
+    assert rational_kernel_basis(m) == dense_kernel_basis(m)
+    if is_integer(m):
+        assert invariant_factors(m) == dense_invariant_factors(m)
     else:
         with pytest.raises(ValueError, match="integer matrix"):
             invariant_factors(m)
@@ -146,8 +144,8 @@ def test_random_2_complex_boundaries_match_dense_core(vertices, triangles, seed)
     boundary = random_2_complex_boundaries(random.Random(seed), vertices, triangles)
     for d in (1, 2):
         assert_sparse_same_as_dense(boundary[d])
-        assert_same_as_dense(boundary[d].to_matrix())
-    assert is_zero(matmul(boundary[1].to_matrix(), boundary[2].to_matrix()))
+        assert_same_as_dense(boundary[d])
+    assert is_zero(matmul(boundary[1], boundary[2]))
 
 
 def test_largest_2_complex_boundary_matches_dense_core():
@@ -155,8 +153,8 @@ def test_largest_2_complex_boundary_matches_dense_core():
     m = random_2_complex_boundaries(rng, 40, 66)[2]
     assert m.rows > 150 and m.cols > 60
     assert_sparse_same_as_dense(m)
-    assert_same_as_dense(m.to_matrix())
-    assert_same_as_dense(transpose(m.to_matrix()))
+    assert_same_as_dense(m)
+    assert_same_as_dense(transpose(m))
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
@@ -175,7 +173,7 @@ def test_rational_gysin_maps_match_dense_core():
         g["matrix"] = {"P01": [["1/2"]], "P12": [["-3/2"]]}.get(g["src"], g["matrix"])
     sc = strata_complex_from_dict(data)
     assert any(type(x) is Fraction for m in bidegree_complex(sc, 2, 2).maps
-               for row in m.to_matrix().to_lists() for x in row)
+               for row in m.to_lists() for x in row)
     for P, Q in ((1, 1), (2, 2)):
         for m in bidegree_complex(sc, P, Q).maps[1:]:
             assert_sparse_same_as_dense(m)
@@ -189,11 +187,11 @@ def test_one_flipped_boundary_sign_is_not_a_complex(seed):
     cc = boundary_matrices(from_top_simplices(sorted(
         {tuple(sorted(rng.sample(range(9), 3))) for _ in range(12)})))
     for d in (1, 2):
-        rows = cc.boundary[d].to_matrix().to_lists()
+        rows = cc.boundary[d].to_lists()
         i, j = rng.choice([(i, j) for i, row in enumerate(rows) for j, x in enumerate(row) if x])
         rows[i][j] = -rows[i][j]
         maps = list(cc.boundary)
-        maps[d] = sparse(Matrix(rows, cols=cc.dims[d]))
+        maps[d] = Matrix(rows, cols=cc.dims[d])
         with pytest.raises(NotAComplex):
             ChainComplexQ(cc.dims, tuple(maps))
 
@@ -244,7 +242,8 @@ def test_coordinate_forms_membership_matches_solve(n, data):
 def test_determinant_sign_follows_the_row_order():
     m = Matrix([[2, 1, 0], [1, 0, 0], [0, 3, 1]])
     assert det(m) == dense_det(m) == -1
-    swapped = Matrix([m.row(1), m.row(0), m.row(2)])
+    rows = m.to_lists()
+    swapped = Matrix([rows[1], rows[0], rows[2]])
     assert det(swapped) == 1
     # a zero leading entry makes Bareiss swap rows, and each swap flips the sign
     for rows, sign in (([[0, 1, 0], [0, 0, 1], [1, 0, 0]], 1),

@@ -1,5 +1,6 @@
 """Weight spectral sequence engine on the toric and fan-window fixtures."""
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -79,7 +80,7 @@ def test_off_page_entry_has_weight_q():
 def test_cstar_d1_matrix():
     sc = cstar_strata()
     bc = bidegree_complex(sc, 1, 1)
-    assert bc.map_out(1).to_matrix().to_lists() == [[1, 1]]
+    assert bc.map_out(1).to_lists() == [[1, 1]]
 
 
 def test_cstar_weight_graded():
@@ -113,10 +114,9 @@ def test_p1xp1_top_differential_is_circle_boundary_up_to_sign():
     m = bc.map_out(2)
     assert (m.rows, m.cols) == (4, 4)
     assert rank(m) == 3
-    dense = m.to_matrix()
-    column_sums = [sum(dense[i, j] for i in range(4)) for j in range(4)]
+    column_sums = [sum(m[i, j] for i in range(4)) for j in range(4)]
     assert column_sums == [0, 0, 0, 0]  # each point hits its two lines +/-
-    assert is_zero(matmul(bc.map_out(1).to_matrix(), dense))
+    assert is_zero(matmul(bc.map_out(1), m))
 
 
 def test_d1_squares_to_zero_on_both_fixtures():
@@ -124,7 +124,7 @@ def test_d1_squares_to_zero_on_both_fixtures():
         page = d1(sc, e1_page(sc, k))  # raises NotAComplex on failure
         for _, bc in page.complexes:
             for m in range(2, len(bc.maps)):
-                assert is_zero(matmul(bc.maps[m - 1].to_matrix(), bc.maps[m].to_matrix()))
+                assert is_zero(matmul(bc.maps[m - 1], bc.maps[m]))
 
 
 def test_d1_preserves_normalized_bidegree():
@@ -208,8 +208,8 @@ def test_signed_gysin_equals_boundary_tensor_identity(d, window):
     vertices do, or facet signs stop following the boundary's."""
     fs = named_window(window)
     sc = annotate_from_fans(fs, CuspStrataAnnotation({"F": d}))
-    gysin = signed_gysin_matrix(sc).to_matrix()
-    boundary = boundary_matrices(quotient_delta_complex(fs, "F")).boundary[1].to_matrix()
+    gysin = signed_gysin_matrix(sc)
+    boundary = boundary_matrices(quotient_delta_complex(fs, "F")).boundary[1]
     expected = tensor_identity(boundary, d)
     assert gysin == expected or gysin == matmul(expected, -1)
 
@@ -302,7 +302,7 @@ def test_bidegree_complex_matches_reference_assembly(name):
             bc = bidegree_complex(sc, P, Q)
             basis, maps = reference_maps(sc, P, Q)
             assert bc.basis == tuple(basis)
-            assert [x.to_matrix() for x in bc.maps[1:]] == maps
+            assert list(bc.maps[1:]) == maps
     if name.startswith("L"):
         assert weight_filtration_on_FnHn(sc).graded == ((1, 0), (2, d))
 
@@ -337,3 +337,37 @@ def test_strata_complex_lookups_are_not_fields():
     assert [s.id for s in sc.strata_of_codim(1)] == [
         s.id for s in sc.strata if s.codim == 1
     ]
+
+
+def test_a_missing_gysin_block_is_named():
+    sc = cstar_strata()
+    gysin = {key: m for key, m in sc.gysin if key[0] != "Dinf"}
+    broken = StrataComplex(sc.n, sc.components, sc.strata, gysin)
+    message = "missing gysin block 'Dinf'->'Y' degree 0 bidegree (0,0)"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        bidegree_complex(broken, 1, 1)
+
+
+def test_a_degree_out_of_range_for_the_codimension_is_named():
+    with pytest.raises(ValueError, match="^degree 2 out of range for codim 1 stratum 'D0'$"):
+        StrataComplex(1, ("P0",), [Stratum("D0", ("P0",), {2: PureHS(2, {(1, 1): 1})})])
+
+
+def test_a_cohomology_key_that_is_not_an_int_is_named():
+    doc = strata_complex_to_dict(cstar_strata())
+    doc["strata"][0]["cohomology"]["two"] = doc["strata"][0]["cohomology"].pop("2")
+    message = "strata[0] (id 'Y').cohomology['two']: expected an int degree as key"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        strata_complex_from_dict(doc)
+
+
+def test_maps_past_either_end_and_an_unpopulated_gysin_map_are_zero():
+    bc = bidegree_complex(cstar_strata(), 1, 1)
+    assert [bc.dim(m) for m in range(-1, 3)] == [0, 1, 2, 0]
+    below, above = bc.map_out(0), bc.map_out(2)
+    assert below.shape == (0, 1) and below.to_lists() == []
+    assert above.shape == (2, 0) and above.to_lists() == [[], []]
+    assert rank(below) == rank(above) == 0
+    empty = StrataComplex(1, ("P0",), [Stratum("Y", (), {}), Stratum("D0", ("P0",), {})])
+    gysin = signed_gysin_matrix(empty)
+    assert gysin.shape == (0, 0) and gysin.to_lists() == []

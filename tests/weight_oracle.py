@@ -20,7 +20,7 @@ sorted by a key function that looks up their strata positions by id.
 
 from __future__ import annotations
 
-from dense_oracle import rational_kernel_basis
+from dense_oracle import rational_kernel_basis, submatrix
 from fanhodge.linalg import Matrix
 from fanhodge.mhs import PureHS
 from fanhodge.weight_ss import (
@@ -54,7 +54,7 @@ def residue_projection(sc: StrataComplex, m: int, stratum_id: str) -> Matrix:
         raise KeyError(f"no kernel data at weight offset {m}")
     basis, rows = found
     idx = [i for i, (sid, _) in enumerate(rows) if sid == stratum_id]
-    return basis.submatrix(idx, range(basis.cols))
+    return submatrix(basis, idx, range(basis.cols))
 
 
 def tate_twist(h: PureHS, m: int) -> PureHS:
