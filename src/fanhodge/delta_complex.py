@@ -21,11 +21,11 @@ against the ordered subsets of its vertex tuple.  One private builder,
 ``weight_ss.annotate_from_fans`` reads as its index sets.
 
 Boundary maps are ``Matrix`` values whose ``{column: entry}`` rows are
-written straight from the simplex faces.  Rational Betti numbers come from
-exact ranks of the boundary maps, each ranked once; integral homology takes
-the invariant factors of each boundary map (unit pivots, then the residual
-modulo one minor; no transforms), which give both the torsion and, by their
-count, the rank that the next degree needs.
+written straight from the simplex faces.  Homology has one path:
+``integral_homology`` takes the invariant factors of each boundary map once
+(unit pivots, then the residual modulo one minor; no transforms), which
+give both the torsion and, by their count, the rank that the next degree
+needs.  The Betti numbers of ``homology_report`` are its free ranks.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from typing import Sequence
 
 from .errors import NotAComplex, NotEquidimensional, SncConditionViolated
 from .fans import Face, FanSystem, check_snc_condition
-from .linalg import Matrix, invariant_factors, rank
+from .linalg import Matrix, invariant_factors
 
 _Level = tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]  # (vertices, faces) pairs
 
@@ -219,14 +219,9 @@ def boundary_matrices(dc: DeltaComplex) -> ChainComplexQ:
     return ChainComplexQ(dims, tuple(boundaries))
 
 
-def homology_dims(cc: ChainComplexQ) -> list[int]:
-    """Rational Betti numbers beta_0 .. beta_top; each boundary is ranked once."""
-    ranks = [0, *map(rank, cc.boundary[1:]), 0]  # ranks[d]: rank of boundary[d]
-    return [dim - ranks[d] - ranks[d + 1] for d, dim in enumerate(cc.dims)]
-
-
 def integral_homology(cc: ChainComplexQ) -> list[tuple[int, list[int]]]:
-    """Diagnostic: (free rank, torsion coefficients) per degree.
+    """(free rank, torsion coefficients) per degree; the free ranks are the
+    rational Betti numbers.
 
     One ``invariant_factors`` call per boundary map: the factors give the
     torsion of H_d and, by their count, the rank of the boundary that
@@ -318,7 +313,7 @@ def homology_report(dc: DeltaComplex) -> dict:
     cc = boundary_matrices(dc)
     rep = pseudomanifold_report(dc)
     return {
-        "betti": homology_dims(cc),
+        "betti": [free for free, _ in integral_homology(cc)],
         "closed": rep.closed,
         "oriented": rep.oriented,
         "fundamental_class": (
@@ -335,7 +330,6 @@ __all__ = [
     "quotient_delta_complex",
     "ChainComplexQ",
     "boundary_matrices",
-    "homology_dims",
     "integral_homology",
     "PseudomanifoldReport",
     "pseudomanifold_report",

@@ -14,26 +14,30 @@ core: sparse integer Gauss-Jordan on ``{column: int}`` rows, with a column
 -> rows index so that a pivot touches only the rows holding its column, and
 every combined row divided by the gcd of its entries.  ``_sparse_rows``
 sets it up by copying the dict rows without their zeros.  The sparse +-1
-boundary and Gysin maps therefore cost in proportion to their nonzeros
-and keep small entries.  Its forward pass, ``_row_echelon``, is all that
-``rank`` needs, and ``rank`` is all that rational homology and the
-weight-filtration dimensions read; ``_echelon`` adds the backward pass for
-the others.  Pivot columns are taken left to
-right, so each reader gets the unique reduced row echelon form, whatever
-the pivot rows.  The core keeps no determinant factor.
+Gysin maps therefore cost in proportion to their nonzeros and keep small
+entries.  Its forward pass, ``_row_echelon``, is all that ``rank`` needs,
+and ``rank`` is all that the E2 and weight-filtration dimensions read;
+``_echelon`` adds the backward pass for the others.  Pivot columns are
+taken left to right, so each reader gets the unique reduced row echelon
+form, whatever the pivot rows.  The core keeps no determinant factor.
 
 Determinants come from ``_det``, fraction-free (Bareiss) elimination on
-dense integer rows, whose intermediate entries are minors of the input.
-``det`` scales rational rows to integers first and divides by the scales;
-``invariant_factors`` and ``fanhodge.fans`` call ``_det`` on integer rows,
-such as the ray tuples of a cone, directly.
+dense integer rows, whose intermediate entries are minors of the input;
+``invariant_factors`` and ``fanhodge.fans`` call it on integer rows, such
+as the ray tuples of a cone.
+
+An entry that is not an int, a float or a ``Fraction`` (a bool counts as an
+int) raises ``ValueError: matrix entry <x!r> is not a number`` in the
+elimination set-up and in ``smith_normal_form``; an all-int row is not
+checked entry by entry.
 
 ``invariant_factors`` runs on the same sparse rows and keeps no
-transforms.  A unit phase eliminates +-1 pivots, sparsest first, exactly
-and without scaling; each is unimodular and gives a factor 1, and the
-sparse +-1 boundary maps are mostly used up by it.  A residual phase takes
-what is left modulo delta, the absolute value of one nonzero r x r minor
-of the residual of rank r, which every invariant factor divides.
+transforms; it is all that homology reads, rational and integral.  A unit
+phase eliminates +-1 pivots, sparsest first, exactly and without scaling;
+each is unimodular and gives a factor 1, and the sparse +-1 boundary maps
+are mostly used up by it.  A residual phase takes what is left modulo
+delta, the absolute value of one nonzero r x r minor of the residual of
+rank r, which every invariant factor divides.
 ``smith_normal_form`` returns the unimodular transforms, so it works over
 Z.  Both run one Smith loop, ``_smith``, which takes the modulus: 0 for Z,
 delta for Z/delta, where every row is reduced after each step, so no entry
@@ -48,7 +52,7 @@ from __future__ import annotations
 
 import heapq
 from fractions import Fraction
-from math import gcd, lcm, prod
+from math import gcd, lcm
 from operator import countOf, itemgetter
 from typing import ItemsView, Iterable, Sequence
 
@@ -56,7 +60,15 @@ from .errors import DependentInput
 
 Entry = int | Fraction
 _EXACT = (int, Fraction)
+_NUMBERS = (int, float, Fraction)  # a bool is an int
 _second = itemgetter(1)
+
+
+def _number(x):
+    """``x``, if it is an int, a float or a ``Fraction``; else ValueError."""
+    if not isinstance(x, _NUMBERS):
+        raise ValueError(f"matrix entry {x!r} is not a number")
+    return x
 
 
 class Matrix:
@@ -231,18 +243,18 @@ def _sparse_rows(rows: Iterable[dict[int, Entry]], integer: bool = False) -> tup
     """The set-up of the elimination core.
 
     Each ``{column: entry}`` row is copied.  A row with an entry that is not
-    an int loses its zeros, such as a ``0.0`` or a ``False`` that a
-    ``Matrix`` keeps (it stores no int zero), and is scaled to integers by
-    ``_integer_row``.  A column -> rows index finds the rows that hold a
-    column.  Returns the rows and the index; with ``integer``, a row that
-    needs scaling raises ValueError instead.
+    an int has each entry checked by ``_number``, loses its zeros, such as a
+    ``0.0`` or a ``False`` that a ``Matrix`` keeps (it stores no int zero),
+    and is scaled to integers by ``_integer_row``.  A column -> rows index
+    finds the rows that hold a column.  Returns the rows and the index; with
+    ``integer``, a row that needs scaling raises ValueError instead.
     """
     sparse: list[dict[int, int]] = []
     where: dict[int, set[int]] = {}  # column -> rows with a nonzero there
     for i, row in enumerate(rows):
         entries = row.copy()
         if countOf(map(type, entries.values()), int) != len(entries):
-            entries = dict(filter(_second, entries.items()))
+            entries = {j: x for j, x in entries.items() if _number(x)}
             ints, scale = _integer_row(list(entries.values()))
             if integer and scale != 1:
                 raise ValueError("invariant_factors needs an integer matrix")
@@ -342,15 +354,6 @@ def inverse(m: Matrix) -> Matrix:
                        for r, row in enumerate(reduced)), n)
 
 
-def det(m: Matrix) -> Fraction:
-    """Exact determinant of a square matrix, by ``_det`` on its rows scaled
-    to integers by ``_integer_row``."""
-    if m.rows != m.cols:
-        raise ValueError("not square")
-    rows = [_integer_row(row) for row in m.to_lists()]
-    return Fraction(_det([ints for ints, _ in rows]), prod(scale for _, scale in rows))
-
-
 def _det(rows: Sequence[Sequence[int]]) -> int:
     """Determinant of square integer ``rows`` by fraction-free elimination.
 
@@ -428,7 +431,7 @@ def smith_normal_form(m: Matrix) -> tuple[Matrix, Matrix, Matrix]:
         r[ncols + i] = 1
         for j, x in row.items():
             if type(x) is not int:
-                x = Fraction(x)
+                x = Fraction(_number(x))
                 if x.denominator != 1:
                     raise ValueError("smith_normal_form needs an integer matrix")
                 x = x.numerator

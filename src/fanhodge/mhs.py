@@ -81,16 +81,6 @@ class PureHS:
             raise ValueError(f"{path}h: {exc}") from None
 
 
-def is_effective(h: PureHS) -> bool:
-    """True iff only indices with p >= 0 and q >= 0 carry dimension."""
-    return all(p >= 0 and q >= 0 for (p, q), _ in h.hodge_numbers)
-
-
-def f_graded_dim(h: PureHS, p: int) -> int:
-    """Dimension of the p-th Hodge filtration step: sum of h^{p',q} for p' >= p."""
-    return sum(d for (pp, _), d in h.hodge_numbers if pp >= p)
-
-
 @dataclass(frozen=True)
 class MixedHSTable:
     """Weight-graded Hodge data of one cohomology degree."""
@@ -114,17 +104,6 @@ class MixedHSTable:
 
     def graded_dim(self, weight: int) -> int:
         return self.piece(weight).dim
-
-    @property
-    def total_dim(self) -> int:
-        return sum(h.dim for h in self.graded)
-
-    def weights_in_range(self, n: int) -> bool:
-        """Weight support allowed for H^k of an n-fold: [k, min(2k, 2n)]."""
-        k = self.degree
-        return all(
-            k <= h.weight <= min(2 * k, 2 * n) for h in self.graded if not h.is_zero()
-        )
 
     def to_dict(self) -> dict:
         return {

@@ -6,6 +6,16 @@ strata.  The engine owns the E1 assembly, the alternating signs of the
 differential, the E2 (= weight graded) dimensions, and the residue-kernel
 description of the weight filtration on the top Hodge piece.
 
+E2 is read one normalized bidegree at a time: the signed Gysin complex of
+bidegree (P, Q) is a chain of columns over the codimension m, and one
+private routine, ``_e2_dim``, gives the E2 dimension at column m, the
+column's dimension less the ranks of the maps into and out of it (nothing
+is ranked for an empty column).  ``weight_graded(sc, k)`` reads it at
+column m of each bidegree complex on the antidiagonal k + m, and
+``weight_filtration_on_FnHn`` at column m of bidegree (n, m): Gr^W_{n+m}
+F^n H^n is that E2 term.  The E1 page itself (``e1_page``) is not needed
+for either.
+
 A stratum with index set I of size m lives in codimension m; the ambient
 space itself is the unique stratum with empty index set.  Several strata
 may share one index set (disconnected intersections).
@@ -18,14 +28,13 @@ by index-set lookup, with the sign of the omitted component.  Like
 ``FanSystem``'s cache, these lookups are not dataclass fields, so they never
 change equality, hashing or the JSON form.  A bidegree complex is assembled
 from the nonzero Gysin entries only, into the ``{column: entry}`` rows of a
-``Matrix``, on which d1 o d1 = 0 is checked and which go as they are to the
-sparse elimination core of ``linalg``, so E1/d1/E2 and the F^n filtration
+``Matrix``, on which d_1 o d_1 = 0 is checked and which go as they are to
+the sparse elimination core of ``linalg``, so E2 and the F^n filtration
 cost in proportion to the nonzeros.  A Gysin block is a ``Matrix`` too,
-whose nonzeros are copied with their sign.  Each graded piece of the F^n
-filtration is a source dimension less a rank, the forward elimination pass
-only; no kernel basis is built.  An E1 entry adds the shifted Hodge
-numbers of each distinct table, times the number of strata that carry it,
-into one table.
+whose nonzeros are copied with their sign.  Ranks take the forward
+elimination pass only; no kernel basis is built.  An E1 entry adds the
+shifted Hodge numbers of each distinct table, times the number of strata
+that carry it, into one table.
 
 The JSON loader reads a document in one validating pass and formats a
 message only for a check that fails.  Each stratum and each Gysin block is
@@ -198,7 +207,7 @@ class BidegreeComplex:
 
     Column m collects the h^{P-m,Q-m} parts of degree (P+Q-2m) cohomology of
     the codimension-m strata (normalized bidegree after the Tate twist by m).
-    `maps[m]` is the signed Gysin sum column m -> column m-1 (this is -d1).
+    `maps[m]` is the signed Gysin sum column m -> column m-1 (this is -d_1).
     """
 
     P: int
@@ -221,7 +230,7 @@ def bidegree_complex(sc: StrataComplex, P: int, Q: int) -> BidegreeComplex:
     """Assemble the signed Gysin complex in one normalized bidegree.
 
     Each map is written from the nonzero Gysin entries straight into the
-    rows of a ``Matrix``, and d1 o d1 = 0 is checked on those rows, so the
+    rows of a ``Matrix``, and d_1 o d_1 = 0 is checked on those rows, so the
     work is proportional to the nonzeros.
     """
     top = min(P, Q, sc.n)
@@ -288,22 +297,28 @@ def _bidegrees_for_antidiagonal(sc: StrataComplex, w: int) -> list[tuple[int, in
     return sorted(seen)
 
 
+def _e2_dim(bc: BidegreeComplex, m: int) -> int:
+    """The E2 dimension at column m of a bidegree complex: the column's
+    dimension less the ranks of the maps out of it (maps[m]) and into it
+    (maps[m + 1]).  The zero maps past either end, and both maps of an
+    empty column, are not ranked."""
+    dim = bc.dim(m)
+    if dim:
+        dim -= sum(rank(bc.maps[i]) for i in (m, m + 1) if 0 < i < len(bc.maps))
+    return dim
+
+
 @dataclass(frozen=True)
 class SpectralPage:
-    """E1 page data for one cohomology degree k, with per-bidegree differentials.
+    """E1 page data for one cohomology degree k.
 
     `entries` maps (p,q)=(-m,k+m) to the Tate-normalized Hodge table of
-    H^{k-m}(D(m))(-m).  `complexes` holds the signed-Gysin chain complex of
-    every normalized bidegree on the antidiagonals k..min(2k,2n) that
-    carries dimension; the d1 differential out of entry (-m,k+m) in
-    bidegree (P,Q) is -complexes[(P,Q)].map_out(m).  It is None until d1()
-    attaches the differentials, and empty when no bidegree carries any.
+    H^{k-m}(D(m))(-m).
     """
 
     k: int
     n: int
     entries: tuple[tuple[tuple[int, int], PureHS], ...]
-    complexes: tuple[tuple[tuple[int, int], BidegreeComplex], ...] | None = None
 
     @cached_property
     def _entries(self) -> dict[tuple[int, int], PureHS]:
@@ -336,42 +351,24 @@ def e1_page(sc: StrataComplex, k: int) -> SpectralPage:
     return SpectralPage(k=k, n=sc.n, entries=tuple(entries))
 
 
-def d1(sc: StrataComplex, page: SpectralPage) -> SpectralPage:
-    """Attach the signed Gysin differentials; verifies d1 o d1 = 0."""
-    complexes = []
-    for w in range(page.k, page.k + min(page.k, sc.n) + 1):
-        for P, Q in _bidegrees_for_antidiagonal(sc, w):
-            complexes.append(((P, Q), bidegree_complex(sc, P, Q)))
-    return SpectralPage(
-        k=page.k, n=page.n, entries=page.entries, complexes=tuple(complexes)
-    )
-
-
-def e2_page(page: SpectralPage) -> MixedHSTable:
-    """E2 = E-infinity dimensions: the weight graded Hodge table of H^k."""
-    if page.complexes is None:
-        raise ValueError("attach differentials with d1() first")
-    graded = []
-    for (p, q), _ in page.entries:
-        m = -p
-        w = q  # = k + m
-        table: dict[tuple[int, int], int] = {}
-        for (P, Q), bc in page.complexes:
-            if P + Q != w:
-                continue
-            # dim ker maps[m] - rank maps[m+1]; the zero maps past either end
-            # are not ranked, and no other entry reads this complex
-            ranks = (rank(bc.maps[i]) for i in (m, m + 1) if 0 < i < len(bc.maps))
-            dim = bc.dim(m) - sum(ranks)
-            if dim:
-                table[(P, Q)] = dim
-        graded.append(PureHS(w, table))
-    return MixedHSTable(page.k, [h for h in graded if not h.is_zero()])
-
-
 def weight_graded(sc: StrataComplex, k: int) -> MixedHSTable:
-    """E1 -> d1 -> E2 in one call."""
-    return e2_page(d1(sc, e1_page(sc, k)))
+    """E2 = E-infinity dimensions: the weight graded Hodge table of H^k.
+
+    Weight k + m, for m = 0 .. min(k, n), has h^{P,Q} = ``_e2_dim`` at
+    column m of the bidegree complex of (P, Q), for each normalized
+    bidegree on the antidiagonal P + Q = k + m that carries any dimension.
+    Every such complex is built, so d_1 o d_1 = 0 is checked on each.
+    """
+    graded = []
+    for m in range(min(k, sc.n) + 1):
+        table = {}
+        for P, Q in _bidegrees_for_antidiagonal(sc, k + m):
+            dim = _e2_dim(bidegree_complex(sc, P, Q), m)
+            if dim:
+                table[P, Q] = dim
+        if table:
+            graded.append(PureHS(k + m, table))
+    return MixedHSTable(k, graded)
 
 
 # -- weight filtration on the top Hodge piece -------------------------------
@@ -391,15 +388,12 @@ class FnFiltrationReport:
 
 def weight_filtration_on_FnHn(sc: StrataComplex) -> FnFiltrationReport:
     """Gr^W_{n+m} F^n = kernel of the signed residue/Gysin map out of the
-    canonical-form layer of the codimension-m strata.  Only its dimension,
-    the source dimension less the rank of the map, is computed; an empty
-    source is not ranked."""
+    canonical-form layer of the codimension-m strata: the E2 term at column
+    m of bidegree (n, m), by ``_e2_dim``.  Column m is the last of that
+    complex, so only the map out of it is ranked, and an empty column is
+    not ranked."""
     n = sc.n
-    graded = []
-    for m in range(1, n + 1):
-        bc = bidegree_complex(sc, n, m)
-        src_dim = bc.dim(m)
-        graded.append((m, src_dim - rank(bc.map_out(m)) if src_dim else 0))
+    graded = [(m, _e2_dim(bidegree_complex(sc, n, m), m)) for m in range(1, n + 1)]
     cumulative = []
     running = 0
     for m, d in graded:

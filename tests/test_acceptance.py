@@ -36,7 +36,7 @@ from fanhodge.fixtures import (
     hilbert_window_cubed,
     p1xp1_strata,
 )
-from fanhodge.linalg import Matrix, det, rank, smith_normal_form
+from fanhodge.linalg import Matrix, rank, smith_normal_form
 from fanhodge.stairs import (
     CorankData,
     admissible_region,
@@ -47,15 +47,14 @@ from fanhodge.stairs import (
 from fanhodge.weight_ss import (
     CuspStrataAnnotation,
     annotate_from_fans,
-    d1,
-    e1_page,
+    bidegree_complex,
     signed_gysin_matrix,
     weight_filtration_on_FnHn,
     weight_graded,
 )
 
-from dense_oracle import is_zero, matmul
-from weight_oracle import kernel_basis, residue_projection
+from dense_oracle import dense_det, is_zero, matmul
+from weight_oracle import kernel_basis, page_bidegrees, residue_projection, total_dim
 from test_fans import random_unimodular_2x2, rank3_window
 from test_linalg import oracle_rank, random_matrix
 from test_weight_ss import tensor_identity
@@ -84,7 +83,7 @@ def test_criterion_1_subdivision_pipeline(tmp_path, capsys):
     orig = hilbert_window()
     assert all(is_smooth(sub, c) for c in sub.cones)
     for c in sub.cones:
-        assert abs(det(Matrix([list(r) for r in c.rays]))) == 1
+        assert abs(dense_det(Matrix([list(r) for r in c.rays]))) == 1
     assert is_refinement(sub, orig)
     assert time.monotonic() - start < 1.0
 
@@ -133,7 +132,7 @@ def test_criterion_4_weight_ss_fixture_oracles():
     cstar = cstar_strata()
     h1 = weight_graded(cstar, 1)
     assert h1.graded_dim(2) == 1 and h1.piece(2).h(1, 1) == 1
-    assert weight_graded(cstar, 2).total_dim == 0
+    assert total_dim(weight_graded(cstar, 2)) == 0
 
     square = p1xp1_strata()
     assert weight_graded(square, 1).graded_dim(2) == 2
@@ -141,8 +140,8 @@ def test_criterion_4_weight_ss_fixture_oracles():
     assert h2.graded_dim(3) == 0 and h2.graded_dim(4) == 1
 
     for sc, k in ((cstar, 1), (square, 2)):
-        page = d1(sc, e1_page(sc, k))
-        for _, bc in page.complexes:
+        for P, Q in page_bidegrees(sc, k):
+            bc = bidegree_complex(sc, P, Q)
             for m in range(2, len(bc.maps)):
                 assert is_zero(matmul(bc.maps[m - 1], bc.maps[m]))
 
@@ -215,8 +214,8 @@ def test_criterion_8_exact_linalg_oracle_agreement():
         ok = (
             rank(m) == expected
             and matmul(matmul(u, m), v) == d
-            and abs(det(u)) == 1
-            and abs(det(v)) == 1
+            and abs(dense_det(u)) == 1
+            and abs(dense_det(v)) == 1
             and sum(1 for i in range(min(d.shape)) if d[i, i] != 0) == expected
         )
         agree += ok

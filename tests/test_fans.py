@@ -28,7 +28,6 @@ from fanhodge.fans import _check_cone, _multiplicity as cone_multiplicity, _subd
 from fanhodge.linalg import (
     Matrix,
     coordinate_forms,
-    det,
     invariant_factors,
     primitivize,
     rank,
@@ -300,7 +299,7 @@ def test_large_hilbert_windows_against_oracles(a, b, length):
     fs = FanSystem(chain.cusps, chain.cones, (Identification(power, "F", "F"),))
     sub = smooth_subdivide(two_division_subdivide(fs))
     assert check_snc_condition(sub).ok
-    assert all(abs(det(Matrix.from_columns(c.rays))) == 1 for c in sub.cones)
+    assert all(abs(dense_det(Matrix.from_columns(c.rays))) == 1 for c in sub.cones)
     assert is_refinement(sub, fs)
     report = homology_report(quotient_delta_complex(sub, "F"))
     assert report["betti"] == [1, 1]
@@ -528,7 +527,7 @@ def test_high_rank_cones_subdivide_smoothly(last):
     assert len(sub.cones) > 1
     for cone in sub.cones:
         assert len(cone.rays) == n
-        assert abs(det(Matrix.from_columns(cone.rays))) == 1
+        assert abs(dense_det(Matrix.from_columns(cone.rays))) == 1
         assert is_smooth(sub, cone)
     assert is_refinement(sub, fs)
     assert check_snc_condition(sub).ok

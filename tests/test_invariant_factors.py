@@ -13,8 +13,8 @@ from hypothesis import strategies as st
 
 from fanhodge.delta_complex import boundary_matrices, integral_homology, quotient_delta_complex
 from fanhodge.fans import fan_system_from_dict, smooth_subdivide, two_division_subdivide
-from fanhodge.linalg import Matrix, det, invariant_factors, rank, smith_normal_form
-from dense_oracle import is_integer, matmul, residual_invariant_factors, zeros
+from fanhodge.linalg import Matrix, invariant_factors, rank, smith_normal_form
+from dense_oracle import dense_det, is_integer, matmul, residual_invariant_factors, zeros
 
 
 def snf_factors(m):
@@ -100,7 +100,7 @@ def assert_consistent(m, factors):
     assert all(f > 0 for f in factors)
     assert all(b % a == 0 for a, b in zip(factors, factors[1:]))
     if m.rows == m.cols and len(factors) == m.rows:
-        assert prod(factors) == abs(det(m))
+        assert prod(factors) == abs(dense_det(m))
 
 
 def test_sparse_unit_matrices_against_the_smith_form():

@@ -1,13 +1,22 @@
 """Formal Hodge tables: twists, effectivity, direct sums, serialization.
 
 Tate twists and direct sums are the test oracles of ``weight_oracle``: no
-library code reads them since E1 adds Hodge numbers into one table.
+library code reads them since E1 adds Hodge numbers into one table.  So are
+effectivity, the Hodge filtration dimensions, the total dimension and the
+weight range check of a mixed table, which no library code reads.
 """
 
 import pytest
 
-from fanhodge.mhs import MixedHSTable, PureHS, f_graded_dim, is_effective
-from weight_oracle import direct_sum, tate_twist
+from fanhodge.mhs import MixedHSTable, PureHS
+from weight_oracle import (
+    direct_sum,
+    f_graded_dim,
+    is_effective,
+    tate_twist,
+    total_dim,
+    weights_in_range,
+)
 
 
 def test_pure_hs_basic():
@@ -53,9 +62,9 @@ def test_hodge_filtration_dims():
 def test_mixed_table():
     t = MixedHSTable(2, [PureHS(2, {(1, 1): 2}), PureHS(4, {(2, 2): 1})])
     assert t.graded_dim(2) == 2 and t.graded_dim(4) == 1 and t.graded_dim(3) == 0
-    assert t.total_dim == 3
-    assert t.weights_in_range(2)
-    assert not MixedHSTable(1, [PureHS(3, {(2, 1): 1})]).weights_in_range(5)
+    assert total_dim(t) == 3
+    assert weights_in_range(t, 2)
+    assert not weights_in_range(MixedHSTable(1, [PureHS(3, {(2, 1): 1})]), 5)
     with pytest.raises(ValueError):
         MixedHSTable(2, [PureHS(2, {(1, 1): 1}), PureHS(2, {(2, 0): 1})])
 

@@ -6,10 +6,15 @@ that map's kernel basis, which ``weight_oracle.kernel_basis`` still
 computes.  ``e1_page`` adds each distinct table's shifted Hodge numbers,
 times the number of strata that carry it, into one table per entry;
 before, it summed the Tate twists of the strata tables in id order, as
-``weight_oracle.e1_page`` still does.  Both must agree on the strata
-fixtures, on annotated Hilbert windows, on the two-cusp window and on a
-document with several distinct tables per codimension, a zero table and a
-rational Gysin block.
+``weight_oracle.e1_page`` still does.  ``weight_graded`` reads the E2
+dimension at column m of each bidegree complex on the antidiagonal k + m by
+one routine; before, it built the E1 page, attached the complexes of the
+page as its d1 and ranked them for E2, as ``weight_oracle.weight_graded``
+still does, for every k <= 2n + 1; and each graded dimension of the F^n
+filtration must be that reference's h^{n,m} at weight n + m.  All must
+agree on the strata fixtures, on annotated Hilbert windows, on the
+two-cusp window and on a document with several distinct tables per
+codimension, a zero table and a rational Gysin block.
 """
 
 import copy
@@ -26,6 +31,7 @@ from fanhodge.weight_ss import (
     e1_page,
     strata_complex_from_dict,
     weight_filtration_on_FnHn,
+    weight_graded,
 )
 from test_annotated_strata import two_cusp_window
 from test_weight_ss import annotated_hilbert_window, zero_table_strata
@@ -82,6 +88,11 @@ def assert_as_previously_defined(sc):
         assert dim == (0 if found is None else found[0].cols)
     for k in range(2 * sc.n + 1):
         assert e1_page(sc, k) == weight_oracle.e1_page(sc, k)
+    for k in range(2 * sc.n + 2):
+        assert weight_graded(sc, k) == weight_oracle.weight_graded(sc, k)
+    staged = weight_oracle.weight_graded(sc, sc.n)
+    for m, dim in rep.graded:
+        assert dim == staged.piece(sc.n + m).h(sc.n, m)
     return rep
 
 

@@ -1,9 +1,17 @@
 """Lookups and previous definitions of weight spectral sequence results that
 only the tests read.
 
-``complex_at`` was ``weight_ss.SpectralPage.complex_at``; no library code
-called it, so it left ``weight_ss`` and lives here, taking the page as its
-first argument.
+``weight_graded`` is the previous staged E2: ``weight_ss.e1_page``, then
+``d1``, which built the signed Gysin complex of every normalized bidegree
+on the page's antidiagonals (``page_bidegrees``) and was attached to the
+page as ``SpectralPage.complexes``, then ``e2_page``, which ranked the maps
+into and out of each entry's column.  ``weight_ss.weight_graded`` now reads
+each column by one routine, with no page of complexes.
+
+``is_effective``, ``f_graded_dim``, ``total_dim`` and ``weights_in_range``
+were ``mhs.is_effective``, ``mhs.f_graded_dim`` and the ``total_dim`` and
+``weights_in_range`` members of ``mhs.MixedHSTable``; no library code read
+them.
 
 ``weight_ss.weight_filtration_on_FnHn`` reads each graded dimension off a
 rank and keeps no kernel basis.  ``kernel_basis`` computes the basis that
@@ -21,20 +29,77 @@ sorted by a key function that looks up their strata positions by id.
 from __future__ import annotations
 
 from dense_oracle import rational_kernel_basis, submatrix
-from fanhodge.linalg import Matrix
-from fanhodge.mhs import PureHS
+from fanhodge.linalg import Matrix, rank
+from fanhodge.mhs import MixedHSTable, PureHS
 from fanhodge.weight_ss import (
     BidegreeComplex,
     SpectralPage,
     StrataComplex,
     Stratum,
+    _bidegrees_for_antidiagonal,
     bidegree_complex,
+    e1_page as library_e1_page,
 )
 
+Complexes = tuple[tuple[tuple[int, int], BidegreeComplex], ...]
 
-def complex_at(page: SpectralPage, P: int, Q: int) -> BidegreeComplex | None:
-    """The bidegree complex of (P, Q) on the page, or None."""
-    return dict(page.complexes or ()).get((P, Q))
+
+def page_bidegrees(sc: StrataComplex, k: int) -> list[tuple[int, int]]:
+    """The normalized bidegrees on the antidiagonals k .. k + min(k, n) that
+    carry dimension: those of the E1 page of degree k."""
+    return [(P, Q) for w in range(k, k + min(k, sc.n) + 1)
+            for P, Q in _bidegrees_for_antidiagonal(sc, w)]
+
+
+def d1(sc: StrataComplex, page: SpectralPage) -> Complexes:
+    """The signed Gysin complexes of the page; verifies d1 o d1 = 0."""
+    return tuple(((P, Q), bidegree_complex(sc, P, Q)) for P, Q in page_bidegrees(sc, page.k))
+
+
+def e2_page(page: SpectralPage, complexes: Complexes) -> MixedHSTable:
+    """E2 = E-infinity dimensions: the weight graded Hodge table of H^k."""
+    graded = []
+    for (p, q), _ in page.entries:
+        m = -p
+        w = q  # = k + m
+        table: dict[tuple[int, int], int] = {}
+        for (P, Q), bc in complexes:
+            if P + Q != w:
+                continue
+            # dim ker maps[m] - rank maps[m+1]; the zero maps past either end
+            # are not ranked
+            ranks = (rank(bc.maps[i]) for i in (m, m + 1) if 0 < i < len(bc.maps))
+            dim = bc.dim(m) - sum(ranks)
+            if dim:
+                table[(P, Q)] = dim
+        graded.append(PureHS(w, table))
+    return MixedHSTable(page.k, [h for h in graded if not h.is_zero()])
+
+
+def weight_graded(sc: StrataComplex, k: int) -> MixedHSTable:
+    """E1 -> d1 -> E2, staged."""
+    page = library_e1_page(sc, k)
+    return e2_page(page, d1(sc, page))
+
+
+def is_effective(h: PureHS) -> bool:
+    """True iff only indices with p >= 0 and q >= 0 carry dimension."""
+    return all(p >= 0 and q >= 0 for (p, q), _ in h.hodge_numbers)
+
+
+def f_graded_dim(h: PureHS, p: int) -> int:
+    """Dimension of the p-th Hodge filtration step: sum of h^{p',q} for p' >= p."""
+    return sum(d for (pp, _), d in h.hodge_numbers if pp >= p)
+
+
+def total_dim(t: MixedHSTable) -> int:
+    return sum(h.dim for h in t.graded)
+
+
+def weights_in_range(t: MixedHSTable, n: int) -> bool:
+    """Weight support allowed for H^k of an n-fold: [k, min(2k, 2n)]."""
+    k = t.degree
+    return all(k <= h.weight <= min(2 * k, 2 * n) for h in t.graded if not h.is_zero())
 
 
 def kernel_basis(sc: StrataComplex, m: int) -> tuple[Matrix, tuple[tuple[str, int], ...]] | None:
