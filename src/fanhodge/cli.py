@@ -11,6 +11,7 @@ import functools
 import json
 import math
 import sys
+from operator import countOf
 
 from . import __version__
 from .corank_report import CuspInventory, report
@@ -50,7 +51,8 @@ def _dump(obj, indent: str, parts: list) -> None:
     gives for `obj` nested at `indent`.
 
     Takes exact str, int, bool, None, finite float, list, tuple and dicts
-    with str keys; raises _NotPlainJSON on anything else.
+    with str keys; raises _NotPlainJSON on anything else.  A bool is not an
+    exact int, so a list holding one is written item by item.
     """
     kind = type(obj)
     if kind is str:
@@ -81,6 +83,11 @@ def _dump(obj, indent: str, parts: list) -> None:
             parts.append("[]")
             return
         inner = indent + "  "
+        if countOf(map(type, obj), int) == len(obj):
+            # exact ints only (a bool is not one): rays, matrix rows, ids
+            parts += ("[\n", inner, (",\n" + inner).join(map(int.__repr__, obj)),
+                      "\n", indent, "]")
+            return
         sep = "[\n" + inner
         for item in obj:
             parts.append(sep)
@@ -102,7 +109,9 @@ def _dumps(payload) -> str:
     calling `main` many times would run a collection every 20 or so calls
     and, now and then, a full one that stalls a single call.  `_dump` writes
     the same text and frees everything by reference counting; payloads
-    it does not take go to json.dumps.
+    it does not take go to json.dumps.  A list or tuple of exact ints, such
+    as a ray, a matrix row or a list of simplex ids, is written in one
+    join rather than one `_dump` call per entry.
     """
     parts: list = []
     try:

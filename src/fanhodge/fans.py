@@ -29,7 +29,8 @@ and the JSON loader both go through it, and the loader hands it (cusp,
 rays) pairs, so the only ``Cone`` objects built are the canonical ones.
 The refinement check tests a fine ray against a candidate host only when
 the ray is not one of the host's own rays, by plain integer dot products
-with the forms of the host's one elimination.
+with the host's coordinate forms: the cofactors of its rays for a
+full-dimensional host of rank at most 3, else one elimination.
 
 The two subdivisions do not rebuild a ``FanSystem`` per step.  Each works
 on one mutable local state, ``_LocalFan``: the cone set, a (cusp, ray) ->
@@ -47,13 +48,15 @@ identifications without checking them again.
 The lattice work reads the ray matrix B of a cone.  Its multiplicity is
 |det B| for a full-dimensional cone, read by the integer Bareiss
 determinant ``linalg._det`` straight from the ray tuples (the rows of B^T),
-with no ``Matrix`` built, and the product of the invariant factors of B for
-a lower-dimensional one; it is 0 iff the rays are dependent and 1 iff the
-cone is smooth.  Identifications are checked unimodular by the same
-determinant.  Rays are mapped by integer matrix-vector products.  The
-lattice points of the half-open parallelepiped are walked through the Smith
-group Z/d_1 x ... x Z/d_k, which has exactly mult = d_1 ... d_k elements,
-to find the stellar subdivision point.
+with no ``Matrix`` built (at rank 2 one closed expression, at rank 3 one
+elimination step and that expression), and the product of the invariant
+factors of B for a lower-dimensional one; it is 0 iff the rays are
+dependent and 1 iff the cone is smooth.  Identifications are checked
+unimodular by the same determinant.  Rays are mapped by integer
+matrix-vector products.  The lattice points of the half-open
+parallelepiped are walked through the Smith group Z/d_1 x ... x Z/d_k,
+which has exactly mult = d_1 ... d_k elements, to find the stellar
+subdivision point.
 """
 
 from __future__ import annotations
@@ -736,7 +739,8 @@ def is_refinement(fine: FanSystem, coarse: FanSystem) -> bool:
     candidate's own rays lies in it; every other ray is tested against the
     candidate's integer forms from ``coordinate_forms``: it lies in the cone
     iff the equations vanish on it and the coordinate forms are nonnegative.
-    Each coarse cone is eliminated at most once, when a ray first needs it.
+    Each coarse cone's forms are computed at most once, when a ray first
+    needs them.
     """
     ranks = {c.name: c.lattice_rank for c in coarse.cusps}
     if any(ranks.get(c.name, c.lattice_rank) != c.lattice_rank for c in fine.cusps):

@@ -9,10 +9,11 @@ dict of the nonzero entries of each row: the form in which
 maps.  Rays, identifications, Gysin blocks and Smith transforms are given
 as dense rows and stored the same way.
 
-``rank``, ``inverse`` and ``coordinate_forms`` share one elimination
-core: sparse integer Gauss-Jordan on ``{column: int}`` rows, with a column
--> rows index so that a pivot touches only the rows holding its column, and
-every combined row divided by the gcd of its entries.  ``_sparse_rows``
+``rank``, ``inverse`` and ``coordinate_forms`` (but that of a small
+full-dimensional cone) share one elimination core: sparse integer
+Gauss-Jordan on ``{column: int}`` rows, with a column -> rows index so that
+a pivot touches only the rows holding its column, and every combined row
+divided by the gcd of its entries.  ``_sparse_rows``
 sets it up by copying the dict rows without their zeros.  The sparse +-1
 Gysin maps therefore cost in proportion to their nonzeros and keep small
 entries.  Its forward pass, ``_row_echelon``, is all that ``rank`` needs,
@@ -23,13 +24,19 @@ form, whatever the pivot rows.  The core keeps no determinant factor.
 
 Determinants come from ``_det``, fraction-free (Bareiss) elimination on
 dense integer rows, whose intermediate entries are minors of the input;
-``invariant_factors`` and ``fanhodge.fans`` call it on integer rows, such
-as the ray tuples of a cone.
+its last step, on the final 2 x 2, is one closed expression, so a 2 x 2
+determinant costs two products.  ``invariant_factors`` and
+``fanhodge.fans`` call it on integer rows, such as the ray tuples of a
+cone.  The coordinate forms of n independent vectors of length n <= 3,
+the full-dimensional cones of ``fanhodge.fans`` up to rank 3, are read off
+their cofactors: n^2 minors of size at most 2, each one closed-form
+``_det``, in place of an elimination.
 
 An entry that is not an int, a float or a ``Fraction`` (a bool counts as an
-int) raises ``ValueError: matrix entry <x!r> is not a number`` in the
-elimination set-up and in ``smith_normal_form``; an all-int row is not
-checked entry by entry.
+int) raises ``ValueError: matrix entry <x!r> is not a number``, and an
+``inf`` or ``nan`` one ``ValueError: matrix entry <x!r> is not a finite
+number``, in the elimination set-up and in ``smith_normal_form``; an
+all-int row is not checked entry by entry.
 
 ``invariant_factors`` runs on the same sparse rows and keeps no
 transforms; it is all that homology reads, rational and integral.  A unit
@@ -52,7 +59,7 @@ from __future__ import annotations
 
 import heapq
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, isfinite, lcm
 from operator import countOf, itemgetter
 from typing import ItemsView, Iterable, Sequence
 
@@ -65,9 +72,11 @@ _second = itemgetter(1)
 
 
 def _number(x):
-    """``x``, if it is an int, a float or a ``Fraction``; else ValueError."""
+    """``x``, if it is an int, a finite float or a ``Fraction``; else ValueError."""
     if not isinstance(x, _NUMBERS):
         raise ValueError(f"matrix entry {x!r} is not a number")
+    if isinstance(x, float) and not isfinite(x):
+        raise ValueError(f"matrix entry {x!r} is not a finite number")
     return x
 
 
@@ -77,9 +86,9 @@ class Matrix:
     Row i is a ``{column: entry}`` dict of its nonzero entries.  The rows
     are given dense, as sequences of entries, or as such dicts, in which a
     caller may add up terms that cancel; ``cols`` is needed when no row is
-    dense.  A dict row leaves out every zero, a dense row its int and
-    ``Fraction`` zeros only: any other entry, such as ``0.0`` or ``False``,
-    is kept for a check to reject, and the elimination drops it.
+    dense.  Both forms leave out their int and ``Fraction`` zeros only: any
+    other falsy entry, such as ``0.0``, ``False`` or ``None``, is kept for a
+    check to reject, and the elimination drops a numeric one.
     """
 
     __slots__ = ("rows", "cols", "_d")
@@ -88,7 +97,11 @@ class Matrix:
         data, widths = [], set()
         for row in rows:
             if isinstance(row, dict):
-                data.append(dict(filter(_second, row.items())))
+                entries = dict(filter(_second, row.items()))
+                if len(entries) != len(row):
+                    # a falsy entry that is no int or Fraction zero stays, as below
+                    entries = {j: x for j, x in row.items() if x or type(x) not in _EXACT}
+                data.append(entries)
                 continue
             widths.add(len(row))
             data.append({j: x for j, x in enumerate(row) if x or type(x) not in _EXACT})
@@ -362,10 +375,14 @@ def _det(rows: Sequence[Sequence[int]]) -> int:
     leading column, and replaces each entry a_ij of the rest by
     (p * a_ij - a_i0 * a_0j) / (the previous pivot).  The division is exact,
     because the result is a minor of the input, so no entry ever exceeds
-    Hadamard's bound.  The cost is cubic in the size, whatever the sparsity.
+    Hadamard's bound.  When two rows [a, b], [c, d] remain, the last step
+    is (a * d - b * c) / (the previous pivot) in one expression, with no
+    pivot search: a swap would flip both its sign and the step's.  So a
+    2 x 2 costs two products and a 3 x 3 one step more; the cost is still
+    cubic in the size, whatever the sparsity.
     """
     sign, prev = 1, 1
-    while len(rows) > 1:
+    while len(rows) > 2:
         if not rows[0][0]:
             i = next((i for i, row in enumerate(rows) if row[0]), 0)
             if not i:
@@ -380,6 +397,9 @@ def _det(rows: Sequence[Sequence[int]]) -> int:
             for row in rows[1:]
         ]
         prev = p
+    if len(rows) == 2:
+        (a, b), (c, d) = rows
+        return sign * (a * d - b * c) // prev
     return sign * rows[0][0] if rows else 1
 
 
@@ -393,13 +413,32 @@ def coordinate_forms(
     rational span of the b_i, and k forms f_i with f_i . (c_1 b_1 + ... +
     c_k b_k) = s_i c_i for fixed s_i > 0.  So v lies in the cone spanned by
     the b_i iff every equation vanishes on v and every coordinate form is
-    nonnegative on v.  Both are read off one elimination of [B | I].
+    nonnegative on v.  For k = n <= 3 the forms are read off cofactors
+    (``_cofactor_forms``), otherwise off one elimination of [B | I]
+    (``_elimination_forms``).  For k = n both routes give each f_i
+    primitive, and so give the same forms.
 
     Raises DependentInput when the vectors are linearly dependent over Q.
     """
     cols = [tuple(v) for v in vectors]
     if any(len(c) != ambient_rank for c in cols):
         raise ValueError("vector length != ambient_rank")
+    if len(cols) == ambient_rank <= 3:
+        return _cofactor_forms(cols)
+    return _elimination_forms(cols, ambient_rank)
+
+
+def _elimination_forms(
+    cols: list[tuple[int, ...]], ambient_rank: int
+) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
+    """``coordinate_forms`` read off one elimination of [B | I], B the
+    matrix with the k vectors as its columns.
+
+    Row r < k of the reduced form, made primitive by the core, has its
+    pivot in column r, and its right part, negated when that pivot is
+    negative, is f_r; the right parts of the rows past them are the
+    equations.
+    """
     k = len(cols)
     reduced, pivots = _echelon(
         {j: c[i] for j, c in enumerate(cols) if c[i]} | {k + i: 1} for i in range(ambient_rank)
@@ -412,6 +451,36 @@ def coordinate_forms(
         f if reduced[r][r] > 0 else tuple(-x for x in f) for r, f in enumerate(forms[:k])
     ]
     return forms[k:], coordinates
+
+
+def _cofactor_forms(
+    cols: list[tuple[int, ...]]
+) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
+    """``coordinate_forms`` of n independent vectors of length n, for small n.
+
+    With the vectors as the rows of M, the cofactors of row i form the
+    column i of adj(M), whose dot product with row j is det(M) if j = i and
+    0 otherwise.  So f_i is that column times the sign of det(M), divided
+    by the gcd of its entries.  Each cofactor is one ``_det`` of an
+    (n - 1) x (n - 1) minor, which for n <= 3 is closed form; for larger n
+    the n^2 minors cost more than one elimination.  There are no equations.
+    """
+    det = _det(cols)
+    if not det:
+        raise DependentInput("input vectors are linearly dependent over Q")
+    n = len(cols)
+    coordinates = []
+    for i in range(n):
+        others = cols[:i] + cols[i + 1:]
+        f = [_det([r[:j] + r[j + 1:] for r in others]) for j in range(n)]
+        f[1::2] = [-x for x in f[1::2]]
+        # cofactor (i, j) is (-1)^(i + j) times minor (i, j); g carries the
+        # sign of det(M) and the (-1)^i
+        g = gcd(*f)
+        if (det < 0) != (i % 2 == 1):
+            g = -g
+        coordinates.append(tuple([x // g for x in f]))
+    return [], coordinates
 
 
 # -- Smith normal form -----------------------------------------------------

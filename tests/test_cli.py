@@ -171,6 +171,15 @@ def test_emitted_text_is_json_dumps_text(value):
     assert cli._dumps(value) == json.dumps(value, indent=2, sort_keys=True)
 
 
+def test_emitted_int_lists_are_json_dumps_text():
+    """Lists and tuples of exact ints take one join; a bool is not an exact
+    int, so a list holding one takes the general path and prints true."""
+    for value in ([1, -2, 3], (4, 5), [[1, 0], [0, 1]], [-(2**80), 2**80, 0], [[], [[]], [[], 1]],
+                  [True, 1], [1, False], (False,), [0, True, -1], {"rays": [[1, 0], (-1, 2)]},
+                  {"a": [[[7]], []], "b": (0,)}, [1.0, 2], [2, None], [[1], [True]]):
+        assert cli._dumps(value) == json.dumps(value, indent=2, sort_keys=True)
+
+
 def test_emitted_text_falls_back_to_json_dumps():
     for value in ({1: "a", 2: [True]}, {"a": {None: 1.5}}, [float("nan"), -0.0, 2**70]):
         assert cli._dumps(value) == json.dumps(value, indent=2, sort_keys=True)

@@ -374,8 +374,34 @@ def test_entries_that_are_not_numbers_are_refused(x):
     zero before, and "3" as 3 in the Smith form."""
     message = f"^matrix entry {re.escape(repr(x))} is not a number$"
     for m in (Matrix([[x, 1], [1, 1]]), Matrix([{0: x, 1: 1}, {0: 1, 1: 1}], 2)):
-        if m[0, 0] is not x:  # a dict row leaves out a falsy entry
-            continue
+        assert m[0, 0] is x
+        for f in (rank, inverse, invariant_factors, smith_normal_form):
+            with pytest.raises(ValueError, match=message):
+                f(m)
+
+
+def test_dict_rows_keep_falsy_entries_that_are_not_int_or_fraction_zeros():
+    """A dict row, like a dense one, leaves out its int and Fraction zeros
+    only; a None read as 0 before, so rank 1 and invariant factors [1]."""
+    m = Matrix([{0: None, 1: 1}], 2)
+    assert m.to_lists() == [[None, 1]]
+    for f in (rank, invariant_factors, smith_normal_form):
+        with pytest.raises(ValueError, match="^matrix entry None is not a number$"):
+            f(m)
+    for row in ([0.0, 1], [False, 1], [0, 1], [Fraction(0), 1]):
+        assert Matrix([dict(enumerate(row))], 2) == Matrix([row])
+    assert Matrix([{0: 0.0, 1: 1}], 2).to_lists() == [[0.0, 1]]
+    assert Matrix([{0: 2, 1: 1}, {0: False, 1: 1}], 2)[1, 0] is False
+    assert rank(Matrix([{0: 0.0, 1: 1}, {0: False, 1: 2}], 2)) == 1
+
+
+@pytest.mark.parametrize("x", [float("inf"), float("-inf"), float("nan")])
+def test_non_finite_float_entries_are_refused(x):
+    """rank, inverse, invariant_factors and smith_normal_form name an inf or
+    nan entry, where Fraction raised an OverflowError or a ValueError that
+    named none."""
+    message = f"^matrix entry {re.escape(repr(x))} is not a finite number$"
+    for m in (Matrix([[1, 2], [x, 1]]), Matrix([{0: 1, 1: 2}, {0: x, 1: 1}], 2)):
         for f in (rank, inverse, invariant_factors, smith_normal_form):
             with pytest.raises(ValueError, match=message):
                 f(m)

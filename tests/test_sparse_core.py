@@ -35,7 +35,9 @@ from fanhodge.errors import DependentInput, NotAComplex
 from fanhodge.fixtures import p1xp1_strata
 from fanhodge.linalg import (
     Matrix,
+    _cofactor_forms,
     _det,
+    _elimination_forms,
     coordinate_forms,
     invariant_factors,
     inverse,
@@ -257,19 +259,66 @@ def test_determinant_sign_follows_the_row_order():
 @pytest.mark.parametrize("n", range(9))
 def test_det_matches_dense_det(n):
     """Integer matrices with entries in [-9, 9], and the same with a repeated
-    row or a zero column."""
+    row or a zero column; with a vanishing leading (n - 1) x (n - 1) minor,
+    so that the last, closed-form 2 x 2 step starts from a zero entry; and
+    with a last row proportional to the one before it, so that the last
+    step is singular."""
     rng = random.Random(n)
-    for kind in ("int", "repeated row", "zero column") * 10:
+    kinds = ("int", "repeated row", "zero column", "zero-led tail", "singular tail")
+    for kind in kinds * 10:
         rows = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
-        singular = (kind == "repeated row" and n > 1) or (kind == "zero column" and n > 0)
+        singular = (kind in ("repeated row", "singular tail") and n > 1) or (
+            kind == "zero column" and n > 0)
         if singular and kind == "repeated row":
             i, j = rng.sample(range(n), 2)
             rows[i] = list(rows[j])
+        elif singular and kind == "singular tail":
+            rows[-1] = [-2 * x for x in rows[-2]]
         elif singular:
             j = rng.randrange(n)
             for row in rows:
                 row[j] = 0
+        elif kind == "zero-led tail" and n > 1:
+            # rows 0 and n - 2 agree on the first n - 1 columns (for n = 2,
+            # row 0 starts with 0)
+            rows[n - 2][:n - 1] = rows[0][:n - 1] if n > 2 else [0]
         d = _det(rows)
         assert type(d) is int and d == dense_det(Matrix(rows, cols=n))
         if singular:
             assert d == 0
+    for rows in ([[0, 3], [5, 7]], [[0, 0], [5, 7]], [[0, 3], [0, 7]], [[2, 3], [4, 6]],
+                 [[1, 2, 3], [1, 2, 4], [5, 6, 8]], [[2, 4, 1], [1, 2, 3], [3, 1, 1]]):
+        assert _det(rows) == dense_det(Matrix(rows))
+
+
+def _forms_or_error(route, *args):
+    try:
+        return route(*args)
+    except DependentInput as exc:
+        return "DependentInput", str(exc)
+
+
+def test_cofactor_forms_equal_elimination_forms():
+    """For n <= 3 vectors of length n, the coordinate forms read off the
+    cofactors equal those read off the elimination of [B | I], entry for
+    entry, for positive and negative determinants, and dependent vectors
+    raise the same DependentInput from both routes."""
+    rng = random.Random(25)
+    for n in range(4):
+        signs = set()
+        for t in range(400):
+            rows = [tuple(rng.randint(-9, 9) for _ in range(n)) for _ in range(n)]
+            if n > 1 and t % 4 == 0:
+                # a row that is a combination of the others
+                a, b = rng.randint(-3, 3), rng.randint(-3, 3)
+                rows[-1] = tuple(a * x + b * y for x, y in zip(rows[0], rows[-2]))
+            elif t % 16 == 1:
+                rows = [tuple(rng.randint(-2**70, 2**70) for _ in range(n)) for _ in range(n)]
+            want = _forms_or_error(_elimination_forms, rows, n)
+            assert _forms_or_error(_cofactor_forms, rows) == want
+            assert _forms_or_error(coordinate_forms, rows, n) == want
+            d = _det(rows)
+            signs.add((d > 0) - (d < 0))
+        assert signs == ({1} if n == 0 else {-1, 0, 1})
+    with pytest.raises(DependentInput, match="^input vectors are linearly dependent over Q$"):
+        _cofactor_forms([(1, 2, 3), (2, 4, 6), (0, 0, 1)])
