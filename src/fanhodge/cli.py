@@ -35,8 +35,13 @@ from .weight_ss import (
 
 
 def _load_json(path: str) -> dict:
+    """The JSON value in the file ``path``.  A value nested too deeply for
+    the json module to read is an input error naming the file."""
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise ValueError(f"{path}: JSON nested too deeply to read") from None
 
 
 class _NotPlainJSON(Exception):

@@ -44,7 +44,13 @@ do the per-field checks run, in field order, to name the first bad value
 tables and equal integer Gysin blocks are built once and shared (both are
 immutable): a repeat is type-checked and looked up, not built again.  A
 degree or a Gysin block given twice is an error.  Integral Gysin entries
-stay ints; only "p/q" strings become Fractions.
+stay ints; only "p/q" strings become Fractions.  A negative n is an error.
+
+The JSON writer mirrors that sharing: each distinct Hodge table and Gysin
+block object is converted once per call, an exact int entry as it is and
+any other through ``Fraction``, and every stratum and every Gysin entry
+gets fresh containers copied from that conversion, so no list or dict of
+the document is shared and editing one entry leaves the others alone.
 """
 
 from __future__ import annotations
@@ -119,8 +125,10 @@ class StrataComplex:
         self._validate()
 
     def _validate(self):
-        """Check the strata, then the Gysin blocks in key order; stores the
-        id lookup it builds.  A message is formatted only for a failure."""
+        """Check n, the strata, then the Gysin blocks in key order; stores
+        the id lookup it builds.  A message is formatted only for a failure."""
+        if self.n < 0:
+            raise ValueError(f"n: negative dimension {self.n}")
         comp = set(self.components)
         if len(comp) != len(self.components):
             raise ValueError("duplicate component labels")
@@ -505,6 +513,10 @@ def signed_gysin_matrix(sc: StrataComplex) -> Matrix:
 
 
 def _frac_to_json(x) -> int | str:
+    """An exact int as it is; anything else through ``Fraction``, so a bool
+    or an integral Fraction is written as an int and any other as "p/q"."""
+    if type(x) is int:
+        return x
     f = Fraction(x)
     return int(f) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
 
@@ -543,31 +555,33 @@ def _gysin_matrix_from_json(rows, shared: dict, *path) -> Matrix:
 
 
 def strata_complex_to_dict(sc: StrataComplex) -> dict:
-    return {
-        "n": sc.n,
-        "components": list(sc.components),
-        "strata": [
-            {
-                "id": s.id,
-                "index_set": list(s.index_set),
-                "cohomology": {
-                    str(deg): hs.to_dict() for deg, hs in s.cohomology
-                },
-            }
-            for s in sc.strata
-        ],
-        "gysin": [
-            {
-                "src": src,
-                "dst": dst,
-                "degree": deg,
-                "p": p,
-                "q": q,
-                "matrix": [[_frac_to_json(x) for x in row] for row in m.to_lists()],
-            }
-            for (src, dst, deg, p, q), m in sc.gysin
-        ],
-    }
+    """The JSON form that ``strata_complex_from_dict`` reads back.
+
+    Mirrors the loader's sharing: each distinct ``PureHS`` table and each
+    distinct Gysin block ``Matrix`` (the same object, not merely an equal
+    one) is converted once per call.  Every stratum and every Gysin entry
+    still gets fresh containers copied from that one conversion, so no list
+    or dict is shared between two entries or two calls, and a caller may
+    edit one entry without touching another."""
+    tables: dict[int, dict] = {}  # id(PureHS) -> its to_dict()
+    blocks: dict[int, list[list]] = {}  # id(Matrix) -> rows
+    strata = []
+    for s in sc.strata:
+        cohomology = {}
+        for deg, hs in s.cohomology:
+            table = tables.get(id(hs))
+            if table is None:
+                table = tables[id(hs)] = hs.to_dict()
+            cohomology[str(deg)] = {"weight": table["weight"], "h": table["h"].copy()}
+        strata.append({"id": s.id, "index_set": list(s.index_set), "cohomology": cohomology})
+    gysin = []
+    for (src, dst, deg, p, q), m in sc.gysin:
+        rows = blocks.get(id(m))
+        if rows is None:
+            rows = blocks[id(m)] = [[_frac_to_json(x) for x in row] for row in m.to_lists()]
+        gysin.append({"src": src, "dst": dst, "degree": deg, "p": p, "q": q,
+                      "matrix": list(map(list.copy, rows))})
+    return {"n": sc.n, "components": list(sc.components), "strata": strata, "gysin": gysin}
 
 
 def _hodge_key(hs):

@@ -1,13 +1,20 @@
-"""Reference strata-complex loader: the oracle for ``weight_ss``'s one-pass one.
+"""Reference strata-complex loader and writer: the oracles for ``weight_ss``'s
+one-pass loader and its writer.
 
 This was ``weight_ss.strata_complex_from_dict`` and ``StrataComplex._validate``
 before the loader shared equal Hodge tables and Gysin blocks and formatted
 messages only on failure.  Every field is read through ``expect``/``member``,
 every table through ``PureHS.from_dict`` and every block into a new
 ``Matrix``, and the validation builds each block's message and index sets.
-It never rejects a repeated degree or Gysin block: the later one wins.  Both
+It never rejects a repeated degree or Gysin block: the later one wins, but
+it rejects a negative n as ``StrataComplex`` does.  Both
 loaders must give equal complexes or raise the same exception with the same
 message on every document without such a repeat.
+
+``strata_complex_to_dict`` was ``weight_ss.strata_complex_to_dict`` before
+the writer converted each distinct Hodge table and Gysin block once per
+call: it converts every table and every entry of every block on its own,
+each entry through ``Fraction``.  Both writers must give equal documents.
 """
 
 from __future__ import annotations
@@ -54,6 +61,8 @@ def _gysin_matrix_from_json(rows, *path) -> Matrix:
 
 
 def _validate(n, components, strata, gysin):
+    if n < 0:
+        raise ValueError(f"n: negative dimension {n}")
     comp = set(components)
     if len(comp) != len(components):
         raise ValueError("duplicate component labels")
@@ -124,3 +133,36 @@ def strata_complex_from_dict(data: dict) -> StrataComplex:
         return StrataComplex(n=n, components=components, strata=strata, gysin=gysin)
     except Exception as exc:  # the reference accepted it: the library must too
         raise AssertionError(f"library rejects what the reference accepts: {exc!r}") from exc
+
+
+def _frac_to_json(x) -> int | str:
+    f = Fraction(x)
+    return int(f) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
+
+
+def strata_complex_to_dict(sc: StrataComplex) -> dict:
+    return {
+        "n": sc.n,
+        "components": list(sc.components),
+        "strata": [
+            {
+                "id": s.id,
+                "index_set": list(s.index_set),
+                "cohomology": {
+                    str(deg): hs.to_dict() for deg, hs in s.cohomology
+                },
+            }
+            for s in sc.strata
+        ],
+        "gysin": [
+            {
+                "src": src,
+                "dst": dst,
+                "degree": deg,
+                "p": p,
+                "q": q,
+                "matrix": [[_frac_to_json(x) for x in row] for row in m.to_lists()],
+            }
+            for (src, dst, deg, p, q), m in sc.gysin
+        ],
+    }

@@ -220,6 +220,30 @@ def test_input_and_usage_errors(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv", [["check-snc"], ["subdivide"], ["homology"],
+                                  ["spectral", "--k", "1"], ["fn-filtration"]])
+@pytest.mark.parametrize("opening, closing", [("[", "]"), ('{"a": ', "}")])
+def test_deeply_nested_json_is_an_input_error(tmp_path, capsys, argv, opening, closing):
+    deep = tmp_path / "deep.json"
+    deep.write_text(opening * 100_000 + "1" * (opening != "[") + closing * 100_000)
+    code, out, err = run(capsys, argv[0], str(deep), *argv[1:])
+    assert code == 2 and out == ""
+    assert err == f"error: {deep}: JSON nested too deeply to read\n"
+    # from depth 1000 the json module gives up under the default recursion
+    # limit; where it does not, the loader's type error is the input error
+    deep.write_text(opening * 1000 + "1" * (opening != "[") + closing * 1000)
+    code, out, err = run(capsys, argv[0], str(deep), *argv[1:])
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_deeply_nested_inventory_is_an_input_error(tmp_path, capsys):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000 + "]" * 100_000)
+    code, out, err = run(capsys, "report", "--preset", "sp:2", "--inventory", str(deep))
+    assert (code, out, err) == (2, "", f"error: {deep}: JSON nested too deeply to read\n")
+
+
 def test_version_flag(capsys):
     assert run(capsys, "no-such-command")[0] == 2
     assert run(capsys, "stairs", "--preset", "sp:2", "--k", "3")[0] == 0
@@ -369,6 +393,7 @@ def _gysin_strata(entry=1, matrix=None, degree_00=None):
     "strata, message",
     [({"n": 1, "components": [], "strata": 7}, "strata: expected a list, got 7"),
      ({"n": "2", "components": [], "strata": []}, "n: expected an int, got '2'"),
+     ({"n": -1, "components": [], "strata": [], "gysin": []}, "n: negative dimension -1"),
      ([1], "top level: expected an object, got [1]"),
      ({"n": 1, "components": [], "strata": [5]}, "strata[0]: expected an object, got 5"),
      (_gysin_strata(matrix=5), "gysin[0].matrix: expected a list, got 5"),

@@ -8,7 +8,7 @@ import pytest
 
 import loader_oracle
 from fanhodge.linalg import Matrix
-from fanhodge.weight_ss import strata_complex_from_dict, strata_complex_to_dict
+from fanhodge.weight_ss import StrataComplex, strata_complex_from_dict, strata_complex_to_dict
 from test_weight_ss import annotated_hilbert_window
 
 
@@ -148,6 +148,21 @@ def test_validation_messages_match_the_reference(edit, message):
     edit(doc)
     assert outcome(strata_complex_from_dict, doc) == (ValueError, message)
     assert_same_as_reference(doc)
+
+
+def test_a_negative_dimension_is_rejected():
+    rejected = (ValueError, "n: negative dimension -1")
+    # with no tables, no degree can fall out of range to catch it
+    doc = {"n": -1, "components": [], "strata": [], "gysin": []}
+    assert outcome(strata_complex_from_dict, doc) == rejected
+    assert_same_as_reference(doc)
+    # n is checked before the strata
+    doc = two_points()
+    doc["n"] = -1
+    assert outcome(strata_complex_from_dict, doc) == rejected
+    assert_same_as_reference(doc)
+    assert outcome(lambda _: StrataComplex(-1, (), ()), None) == rejected
+    assert StrataComplex(0, (), ()).n == 0
 
 
 def test_a_facet_of_the_right_codimension_must_be_a_subset():
