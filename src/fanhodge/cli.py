@@ -35,13 +35,20 @@ from .weight_ss import (
 
 
 def _load_json(path: str) -> dict:
-    """The JSON value in the file ``path``.  A value nested too deeply for
-    the json module to read is an input error naming the file."""
+    """The JSON value in the file ``path``.  Text that is not UTF-8 or not
+    JSON, a value nested too deeply for the json module to read and an
+    integer longer than the interpreter's digit limit are input errors
+    naming the file."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             return json.load(fh)
         except RecursionError:
-            raise ValueError(f"{path}: JSON nested too deeply to read") from None
+            message = "JSON nested too deeply to read"
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            message = str(exc)
+        except ValueError:  # the only other one json.load raises: int() of a long literal
+            message = f"an integer has more than {sys.get_int_max_str_digits()} digits"
+    raise ValueError(f"{path}: {message}")
 
 
 class _NotPlainJSON(Exception):
@@ -303,7 +310,7 @@ def main(argv=None) -> int:
     except KeyError as exc:
         print(f"error: missing key {exc}", file=sys.stderr)
         return 2
-    except (FanhodgeError, OSError, json.JSONDecodeError, ValueError) as exc:
+    except (FanhodgeError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -12,11 +12,10 @@ first use, in one face index (``_FanIndex``): window rays numbered in
 (cusp, ray) order, the faces of each dimension as sorted ray-id tuples,
 built when that dimension is first asked for, a ray -> cones incidence,
 the directed ray maps with the images of the window rays (an inverse's
-read backwards from the forward ones; its integer rows are computed once,
-for a subdivision only), the face pairings, the ray classes and the cone
-orbit classes of each dimension.  A map's pairings visit only the faces of
-cones holding a ray of its domain, and the DSUs hold only the rays and
-faces that a map or pairing touches.  Every reader takes its structure
+read backwards from the forward ones), the face pairings, the ray classes
+and the cone orbit classes of each dimension.  A map's pairings visit only
+the faces of cones holding a ray of its domain, and the DSUs hold only the
+rays and faces that a map or pairing touches.  Every reader takes its structure
 from it: the free-action and SNC checks, the subdivisions, the refinement
 check (candidate hosts by ray), and through ``delta_complex`` the quotient
 complex and the annotated strata of ``weight_ss``.  The cache is not a
@@ -34,8 +33,12 @@ full-dimensional host of rank at most 3, else one elimination.
 
 The two subdivisions do not rebuild a ``FanSystem`` per step.  Each works
 on one mutable local state, ``_LocalFan``: the cone set, a (cusp, ray) ->
-cones incidence and the directed integer ray maps taken from the input's
-index.  A face exists iff the incidence sets of its rays intersect, a face
+cones incidence and the directed integer ray maps.  The rows of each
+inverse g^-1 are read off ``coordinate_forms`` of the columns of g: for a
+unimodular g, every row of g^-1 is primitive, and so are the forms, with
+positive scale.  They come from cofactors for rank <= 3 and from one
+integer elimination otherwise, so no ``Fraction`` is built on the fan
+path.  A face exists iff the incidence sets of its rays intersect, a face
 orbit is walked through the maps, and both subdivisions take one stellar
 step, ``_LocalFan.star``, which stars the faces of an orbit in sorted order
 and touches only the cones that contain one of them; two-division is the
@@ -74,7 +77,6 @@ from .linalg import (
     Matrix,
     _det,
     coordinate_forms,
-    inverse,
     invariant_factors,
     primitivize,
     smith_normal_form,
@@ -371,17 +373,6 @@ class _FanIndex:
                 for c in self._cusps for parent, emb in c.parent_embeddings]
         return tuple(out)
 
-    @cached_property
-    def matrices(self) -> tuple[list[list[int]], ...]:
-        """The integer rows of each ray map, in ``ray_maps`` order; only a
-        subdivision needs them, and each inverse is computed here, once."""
-        out = []
-        for g in self._identifications:
-            out += [g.matrix.to_lists(),
-                    [[int(x) for x in row] for row in inverse(g.matrix).to_lists()]]
-        out += [emb.to_lists() for c in self._cusps for _, emb in c.parent_embeddings]
-        return tuple(out)
-
     def _images(self, src: str, dst: str, m: Matrix) -> dict[int, int]:
         rows, source, target = m.to_lists(), self.ids[src], self.ids[dst]
         return {r: target[v] for ray, r in source.items() if (v := _mat_vec(rows, ray)) in target}
@@ -505,20 +496,26 @@ class _LocalFan:
     A cone is its (cusp, sorted rays) key.  ``incidence`` maps (cusp, ray)
     to the cones holding that ray, so the cones holding a face are the
     intersection of its rays' sets, and a ray is in the window while its set
-    is nonempty.  The directed ray maps are the input's, as integer rows;
-    each image of a ray is computed once.  An embedding is one-way, so for
-    each one its source rays are also kept by image, to find the faces that
-    embed into an orbit.
+    is nonempty.  ``maps`` holds the directed ray maps as integer rows: each
+    identification g, then g^-1, then each embedding, one way; each image of
+    a ray is computed once.  An embedding is one-way, so for each one its
+    source rays are also kept by image, to find the faces that embed into an
+    orbit.
     """
 
     def __init__(self, fs: FanSystem):
         self.ranks = {c.name: c.lattice_rank for c in fs.cusps}
         self.cones: set[FaceKey] = set()
         self.incidence: dict[tuple[str, Ray], set[FaceKey]] = {}
-        index = fs._index
-        self.maps = [(src, dst, rows, {})
-                     for (src, dst, _), rows in zip(index.ray_maps, index.matrices)]
-        # ray_maps lists each identification both ways first, then the embeddings
+        self.maps = []
+        for g in fs.identifications:
+            rows = g.matrix.to_lists()
+            # g is unimodular, so the coordinate forms of its columns, each
+            # primitive with positive scale, are the rows of g^-1
+            self.maps += [(g.source, g.target, rows, {}),
+                          (g.target, g.source, coordinate_forms(zip(*rows), len(rows))[1], {})]
+        self.maps += [(c.name, parent, emb.to_lists(), {})
+                      for c in fs.cusps for parent, emb in c.parent_embeddings]
         one_way = range(2 * len(fs.identifications), len(self.maps))
         self.preimages: dict[int, dict[Ray, Ray]] = {i: {} for i in one_way}
         self.out_of: dict[str, list[int]] = {}

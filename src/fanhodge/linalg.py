@@ -9,18 +9,18 @@ dict of the nonzero entries of each row: the form in which
 maps.  Rays, identifications, Gysin blocks and Smith transforms are given
 as dense rows and stored the same way.
 
-``rank``, ``inverse`` and ``coordinate_forms`` (but that of a small
-full-dimensional cone) share one elimination core: sparse integer
-Gauss-Jordan on ``{column: int}`` rows, with a column -> rows index so that
-a pivot touches only the rows holding its column, and every combined row
-divided by the gcd of its entries.  ``_sparse_rows``
-sets it up by copying the dict rows without their zeros.  The sparse +-1
-Gysin maps therefore cost in proportion to their nonzeros and keep small
-entries.  Its forward pass, ``_row_echelon``, is all that ``rank`` needs,
-and ``rank`` is all that the E2 and weight-filtration dimensions read;
-``_echelon`` adds the backward pass for the others.  Pivot columns are
-taken left to right, so each reader gets the unique reduced row echelon
-form, whatever the pivot rows.  The core keeps no determinant factor.
+``rank`` and ``coordinate_forms`` (but that of a small full-dimensional
+cone) share one elimination core: sparse integer Gauss-Jordan on
+``{column: int}`` rows, with a column -> rows index so that a pivot
+touches only the rows holding its column, and every combined row divided
+by the gcd of its entries.  ``_sparse_rows`` sets it up by copying the
+dict rows without their zeros.  The sparse +-1 Gysin maps therefore cost
+in proportion to their nonzeros and keep small entries.  Its forward
+pass, ``_row_echelon``, is all that ``rank`` needs, and ``rank`` is all
+that the E2 and weight-filtration dimensions read; ``_echelon`` adds the
+backward pass for ``coordinate_forms``.  Pivot columns are taken left to
+right, so each reader gets the unique reduced row echelon form, whatever
+the pivot rows.  The core keeps no determinant factor.
 
 Determinants come from ``_det``, fraction-free (Bareiss) elimination on
 dense integer rows, whose intermediate entries are minors of the input;
@@ -30,7 +30,10 @@ determinant costs two products.  ``invariant_factors`` and
 cone.  The coordinate forms of n independent vectors of length n <= 3,
 the full-dimensional cones of ``fanhodge.fans`` up to rank 3, are read off
 their cofactors: n^2 minors of size at most 2, each one closed-form
-``_det``, in place of an elimination.
+``_det``, in place of an elimination.  There is no general inverse: the
+one that ``fanhodge.fans`` needs, of a unimodular integer g, is read from
+the coordinate forms of the columns of g, which are the rows of g^-1, so
+no ``Fraction`` is built for it.
 
 An entry that is not an int, a float or a ``Fraction`` (a bool counts as an
 int) raises ``ValueError: matrix entry <x!r> is not a number``, and an
@@ -353,18 +356,6 @@ def _echelon(rows: Iterable[dict[int, Entry]]) -> tuple[list[dict[int, int]], li
 def rank(m: Matrix) -> int:
     """Rank over the rationals."""
     return len(_row_echelon(m._d)[3])
-
-
-def inverse(m: Matrix) -> Matrix:
-    """Exact inverse of a square nonsingular matrix."""
-    if m.rows != m.cols:
-        raise ValueError("not square")
-    n = m.rows
-    reduced, pivots = _echelon(row | {n + i: 1} for i, row in enumerate(m._d))
-    if pivots != list(range(n)):
-        raise ValueError("singular matrix")
-    return Matrix._of(({j - n: Fraction(x, row[r]) for j, x in row.items() if j >= n}
-                       for r, row in enumerate(reduced)), n)
 
 
 def _det(rows: Sequence[Sequence[int]]) -> int:

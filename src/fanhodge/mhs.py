@@ -110,9 +110,3 @@ class MixedHSTable:
             "degree": self.degree,
             "graded": [h.to_dict() for h in self.graded if not h.is_zero()],
         }
-
-    @staticmethod
-    def from_dict(data: dict) -> "MixedHSTable":
-        return MixedHSTable(
-            data["degree"], [PureHS.from_dict(h) for h in data.get("graded", [])]
-        )

@@ -390,9 +390,6 @@ class FnFiltrationReport:
     graded: tuple[tuple[int, int], ...]  # (m, dim Gr^W_{n+m} F^n), m >= 1
     cumulative: tuple[tuple[int, int], ...]  # (m, dim W_{n+m}F^n / W_n F^n)
 
-    def graded_dim(self, m: int) -> int:
-        return dict(self.graded).get(m, 0)
-
 
 def weight_filtration_on_FnHn(sc: StrataComplex) -> FnFiltrationReport:
     """Gr^W_{n+m} F^n = kernel of the signed residue/Gysin map out of the

@@ -35,9 +35,10 @@ from fanhodge.errors import (
     UnsaturatedWindow,
 )
 from fanhodge.fans import FanSystem, SncReport
-from fanhodge.linalg import Matrix, inverse
+from fanhodge.linalg import Matrix
 from fanhodge.mhs import PureHS
 from fanhodge.weight_ss import CuspStrataAnnotation, Stratum, StrataComplex
+from dense_oracle import dense_inverse
 
 
 @dataclass(frozen=True)
@@ -106,7 +107,7 @@ class FaceRegistry:
         maps = []
         for ident in self._identifications:
             maps.append((ident.source, ident.target, ident.matrix))
-            inv = inverse(ident.matrix)
+            inv = dense_inverse(ident.matrix)
             maps.append((ident.target, ident.source,
                          Matrix([[int(x) for x in row] for row in inv.to_lists()])))
         for cusp in self._cusps:

@@ -1,6 +1,17 @@
 """Acceptance gate: nine desk-scale criteria, one test (one pass/fail line
 under -v) per criterion.  All values are exact rational arithmetic; the only
-tolerance anywhere is the wall-clock budget of criterion 1."""
+tolerance anywhere is the wall-clock budget of criterion 1.
+
+The criteria: (1) the Hilbert-cusp subdivision pipeline through the CLI;
+(2) the ray condition preserved by smoothing on randomized windows; (3) the
+top homology of quotient circles; (4) the weight spectral sequence on the
+``C*`` and ``(P^1)^2`` toric fixtures; (5) the residue description of the
+weight filtration on the top Hodge piece; (6) the signed Gysin map against
+the boundary map tensored with the identity; (7) stairs regions for the
+classical group presets; (8) the Smith normal form against an independent
+elimination oracle on 200 random matrices; (9) the corank
+dimension-identity reports.
+"""
 
 import json
 import random
@@ -155,7 +166,7 @@ def test_criterion_5_top_hodge_piece_weight_graded():
         for d in (1, 2, 3):
             sc = annotate_from_fans(fs, CuspStrataAnnotation({"F": d}))
             rep = weight_filtration_on_FnHn(sc)
-            assert rep.graded_dim(sc.n) == d
+            assert dict(rep.graded).get(sc.n, 0) == d
             _, rows = kernel_basis(sc, sc.n)
             for sid in sorted({s for s, _ in rows}):
                 proj = residue_projection(sc, sc.n, sid)

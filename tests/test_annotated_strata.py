@@ -2,14 +2,16 @@
 
 ``weight_ss.annotate_from_fans`` takes its strata from each annotated
 cusp's quotient complex; ``face_index_oracle.annotate_from_fans`` rebuilds
-the orbit and ray classes as (cusp, rays) keys.  On Hilbert windows (raw and
-subdivided), seeded rank-3 windows, 1-dimensional windows, a two-cusp
-identification window and an embedded parent/child window, with several
-annotations and ambient dimensions, both must give the same strata complex
-with the same JSON once the reference's labels are mapped to the library's
-zero-padded ones, or raise the same error type with the same message.  The
-one exception: the library rejects two annotated cusps that share an orbit
-class, where the reference builds the class's strata once per cusp.
+the orbit and ray classes as (cusp, rays) keys.  On Hilbert windows (raw
+and subdivided, L <= 10), seeded rank-3 windows, 1-dimensional windows, a
+two-cusp identification window and an embedded parent/child window, with
+several annotations and ambient dimensions t and t + 1, both must give the
+same strata complex with the same JSON once the reference's labels are
+mapped to the library's zero-padded ones, or raise the same error type with
+the same message.  The two exceptions: the library rejects two annotated
+cusps that share an orbit class, where the reference builds the class's
+strata once per cusp, and it names an annotated cusp with no cones in the
+window.
 """
 
 import json

@@ -2,6 +2,7 @@
 
 import gc
 import json
+import sys
 from fractions import Fraction
 
 import pytest
@@ -242,6 +243,31 @@ def test_deeply_nested_inventory_is_an_input_error(tmp_path, capsys):
     deep.write_text("[" * 100_000 + "]" * 100_000)
     code, out, err = run(capsys, "report", "--preset", "sp:2", "--inventory", str(deep))
     assert (code, out, err) == (2, "", f"error: {deep}: JSON nested too deeply to read\n")
+
+
+@pytest.mark.parametrize("argv", [["check-snc"], ["spectral", "--k", "1"]])
+def test_unreadable_json_is_an_input_error_naming_the_file(tmp_path, capsys, argv):
+    """Text that is not JSON keeps json's line and column, bytes that are
+    not UTF-8 are named by position, and an integer longer than the digit
+    limit states the limit; each is one line naming the file."""
+    ray = "1" + "0" * 5000
+    cases = [
+        (b"{not json",
+         "Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"),
+        (b"\xff{}", "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
+        (b'{"cusps": [{"name": "F", "rank": 2}], "cones": [{"cusp": "F", "rays": [[%s, 0], '
+         b'[0, 1]]}]}' % ray.encode(), "an integer has more than 4300 digits"),
+    ]
+    bad = tmp_path / "bad.json"
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        for text, message in cases:
+            bad.write_bytes(text)
+            code, out, err = run(capsys, argv[0], str(bad), *argv[1:])
+            assert (code, out, err) == (2, "", f"error: {bad}: {message}\n")
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def test_version_flag(capsys):

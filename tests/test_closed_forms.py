@@ -14,12 +14,20 @@ and the torsion phase of the integral homology on subdivided windows.
   no nonzero cone.  H_0 = Z, H_d = Z/2 for odd d < n - 1 and 0 for even
   0 < d < n - 1, and H_{n-1} = Z if n is even, else 0.  It is closed, and
   oriented iff n is even.
+
+Each window, for n = 3, 4, 5, is subdivided and its quotient must have the
+closed-form integral homology, torsion included, Euler characteristic and
+orientability; the same windows go through ``check-snc``, ``subdivide``,
+``check-snc`` and ``homology`` on JSON files, whose Betti numbers must be
+the free ranks.
 """
 
+import json
 from itertools import product
 
 import pytest
 
+from fanhodge import cli
 from fanhodge.delta_complex import (
     boundary_matrices,
     integral_homology,
@@ -32,6 +40,7 @@ from fanhodge.fans import (
     FanSystem,
     Identification,
     check_snc_condition,
+    fan_system_to_dict,
     smooth_subdivide,
     two_division_subdivide,
 )
@@ -104,3 +113,24 @@ def test_subdivided_windows_have_the_closed_form_homology(
     assert (rep.fundamental_class is not None) == oriented
     assert dc.euler_characteristic() == sum(
         (-1) ** d * free for d, (free, _) in enumerate(homology(n)))
+
+
+@pytest.mark.parametrize("family, n, window, m, homology, oriented", CASES,
+                         ids=[f"{c[0]}-{c[1]}" for c in CASES])
+def test_closed_forms_through_the_cli(
+    tmp_path, capsys, family, n, window, m, homology, oriented
+):
+    """check-snc, subdivide, check-snc and homology on JSON files: the Betti
+    numbers are the free ranks of the closed form."""
+    src, sub, out = (str(tmp_path / name) for name in ("window.json", "sub.json", "h.json"))
+    with open(src, "w") as fh:
+        json.dump(fan_system_to_dict(window(n, m)), fh)
+    assert cli.main(["check-snc", src]) == 0
+    assert cli.main(["subdivide", src, "-o", sub]) == 0
+    assert cli.main(["check-snc", sub]) == 0
+    assert cli.main(["homology", sub, "-o", out]) == 0
+    assert capsys.readouterr().err == ""
+    with open(out) as fh:
+        rep = json.load(fh)
+    assert rep["betti"] == [free for free, _ in homology(n)]
+    assert rep["closed"] is True and rep["oriented"] is oriented

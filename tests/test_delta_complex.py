@@ -5,7 +5,12 @@ boundary map once, and ``homology_report`` reads its Betti numbers off the
 free ranks.  ``betti_by_ranks`` is the rank formula that the library used
 for the Betti numbers before, dims[d] - rank boundary[d] - rank
 boundary[d+1]; it is the reference for both, with the dense Smith oracle
-for the torsion.
+for the torsion.  The cases: the fixture quotients, 30 seeded random
+2-complexes, circles, RP^2, the torus, the Moebius band, an eight-vertex
+dunce hat (no edge in exactly one triangle, chi = 1, acyclic over Z) and the
+quotient of the subdivided rank-6 m = 11 cone.  ``pseudomanifold_report``
+must name the same simplex without a coface as the previous search over
+(dimension, id) pairs, on seeded complexes with dangling simplices.
 """
 
 import random

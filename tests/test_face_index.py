@@ -4,7 +4,10 @@ On seeded windows, before and after subdivision, both must give the same
 ray classes, orbit classes of every dimension, SNC reports and quotient
 Delta-complexes (simplex ids, vertices and faces); on unsaturated, non-free
 and SNC-violating windows both must raise the same error type with the same
-message.
+message.  The windows: Hilbert windows with b <= 3 and L <= 40, the fixture
+windows, and seeded rank-4 and rank-6 cones.  The ``DeltaComplex`` checks
+must also find the same faults as the previous per-simplex ones on seeded
+faulty complexes.
 """
 
 import itertools

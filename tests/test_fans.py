@@ -1,4 +1,8 @@
-"""Fan windows: ray classes, the ray condition, and equivariant subdivision."""
+"""Fan windows: ray classes, the ray condition, and equivariant subdivision.
+
+The stellar subdivision point is checked against a grid search on dense
+rank-5 and rank-6 cones.
+"""
 
 import itertools
 import math

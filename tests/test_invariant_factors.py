@@ -1,6 +1,14 @@
 """Invariant factors without transforms: unit pivots, then the residual
 modulo one minor, checked against the U/V Smith form and a
-determinantal-divisor oracle."""
+determinantal-divisor oracle.
+
+The inputs: +-1 matrices up to 60 x 60 with six nonzeros per column, and
+matrices with entries in +-[2, 30] (no +-1 entry, so the residual phase over
+Z/delta does all the work) of sizes 4 to 30, rectangular and rank-deficient,
+against the previous transform-free Z/delta loop of ``dense_oracle`` and, up
+to 5 x 5, the determinantal divisors; and U D V products with known
+divisibility chains that start at 2.
+"""
 
 import random
 from fractions import Fraction

@@ -1,4 +1,12 @@
-"""Exact linear algebra: SNF/rank against an independent elimination oracle."""
+"""Exact linear algebra: SNF/rank against an independent elimination oracle.
+
+The Smith form, its invariant factors and a 96-bit bound on the U/V entries
+are checked on 400 seeded dense 6 x 6 matrices with entries in [-9, 9], which
+must also give the same U, D and V as the previous U/V loop (kept in
+``dense_oracle``), as must seeded rectangular and sparse +-1 matrices.
+``rank``, ``invariant_factors`` and ``smith_normal_form`` must name an entry
+that is not a number (``None``, ``""``, ``[]``, ``"3"``) or not finite.
+"""
 
 import random
 import re
@@ -12,7 +20,6 @@ from fanhodge.linalg import (
     Matrix,
     _det,
     invariant_factors,
-    inverse,
     primitivize,
     rank,
     smith_normal_form,
@@ -146,9 +153,8 @@ def test_invariant_factors_of_known_matrix():
     assert invariant_factors(m) == [2, 2, 156]
 
 
-def test_solve_and_inverse_round_trip():
+def test_solve_round_trip():
     m = Matrix([[2, 1], [1, 1]])
-    assert matmul(inverse(m), m) == Matrix.identity(2)
     x = solve(m, (3, 2))
     assert x == (Fraction(1), Fraction(1))
     assert solve(Matrix([[1, 1], [1, 1]]), (0, 1)) is None
@@ -191,7 +197,7 @@ def assert_exact(got, expected):
 
 
 def check_against_oracle(rows, b):
-    """rank, kernel, solve and inverse of ``rows`` against the oracle, and
+    """rank, kernel and solve of ``rows`` against the oracle, and
     the determinant by ``_det`` when the rows are integers."""
     m = Matrix(rows)
     ncols = m.cols
@@ -224,14 +230,6 @@ def check_against_oracle(rows, b):
         return
     if all(type(x) is int for row in rows for x in row):
         assert _det(rows) == d
-    n = ncols
-    eye = [[int(i == j) for j in range(n)] for i in range(n)]
-    inv, inv_pivots, _ = oracle_rref([row + e for row, e in zip(rows, eye)])
-    if inv_pivots != list(range(n)):
-        with pytest.raises(ValueError):
-            inverse(m)
-    else:
-        assert_exact(inverse(m), Matrix([row[n:] for row in inv], cols=n))
 
 
 def test_elimination_matches_fraction_rref_oracle():
@@ -369,13 +367,13 @@ def test_float_and_bool_entries_keep_their_rank(rows, want):
 
 @pytest.mark.parametrize("x", [None, "", [], "x", "3", {}])
 def test_entries_that_are_not_numbers_are_refused(x):
-    """rank, inverse, invariant_factors and smith_normal_form name an entry
+    """rank, invariant_factors and smith_normal_form name an entry
     that is not an int, a float or a Fraction; a None, "" or [] read as
     zero before, and "3" as 3 in the Smith form."""
     message = f"^matrix entry {re.escape(repr(x))} is not a number$"
     for m in (Matrix([[x, 1], [1, 1]]), Matrix([{0: x, 1: 1}, {0: 1, 1: 1}], 2)):
         assert m[0, 0] is x
-        for f in (rank, inverse, invariant_factors, smith_normal_form):
+        for f in (rank, invariant_factors, smith_normal_form):
             with pytest.raises(ValueError, match=message):
                 f(m)
 
@@ -397,11 +395,11 @@ def test_dict_rows_keep_falsy_entries_that_are_not_int_or_fraction_zeros():
 
 @pytest.mark.parametrize("x", [float("inf"), float("-inf"), float("nan")])
 def test_non_finite_float_entries_are_refused(x):
-    """rank, inverse, invariant_factors and smith_normal_form name an inf or
+    """rank, invariant_factors and smith_normal_form name an inf or
     nan entry, where Fraction raised an OverflowError or a ValueError that
     named none."""
     message = f"^matrix entry {re.escape(repr(x))} is not a finite number$"
     for m in (Matrix([[1, 2], [x, 1]]), Matrix([{0: 1, 1: 2}, {0: x, 1: 1}], 2)):
-        for f in (rank, inverse, invariant_factors, smith_normal_form):
+        for f in (rank, invariant_factors, smith_normal_form):
             with pytest.raises(ValueError, match=message):
                 f(m)

@@ -15,6 +15,7 @@ message locates one of the mutated values: by its JSON path or that of an
 enclosing value, or as the checks run on construction name objects:
 ``cone i``, ``identification i``, ``cusp 'name'`` (or its label), a stratum's
 or component's quoted id, or the Gysin block ``gysin 'src'->'dst'`` as mutated.
+Hypothesis draws 150 seeded cases per loader.
 """
 
 import copy

@@ -17,14 +17,15 @@ from fanhodge.fans import (
     CuspLabel,
     FanSystem,
     Identification,
+    _LocalFan,
     fan_system_to_dict,
     hilbert_cusp_window,
     is_refinement,
     smooth_subdivide,
     two_division_subdivide,
 )
-from fanhodge.linalg import Matrix, inverse, primitivize
-from dense_oracle import apply_matrix, matmul
+from fanhodge.linalg import Matrix, primitivize
+from dense_oracle import apply_matrix, dense_inverse, matmul
 from test_fans import M, one_cusp, rank3_window
 
 
@@ -51,7 +52,7 @@ def conjugated_hilbert_window(rng, a, b, length):
     for _ in range(length):
         power = matmul(power, m)
     g = random_unimodular(rng, 2, rng.randint(1, 4))
-    g_inv = Matrix([[int(x) for x in row] for row in inverse(g).to_lists()])
+    g_inv = Matrix([[int(x) for x in row] for row in dense_inverse(g).to_lists()])
     cones = tuple(
         Cone("F", tuple(tuple(int(x) for x in apply_matrix(g, r)) for r in c.rays))
         for c in chain.cones
@@ -105,6 +106,28 @@ def test_local_loops_match_the_rebuild_on_random_windows():
         out = assert_same_subdivision(fs)
         grew += len(out.cones) > len(fs.cones)
     assert grew >= len(windows) - 2
+
+
+def test_local_inverse_rows_are_the_integer_inverse():
+    """``_LocalFan`` reads the rows of g^-1 off the coordinate forms of the
+    columns of g: cofactors up to size 3, one elimination above.  For random
+    unimodular g of sizes 0 to 6 they equal the dense inverse, and each
+    window ray mapped through g and back is itself."""
+    rng = random.Random(20261022)
+    for n in range(7):
+        for _ in range(20):
+            if n < 2:
+                g = Matrix([[rng.choice((-1, 1))] for _ in range(n)], n)
+                rays = tuple(map(tuple, Matrix.identity(n).to_lists()))
+            else:
+                g = random_unimodular(rng, n, rng.randint(1, 3 * n))
+                rays = tuple(map(tuple, random_unimodular(rng, n, n).to_lists()))
+            fs = FanSystem((CuspLabel("F", n),), (Cone("F", rays),), (Identification(g, "F", "F"),))
+            local = _LocalFan(fs)
+            assert local.maps[1][:2] == ("F", "F")
+            assert [list(row) for row in local.maps[1][2]] == dense_inverse(g).to_lists()
+            for ray in rays:
+                assert local.image(1, local.image(0, ray)) == ray
 
 
 def test_embedded_window_carries_new_rays_into_the_parent():

@@ -72,8 +72,6 @@ def test_mixed_table():
 def test_json_round_trip():
     h = PureHS(3, {(2, 1): 2, (1, 2): 2})
     assert PureHS.from_dict(h.to_dict()) == h
-    t = MixedHSTable(3, [h, PureHS(4, {(2, 2): 5})])
-    assert MixedHSTable.from_dict(t.to_dict()) == t
 
 
 @pytest.mark.parametrize(

@@ -2,12 +2,23 @@
 
 ``dense_oracle`` keeps the dense integer Gauss-Jordan that the library used
 before its core became sparse.  Both compute the unique reduced row echelon
-form, so ranks, kernel bases and inverses must be identical, not just
+form, so ranks and kernel bases must be identical, not just
 equivalent.  Determinants come from Bareiss elimination instead of the core
 and must equal the oracle's too.  The chain maps of ``delta_complex`` and
 ``weight_ss`` are sparse ``Matrix`` values; their ranks, kernel bases and
 invariant factors must equal the oracle's on their dense rows.  The examples
 are seeded (``derandomize`` or a fixed seed) and carry no wall-clock bound.
+
+The inputs: rational matrices up to 12 x 12, +-1 circle boundaries up to
+200 x 200, the boundaries of random 2-complexes, the signed Gysin maps of
+annotated Hilbert windows and of a document with ``"p/q"`` entries.  One
+flipped sign in a boundary or Gysin map must fail the d o d = 0 check.
+The Bareiss determinant is checked on integer and forced-singular matrices
+up to 8 x 8, with a zero-led and a singular closing 2 x 2 step.  The
+cofactor route of ``coordinate_forms`` must give the elimination route's
+forms, form for form, on seeded rows of length up to 3 (negative
+determinants and dependent rows included); that also keeps the core's
+backward pass checked.
 """
 
 import random
@@ -19,7 +30,6 @@ from hypothesis import strategies as st
 
 from dense_oracle import (
     dense_det,
-    dense_inverse,
     dense_invariant_factors,
     dense_kernel_basis,
     dense_rank,
@@ -40,7 +50,6 @@ from fanhodge.linalg import (
     _elimination_forms,
     coordinate_forms,
     invariant_factors,
-    inverse,
     rank,
 )
 from fanhodge.weight_ss import (
@@ -64,11 +73,6 @@ def assert_same_as_dense(m: Matrix) -> None:
     rows = m.to_lists()
     if all(type(x) is int for row in rows for x in row):
         assert _det(rows) == d
-    if d == 0:
-        with pytest.raises(ValueError):
-            inverse(m)
-    else:
-        assert inverse(m) == dense_inverse(m)
 
 
 def assert_sparse_same_as_dense(m: Matrix) -> None:

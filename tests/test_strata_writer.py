@@ -5,7 +5,10 @@ and copies that conversion into every entry that carries it; the reference
 converts every entry on its own.  The documents must be equal, down to the
 JSON text (so an entry ``True`` or ``Fraction(2, 1)`` must be written as an
 int in both), and no list or dict may be shared between two entries or two
-calls.
+calls.  The inputs: the strata fixtures, annotated Hilbert windows (L in
+{5, 40}, d in {0, 1, 3}) and a complex whose blocks hold ``"p/q"``, bool and
+integral-``Fraction`` entries; each document must read back through the
+loader.
 """
 
 import copy

@@ -12,9 +12,10 @@ one routine; before, it built the E1 page, attached the complexes of the
 page as its d1 and ranked them for E2, as ``weight_oracle.weight_graded``
 still does, for every k <= 2n + 1; and each graded dimension of the F^n
 filtration must be that reference's h^{n,m} at weight n + m.  All must
-agree on the strata fixtures, on annotated Hilbert windows, on the
-two-cusp window and on a document with several distinct tables per
-codimension, a zero table and a rational Gysin block.
+agree on the strata fixtures, on annotated Hilbert windows (L in
+{10, 20, 40}, d in {1, 2, 3}), on the two-cusp window and on a document
+with several distinct tables per codimension, a zero table and a rational
+Gysin block.
 """
 
 import copy

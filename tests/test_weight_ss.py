@@ -170,8 +170,8 @@ def test_fn_filtration_dimension_from_annotation(d, window):
     fs = subdivided_window() if window == "fine" else hilbert_window_cubed()
     sc = annotate_from_fans(fs, CuspStrataAnnotation({"F": d}))
     rep = weight_filtration_on_FnHn(sc)
-    assert rep.graded_dim(sc.n) == d
-    assert rep.graded_dim(1) == 0
+    assert dict(rep.graded).get(sc.n, 0) == d
+    assert dict(rep.graded).get(1, 0) == 0
     assert dict(rep.cumulative)[sc.n] == d
 
 
