@@ -266,7 +266,8 @@ def pseudomanifold_report(dc: DeltaComplex) -> PseudomanifoldReport:
             raise NotEquidimensional(f"simplex {sid} of dim {d} has no coface")
 
     if top == 0:
-        # a discrete set: closed, oriented, fundamental class exists iff single point
+        # a discrete set: closed and oriented, with the sum of its points as
+        # the fundamental class, as the top simplices sum in higher dimension
         return PseudomanifoldReport(True, True, tuple((i, 1) for i in reachable[0]))
 
     tops = levels[top]

@@ -9,17 +9,20 @@ limitation, window length is user input).
 
 Each ``FanSystem`` computes its combinatorial structure at most once, on
 first use, in one face index (``_FanIndex``): window rays numbered in
-(cusp, ray) order, the faces of each dimension as sorted ray-id tuples,
-built when that dimension is first asked for, a ray -> cones incidence,
-the directed ray maps with the images of the window rays (an inverse's
-read backwards from the forward ones), the face pairings, the ray classes
-and the cone orbit classes of each dimension.  A map's pairings visit only
-the faces of cones holding a ray of its domain, and the DSUs hold only the
-rays and faces that a map or pairing touches.  Every reader takes its structure
-from it: the free-action and SNC checks, the subdivisions, the refinement
-check (candidate hosts by ray), and through ``delta_complex`` the quotient
-complex and the annotated strata of ``weight_ss``.  The cache is not a
-dataclass field, so it never changes equality, hashing or the JSON form.
+(cusp, ray) order, one face table per dimension (the ray-id tuples of its
+faces, in sorted order, with O(1) membership), built when that dimension is
+first asked for, the directed ray maps with the images of the window rays
+(an inverse's read backwards from the forward ones), the face pairings, the
+ray classes and the cone orbit classes of each dimension.  A map's pairings
+are read off the face tables: the faces whose rays all lie in its domain,
+each with its image, which must be in the table too.  The DSUs hold only the
+rays and faces that a map or pairing touches.  Every reader takes its
+structure from it: the free-action and SNC checks, the subdivisions (two-
+division stars the 2-face orbit classes), the refinement check (candidate
+hosts by a ray -> cones incidence), and through ``delta_complex`` the
+quotient complex and the annotated strata of ``weight_ss``.  The cache is
+not a dataclass field, so it never changes equality, hashing or the JSON
+form.
 
 A window is validated one cone at a time, by ``_canonical_cone``: the int
 entries, the ray sort, then ray length, primitivity and the multiplicity,
@@ -46,7 +49,9 @@ star of each 2-face at its ray sum.  Each cone a step leaves in the fan is
 validated once (ray length, primitivity, independence); in the stellar
 loop the one multiplicity that validates a cone also answers whether it is
 smooth.  One ``FanSystem`` is built at the end from the input's cusps and
-identifications without checking them again.
+identifications without checking them again; when there are ray maps its
+pairings are read, so a subdivision raises ``UnsaturatedWindow`` rather
+than return an unsaturated window.
 
 The lattice work reads the ray matrix B of a cone.  Its multiplicity is
 |det B| for a full-dimensional cone, read by the integer Bareiss
@@ -301,14 +306,16 @@ class _FanIndex:
 
     Window rays are numbered in (cusp, ray) order, so a face is the tuple of
     its ascending ray ids, and tuples of one length sort as their (cusp,
-    sorted rays) keys do.  The faces of one dimension are built when first
-    asked for, from the cones' ray-id tuples, and sorted once.  ``holders``
-    maps each ray to the cones holding it: the pairings of a ray map visit
-    only the faces of cones that hold a ray of the map's domain (the rays
-    whose image is in the target window), and an image is a face iff the
-    holders of its rays intersect.  The ray-class and orbit DSUs hold only
-    the rays and faces that some map or pairing touches; every other one is
-    its own class, placed by the one sort of its dimension.
+    sorted rays) keys do.  The face table of one dimension is built when
+    first asked for, from the cones' ray-id tuples, sorted once and kept as
+    an ordered dict: it is both the sorted face list and the face test.  The
+    pairings of a ray map are the faces of each table whose rays lie in the
+    map's domain (the rays whose image is in the target window), and an
+    image is a face iff it is in the table.  The ray-class and orbit DSUs
+    hold only the rays and faces that some map or pairing touches; every
+    other one is its own class, placed by the one sort of its dimension.
+    ``holders`` maps each ray to the cones holding it, for the refinement
+    check.
 
     Holds the window's fields rather than the FanSystem itself, so no
     reference cycle keeps intermediate subdivisions alive.
@@ -325,7 +332,7 @@ class _FanIndex:
         self.ids: dict[str, dict[Ray, int]] = {name: {} for name in windows}
         for i, (name, ray) in enumerate(self.rays):
             self.ids[name][ray] = i
-        self._faces: dict[int, list[Face]] = {}
+        self._faces: dict[int, dict[Face, None]] = {}
         self._orbits: dict[int, list[Sequence[Face]]] = {}
 
     def key(self, face: Face) -> FaceKey:
@@ -345,14 +352,14 @@ class _FanIndex:
                 out[r].add(i)
         return out
 
-    def faces(self, dim: int) -> list[Face]:
-        """The dim-faces of window cones, sorted."""
+    def faces(self, dim: int) -> dict[Face, None]:
+        """The dim-faces of window cones, iterated in sorted order."""
         if dim not in self._faces:
             found: set[Face] = set()
             for cone in self.cones:
                 if len(cone) >= dim > 0:
                     found.update(itertools.combinations(cone, dim))
-            self._faces[dim] = sorted(found)
+            self._faces[dim] = dict.fromkeys(sorted(found))
         return self._faces[dim]
 
     @cached_property
@@ -393,21 +400,19 @@ class _FanIndex:
         """Directed face pairings (map position, face, image face), by map,
         then dimension, then face.
 
-        A map is *defined* on a face only when every image ray lies in the
-        target window; all image rays in the window but no matching face is
-        an inconsistent (unsaturated) window.
+        A map is *defined* on a face only when every ray of the face is in its
+        domain, i.e. has its image in the target window; all image rays in
+        the window but no matching face is an inconsistent (unsaturated)
+        window.  Both are read off the face table of the face's dimension.
         """
-        holders, edges = self.holders, []
+        edges, top = [], max(map(len, self.cones), default=0)
         for i, (_, _, images) in enumerate(self.ray_maps):
-            by_dim: dict[int, set[Face]] = {}
-            for c in set().union(*map(holders.__getitem__, images)):
-                support = tuple(filter(images.__contains__, self.cones[c]))
-                for d in range(1, len(support) + 1):
-                    by_dim.setdefault(d, set()).update(itertools.combinations(support, d))
-            for d in sorted(by_dim):
-                for face in sorted(by_dim[d]):
+            defined = set(images).issuperset
+            for d in range(1, top + 1):
+                table = self.faces(d)
+                for face in filter(defined, table):
                     image = tuple(sorted(map(images.__getitem__, face)))
-                    if d > 1 and not set.intersection(*map(holders.__getitem__, image)):
+                    if image not in table:
                         raise UnsaturatedWindow(
                             f"identification maps face {self.key(face)} to "
                             f"{self.key(image)}, which is not a face of any window cone"
@@ -619,34 +624,41 @@ class _LocalFan:
         """The distinct cones among ``keys`` still in the fan."""
         return [key for key in dict.fromkeys(keys) if key in self.cones]
 
+    def window(self, like: FanSystem) -> FanSystem:
+        """The cones as a window with the cusps and identifications of
+        ``like``.  When there are ray maps, its pairings are read once, so an
+        unsaturated result raises ``UnsaturatedWindow`` rather than being
+        returned; they stay cached on the result."""
+        out = FanSystem._trusted(like, self.cones)
+        if self.maps:
+            out._index.pairings
+        return out
+
 
 def two_division_subdivide(fs: FanSystem) -> FanSystem:
     """Divide one representative of every 2-cone orbit at the ray sum.
 
-    The representative is the least 2-face of its orbit, and orbits are
-    taken in the order of their representatives.  The new ray is the
-    primitivized sum of the representative's two primitive generators; it
-    is propagated through the orbit by the identifications.  Once every
+    The orbits are the index's classes of 2-faces, ``_FanIndex.orbits(2)``,
+    in their order; the representative is the least face of its class.  The
+    new ray is the primitivized sum of the representative's two primitive
+    generators; ``_LocalFan.orbit`` carries it through the maps to every
+    face of the class, or raises when the walk misses one.  Once every
     orbit has its rays, the orbits are starred by ``_LocalFan.star`` in
     that order: starring a 2-face cuts every window cone that contains it
     at that moment by the wall at its new ray.
     """
     _check_free_action(fs)
-    state = _LocalFan(fs)
-    assignments: list[dict[FaceKey, Ray]] = []
-    divided: set[FaceKey] = set()
-    for face in map(fs._index.key, fs._index.faces(2)):
-        if face not in divided:
-            a, b = face[1]
-            assignment = state.orbit(face, primitivize(tuple(x + y for x, y in zip(a, b))))
-            divided.update(assignment)
-            assignments.append(assignment)
+    state, index, assignments = _LocalFan(fs), fs._index, []
+    for cls in index.orbits(2):
+        face = index.key(cls[0])
+        a, b = face[1]
+        assignments.append(state.orbit(face, primitivize(tuple(x + y for x, y in zip(a, b)))))
     added = []
     for assignment in assignments:
         added += state.star(assignment)
     for cusp, rays in state.alive(added):
         _check_cone(rays, state.ranks[cusp])
-    return FanSystem._trusted(fs, state.cones)
+    return state.window(fs)
 
 
 def _subdivision_point(rays: Sequence[Ray]) -> tuple[Ray, tuple[Ray, ...]] | None:
@@ -721,7 +733,7 @@ def smooth_subdivide(fs: FanSystem) -> FanSystem:
                 smooth[key] = _check_cone(key[1], state.ranks[key[0]]) == 1
             if not smooth[key]:
                 heapq.heappush(queue, key)
-    return FanSystem._trusted(fs, state.cones)
+    return state.window(fs)
 
 
 # -- refinement and equivariance helpers ------------------------------------

@@ -51,6 +51,30 @@ def test_check_snc_fails_then_passes_after_subdivide(
     assert code == 0 and json.loads(out)["ok"]
 
 
+# e_1, e_2, (1, 2, 4) and its images under g, identified by g: its
+# two-division is saturated, but the smoothing of that is not
+UNSATURATED_SUBDIVISION = {
+    "cusps": [{"name": "F", "rank": 3}],
+    "cones": [{"cusp": "F", "rays": [[0, 0, 1], [1, 0, 0], [1, 4, -2]]},
+              {"cusp": "F", "rays": [[0, 1, -1], [1, -2, 6], [1, 0, 0]]},
+              {"cusp": "F", "rays": [[0, 1, 0], [1, 0, 0], [1, 2, 4]]}],
+    "identifications": [{"matrix": [[1, 0, 0], [0, 0, 1], [0, 1, -1]],
+                         "source": "F", "target": "F"}],
+}
+
+
+def test_subdivide_refuses_to_write_an_unsaturated_window(tmp_path, capsys):
+    """The window ``subdivide`` would return maps a face onto two rays that
+    span no face of it: it exits 2 naming them and writes nothing."""
+    p, out_path = tmp_path / "fan.json", tmp_path / "out.json"
+    p.write_text(json.dumps(UNSATURATED_SUBDIVISION))
+    code, out, err = run(capsys, "subdivide", str(p), "-o", str(out_path))
+    assert (code, out) == (2, "")
+    assert err == ("error: identification maps face ('F', ((1, 0, 0), (1, 1, 1))) to "
+                   "('F', ((1, 0, 0), (1, 2, 1))), which is not a face of any window cone\n")
+    assert not out_path.exists()
+
+
 def test_homology_command(fixture_files, capsys):
     code, out, _ = run(capsys, "homology", fixture_files["hilbert_cubed"])
     assert code == 0

@@ -20,6 +20,10 @@ closed-form integral homology, torsion included, Euler characteristic and
 orientability; the same windows go through ``check-snc``, ``subdivide``,
 ``check-snc`` and ``homology`` on JSON files, whose Betti numbers must be
 the free ranks.
+
+In rank 1 the complete fan, rays 1 and -1, has the two points S^0 as its
+link, and -1 identifies them to one point; ``homology`` reports both as
+closed and oriented, with the sum of the points as the fundamental class.
 """
 
 import json
@@ -134,3 +138,21 @@ def test_closed_forms_through_the_cli(
         rep = json.load(fh)
     assert rep["betti"] == [free for free, _ in homology(n)]
     assert rep["closed"] is True and rep["oriented"] is oriented
+
+
+@pytest.mark.parametrize("matrices, report", [
+    ([], {"betti": [2], "closed": True, "oriented": True,
+          "fundamental_class": [{"id": 0, "sign": 1}, {"id": 1, "sign": 1}]}),
+    ([[[-1]]], {"betti": [1], "closed": True, "oriented": True,
+                "fundamental_class": [{"id": 0, "sign": 1}]}),
+], ids=["S0", "point"])
+def test_rank1_quotients_are_points(tmp_path, capsys, matrices, report):
+    src = tmp_path / "window.json"
+    src.write_text(json.dumps({
+        "cusps": [{"name": "F", "rank": 1}],
+        "cones": [{"cusp": "F", "rays": [[1]]}, {"cusp": "F", "rays": [[-1]]}],
+        "identifications": [{"matrix": m, "source": "F", "target": "F"} for m in matrices],
+    }))
+    assert cli.main(["homology", str(src)]) == 0
+    out, err = capsys.readouterr()
+    assert (json.loads(out), err) == (report, "")

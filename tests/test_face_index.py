@@ -5,7 +5,8 @@ ray classes, orbit classes of every dimension, SNC reports and quotient
 Delta-complexes (simplex ids, vertices and faces); on unsaturated, non-free
 and SNC-violating windows both must raise the same error type with the same
 message.  The windows: Hilbert windows with b <= 3 and L <= 40, the fixture
-windows, and seeded rank-4 and rank-6 cones.  The ``DeltaComplex`` checks
+windows, the closed windows RP^2, RP^3 and S^3 of ``test_closed_forms``, and
+seeded rank-4 and rank-6 cones.  The ``DeltaComplex`` checks
 must also find the same faults as the previous per-simplex ones on seeded
 faulty complexes.
 """
@@ -14,6 +15,7 @@ import itertools
 import random
 
 import face_index_oracle as oracle
+import rebuild_oracle
 from fanhodge import delta_complex, fans
 from fanhodge.delta_complex import DeltaComplex, from_top_simplices
 from fanhodge.errors import (
@@ -31,14 +33,16 @@ from fanhodge.fans import (
     two_division_subdivide,
 )
 from fanhodge.fixtures import hilbert_window, hilbert_window_cubed
-from fanhodge.linalg import Matrix, primitivize
+from fanhodge.linalg import Matrix
 from dense_oracle import apply_matrix
+from test_closed_forms import projective_window, sphere_window
 from test_local_subdivision import (
     COMPOSITE_FLIP,
     GAP,
     NON_FREE,
     conjugated_hilbert_window,
     embedded_window,
+    orbit_chain,
     random_unimodular,
     rank4_cone,
 )
@@ -95,19 +99,6 @@ def single_cone(rng, n, last):
     return FanSystem((CuspLabel("F", n),), (Cone("F", moved(rng, rays)),))
 
 
-def orbit_chain(rng, n, length):
-    """The cones sigma, g sigma, ..., g^(length-1) sigma of a singular cone,
-    identified by g: every map is defined on whole cones, in every dimension."""
-    rays = [tuple(int(i == j) for j in range(n)) for i in range(n - 1)]
-    rays.append(primitivize([rng.randint(0, 2) for _ in range(n - 1)] + [rng.randint(2, 4)]))
-    g = random_unimodular(rng, n, rng.randint(1, 3))
-    cones = []
-    for _ in range(length):
-        cones.append(Cone("F", tuple(rays)))
-        rays = [tuple(int(x) for x in apply_matrix(g, r)) for r in rays]
-    return FanSystem((CuspLabel("F", n),), tuple(cones), (Identification(g, "F", "F"),))
-
-
 def antipodal(rng, n, last):
     """A singular cone and its negative, identified by -1: a free action
     defined on every face of both cones."""
@@ -138,7 +129,10 @@ def test_hilbert_windows_match_the_registry():
 
 
 def test_fixture_and_error_windows_match_the_registry():
+    """The closed windows are complete fans; on RP^2 and RP^3 the map -I is
+    defined on every face."""
     windows = [hilbert_window(), hilbert_window_cubed(), hilbert_window(1),
+               projective_window(3, 3), projective_window(4, 3), sphere_window(4, 5),
                NON_FREE, COMPOSITE_FLIP, GAP, embedded_window(),
                embedded_window(child="C", parent="A")]
     for fs in windows:
@@ -155,11 +149,17 @@ def test_rank4_and_rank6_cones_match_the_registry():
     windows = [rank4_cone(rng) for _ in range(3)]
     windows += [single_cone(rng, 6, (1, 1, 1, 1, 1, m)) for m in (2, 5)]
     windows += [antipodal(rng, 4, (1, 1, 2, 5)), antipodal(rng, 6, (1, 1, 1, 1, 1, 3))]
-    # saturated at first; their two-divisions are not
+    # saturated at first; the two-division of the last is not
     windows += [orbit_chain(rng, 4, 3), orbit_chain(rng, 4, 2), orbit_chain(rng, 6, 2)]
     for fs in windows:
         for sub in with_subdivisions(fs):
             assert_same_index(sub)
+    # the library refuses to return that two-division; the rebuild oracle's
+    # is compared instead
+    assert outcome(two_division_subdivide, windows[-1])[0] is UnsaturatedWindow
+    unsaturated = rebuild_oracle.two_division_subdivide(windows[-1])
+    assert outcome(fans._check_free_action, unsaturated)[0] is UnsaturatedWindow
+    assert_same_index(unsaturated)
 
 
 def test_identification_fixing_a_face_names_it_in_both():

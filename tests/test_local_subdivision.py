@@ -3,13 +3,16 @@
 ``rebuild_oracle`` builds a new ``FanSystem`` per step; ``fanhodge.fans``
 keeps one local cone state.  On seeded random windows both must return equal
 windows with identical JSON, and on the error fixtures both must raise the
-same error types.
+same error types.  On seeded orbit chains, identifying by g or by g^-1 must
+give the same window or error type, and every window a subdivision returns
+must pass the registry's pairings of ``face_index_oracle``.
 """
 
 import random
 
 import pytest
 
+import face_index_oracle
 import rebuild_oracle
 from fanhodge.errors import FanhodgeError, NonFreeAction, UnsaturatedWindow
 from fanhodge.fans import (
@@ -43,6 +46,10 @@ def random_unimodular(rng, n, moves):
     return m
 
 
+def integer_inverse(g):
+    return Matrix([[int(x) for x in row] for row in dense_inverse(g).to_lists()])
+
+
 def conjugated_hilbert_window(rng, a, b, length):
     """The chain of ``length`` cones of M = [[1 + ab, a], [b, 1]], identified
     by M^length, moved by a random lattice automorphism g."""
@@ -52,7 +59,7 @@ def conjugated_hilbert_window(rng, a, b, length):
     for _ in range(length):
         power = matmul(power, m)
     g = random_unimodular(rng, 2, rng.randint(1, 4))
-    g_inv = Matrix([[int(x) for x in row] for row in dense_inverse(g).to_lists()])
+    g_inv = integer_inverse(g)
     cones = tuple(
         Cone("F", tuple(tuple(int(x) for x in apply_matrix(g, r)) for r in c.rays))
         for c in chain.cones
@@ -66,6 +73,19 @@ def rank4_cone(rng):
     rays = [tuple(int(i == j) for j in range(4)) for i in range(3)] + [last]
     g = random_unimodular(rng, 4, rng.randint(1, 3))
     return one_cusp(4, tuple(tuple(int(x) for x in apply_matrix(g, r)) for r in rays))
+
+
+def orbit_chain(rng, n, length):
+    """The cones sigma, g sigma, ..., g^(length-1) sigma of a singular cone,
+    identified by g: every map is defined on whole cones, in every dimension."""
+    rays = [tuple(int(i == j) for j in range(n)) for i in range(n - 1)]
+    rays.append(primitivize([rng.randint(0, 2) for _ in range(n - 1)] + [rng.randint(2, 4)]))
+    g = random_unimodular(rng, n, rng.randint(1, 3))
+    cones = []
+    for _ in range(length):
+        cones.append(Cone("F", tuple(rays)))
+        rays = [tuple(int(x) for x in apply_matrix(g, r)) for r in rays]
+    return FanSystem((CuspLabel("F", n),), tuple(cones), (Identification(g, "F", "F"),))
 
 
 def embedded_window(child="C", parent="P"):
@@ -128,6 +148,54 @@ def test_local_inverse_rows_are_the_integer_inverse():
             assert [list(row) for row in local.maps[1][2]] == dense_inverse(g).to_lists()
             for ray in rays:
                 assert local.image(1, local.image(0, ray)) == ray
+
+
+def seeded_chains():
+    """300 orbit chains of 2 or 3 cones in rank 2 or 3."""
+    rng = random.Random(7)
+    return [orbit_chain(rng, rng.choice((2, 3)), rng.choice((2, 3))) for _ in range(300)]
+
+
+def inverse_identified(fs):
+    """The same cones, identified by the inverse of each identification."""
+    return FanSystem(fs.cusps, fs.cones, tuple(
+        Identification(integer_inverse(g.matrix), g.target, g.source) for g in fs.identifications))
+
+
+def subdivided(fs):
+    """The cones of the subdivision of ``fs``, or the type of its error."""
+    try:
+        return smooth_subdivide(two_division_subdivide(fs)).cones
+    except FanhodgeError as exc:
+        return type(exc)
+
+
+def test_a_chain_subdivides_alike_identified_by_g_or_its_inverse():
+    """g and g^-1 generate the same group, so they give the same window or
+    the same error type: a wrong g^-1 in ``_LocalFan`` sends the new rays of
+    an orbit elsewhere."""
+    outcomes = set()
+    for fs in seeded_chains():
+        out = subdivided(fs)
+        assert subdivided(inverse_identified(fs)) == out
+        outcomes.add(out if isinstance(out, type) else "window")
+    assert outcomes == {"window", NonFreeAction, UnsaturatedWindow}
+
+
+def test_every_returned_subdivision_is_saturated():
+    """A subdivision that would leave a map carrying a face onto rays that
+    span no face raises instead: every window either step returns passes
+    the registry's pairings."""
+    returned = 0
+    for fs in seeded_chains():
+        for step in (two_division_subdivide, smooth_subdivide):
+            try:
+                fs = step(fs)
+            except FanhodgeError:
+                break
+            face_index_oracle.pairings(fs)
+            returned += 1
+    assert returned >= 300
 
 
 def test_embedded_window_carries_new_rays_into_the_parent():
